@@ -60,7 +60,10 @@ Result<GeoClusteringResult> ClusterLocations(
   }
 
   // Absorption pass: a location within the absorption radius of any station
-  // joins the *nearest* station's group and is excluded from clustering.
+  // joins the *nearest* such station's group (ties to the smaller station
+  // index) and is excluded from clustering. Only stations within the
+  // radius are scanned: a location far from every station costs the few
+  // cells the radius covers, not a ring search out to the nearest one.
   std::vector<int32_t> free_indices;
   free_indices.reserve(locations.size());
   std::vector<geo::LatLon> free_points;
@@ -69,20 +72,24 @@ Result<GeoClusteringResult> ClusterLocations(
       return Status::InvalidArgument("invalid location coordinate at index " +
                                      std::to_string(i));
     }
-    bool absorbed = false;
-    if (!stations.empty()) {
-      auto nearest = station_grid.Nearest(locations[i]);
-      if (nearest.id >= 0 &&
-          nearest.distance_m <= params.station_absorption_m) {
-        const int32_t group = static_cast<int32_t>(nearest.id);
-        result.clusters[AsIndex(group)].member_indices.push_back(
-            static_cast<int32_t>(i));
-        result.assignment[i] = group;
-        ++result.absorbed_count;
-        absorbed = true;
-      }
-    }
-    if (!absorbed) {
+    int64_t nearest = -1;
+    double nearest_m = 0.0;
+    station_grid.ForEachWithinRadius(
+        locations[i], params.station_absorption_m,
+        [&](int64_t id, double d) {
+          if (nearest < 0 || d < nearest_m ||
+              (d == nearest_m && id < nearest)) {
+            nearest = id;
+            nearest_m = d;
+          }
+        });
+    if (nearest >= 0) {
+      const int32_t group = static_cast<int32_t>(nearest);
+      result.clusters[AsIndex(group)].member_indices.push_back(
+          static_cast<int32_t>(i));
+      result.assignment[i] = group;
+      ++result.absorbed_count;
+    } else {
       free_indices.push_back(static_cast<int32_t>(i));
       free_points.push_back(locations[i]);
     }

@@ -206,16 +206,12 @@ Result<std::vector<int32_t>> ThresholdCompleteLinkage(
     grid.Add(static_cast<int64_t>(i), points[i]);
   }
 
-  // Cluster slots: 0..n-1 are points; merged clusters append new slots, so
-  // there are at most 2n-1 slots in total. A heap entry (a, b) is valid iff
-  // both slots are still active: the complete-linkage distance between two
-  // clusters never changes while both survive, so no version counters are
-  // needed.
-  //
-  // Per-slot neighbour lists are flat (slot, distance) vectors. Entries
-  // pointing at deactivated slots are skipped on read instead of erased
-  // (lazy deletion); slot ids are never reused, so each list holds at most
-  // one entry per active slot.
+  // Cluster slots: 0..n-1 are points; merge k appends slot n+k, so there
+  // are at most 2n-1 slots and a slot id is never reused. Per-slot lists
+  // hold the within-threshold (slot, distance) partners; the
+  // complete-linkage distance between two clusters never changes while
+  // both survive, so an entry only ever goes stale by its partner merging
+  // away. Stale entries are dropped lazily, by the next rescan of the list.
   struct Entry {
     int32_t slot;
     double dist;
@@ -225,37 +221,54 @@ Result<std::vector<int32_t>> ThresholdCompleteLinkage(
   std::vector<bool> active(n, true);
   nbrs.reserve(max_slots);
   active.reserve(max_slots);
-
-  struct HeapEntry {
-    double dist;
-    int32_t a, b;
-    bool operator<(const HeapEntry& o) const {
-      if (dist != o.dist) return dist < o.dist;
-      if (a != o.a) return a < o.a;
-      return b < o.b;
-    }
-    bool operator>(const HeapEntry& o) const { return o < *this; }
-  };
-
-  // Candidate pairs arrive in two streams. The initial within-threshold
-  // pairs are sorted once and consumed by index — skipping a stale entry is
-  // O(1) instead of a heap pop (the vast majority of entries go stale
-  // before they surface). Only merge-generated pairs need a live heap.
-  std::vector<HeapEntry> initial;
   grid.ForEachPairWithinRadius(
       threshold_m, [&](int64_t a64, int64_t b64, double dist) {
-        const int32_t i = static_cast<int32_t>(std::min(a64, b64));
-        const int32_t j = static_cast<int32_t>(std::max(a64, b64));
+        const int32_t i = static_cast<int32_t>(a64);
+        const int32_t j = static_cast<int32_t>(b64);
         nbrs[AsIndex(i)].push_back(Entry{j, dist});
         nbrs[AsIndex(j)].push_back(Entry{i, dist});
-        initial.push_back(HeapEntry{dist, i, j});
       });
-  std::sort(initial.begin(), initial.end());
-  size_t next_initial = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      generated;
 
-  // Union-find over slots; point labels read off at the end.
+  // The heap holds, per active slot with a live partner, one candidate:
+  // its nearest partner under the (dist, lo, hi) order. Merging a and b
+  // into c gives every other slot k d(c,k) = max(d(a,k), d(b,k)), and c's
+  // id exceeds every other, so no merge can make a slot's nearest partner
+  // nearer: a candidate whose partner is still active is exact, and one
+  // whose partner merged away is a lower bound for its owner's next. The
+  // heap top, once its partner is checked active, is therefore the global
+  // (dist, lo, hi) minimum over live pairs.
+  struct Candidate {
+    double dist;
+    int32_t lo, hi;
+    int32_t owner;  ///< lo or hi: the slot this is the nearest partner of
+  };
+  auto later = [](const Candidate& x, const Candidate& y) {
+    if (x.dist != y.dist) return x.dist > y.dist;
+    if (x.lo != y.lo) return x.lo > y.lo;
+    return x.hi > y.hi;
+  };
+  std::priority_queue<Candidate, std::vector<Candidate>, decltype(later)>
+      heap(later);
+  // Compacts `s`'s list to its live partners and queues the nearest one;
+  // a slot left without partners is a final cluster.
+  auto push_nearest = [&](int32_t s) {
+    std::vector<Entry>& list = nbrs[AsIndex(s)];
+    size_t live = 0;
+    Candidate best{kInf, 0, 0, s};
+    for (const Entry& e : list) {
+      if (!active[AsIndex(e.slot)]) continue;
+      list[live++] = e;
+      const Candidate cand{e.dist, std::min(s, e.slot), std::max(s, e.slot),
+                           s};
+      if (later(best, cand)) best = cand;
+    }
+    list.resize(live);
+    if (live > 0) heap.push(best);
+  };
+  for (size_t i = 0; i < n; ++i) push_nearest(static_cast<int32_t>(i));
+
+  // Union-find over slots; point labels read off at the end. An active
+  // slot is always a root.
   std::vector<int32_t> parent(n);
   parent.reserve(max_slots);
   for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int32_t>(i);
@@ -272,36 +285,25 @@ Result<std::vector<int32_t>> ThresholdCompleteLinkage(
   std::vector<char> mark(max_slots, 0);
   std::vector<Entry> merged;  // reused per merge
 
-  while (true) {
-    // Drop stale candidates from both streams, then take the global min.
-    while (next_initial < initial.size() &&
-           (!active[AsIndex(initial[next_initial].a)] ||
-            !active[AsIndex(initial[next_initial].b)])) {
-      ++next_initial;
-    }
-    while (!generated.empty() && (!active[AsIndex(generated.top().a)] ||
-                                  !active[AsIndex(generated.top().b)])) {
-      generated.pop();
-    }
-    HeapEntry top;
-    if (next_initial < initial.size() &&
-        (generated.empty() || initial[next_initial] < generated.top())) {
-      top = initial[next_initial++];
-    } else if (!generated.empty()) {
-      top = generated.top();
-      generated.pop();
-    } else {
-      break;
+  while (!heap.empty()) {
+    const Candidate top = heap.top();
+    heap.pop();
+    if (!active[AsIndex(top.owner)]) continue;  // owner merged away
+    const int32_t partner = top.owner == top.lo ? top.hi : top.lo;
+    if (!active[AsIndex(partner)]) {
+      // A lower bound only: requeue the owner's actual nearest partner.
+      push_nearest(top.owner);
+      continue;
     }
 
     // Merge slots a and b into new slot c.
-    const int32_t a = top.a, b = top.b;
+    const int32_t a = top.lo, b = top.hi;
     const int32_t c = static_cast<int32_t>(nbrs.size());
     active[AsIndex(a)] = active[AsIndex(b)] = false;
-    parent.push_back(c);
     active.push_back(true);
-    parent[AsIndex(find(a))] = c;
-    parent[AsIndex(find(b))] = c;
+    parent.push_back(c);
+    parent[AsIndex(a)] = c;
+    parent[AsIndex(b)] = c;
 
     // Complete linkage: d(c,k) = max(d(a,k), d(b,k)); k must be a
     // within-threshold neighbour of BOTH a and b, otherwise d(c,k) exceeds
@@ -323,17 +325,14 @@ Result<std::vector<int32_t>> ThresholdCompleteLinkage(
     }
     for (const Entry& e : nbrs[AsIndex(a)]) mark[AsIndex(e.slot)] = 0;
     nbrs.emplace_back(merged.begin(), merged.end());
-    // Tell the surviving neighbours about c and push fresh heap entries;
-    // their stale a/b entries are skipped lazily via the active flags.
-    for (const Entry& e : nbrs[AsIndex(c)]) {
+    // The surviving neighbours learn about c; their stale a/b entries go
+    // at their next rescan.
+    for (const Entry& e : merged) {
       nbrs[AsIndex(e.slot)].push_back(Entry{c, e.dist});
-      generated.push(
-          HeapEntry{e.dist, std::min(c, e.slot), std::max(c, e.slot)});
     }
-    nbrs[AsIndex(a)].clear();
-    nbrs[AsIndex(a)].shrink_to_fit();
-    nbrs[AsIndex(b)].clear();
-    nbrs[AsIndex(b)].shrink_to_fit();
+    nbrs[AsIndex(a)] = {};
+    nbrs[AsIndex(b)] = {};
+    push_nearest(c);
   }
 
   // Dense labels for the points; roots are slot ids, so the remap is flat.

@@ -1,5 +1,6 @@
 #include "core/civil_time.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace bikegraph {
@@ -64,7 +65,37 @@ Result<CivilTime> CivilTime::FromCalendar(int year, int month, int day,
   return CivilTime(days * 86400 + hour * 3600 + minute * 60 + second);
 }
 
+namespace {
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Value of the `width` ASCII digits at `p`, or -1 if any is not a digit.
+int FixedDigits(const char* p, int width) {
+  int value = 0;
+  for (int i = 0; i < width; ++i) {
+    if (!IsDigit(p[i])) return -1;
+    value = value * 10 + (p[i] - '0');
+  }
+  return value;
+}
+
+}  // namespace
+
 Result<CivilTime> CivilTime::Parse(const std::string& text) {
+  // Fast path for the zero-padded "YYYY-MM-DD[ T]HH:MM:SS" form every CSV
+  // row carries. sscanf below reads the same fields from it, provided the
+  // seconds are not followed by a further digit; any other text (bare
+  // dates, unpadded fields, signs, leading blanks) takes the sscanf path.
+  const char* t = text.c_str();
+  if (text.size() >= 19 && !IsDigit(t[19]) && t[4] == '-' && t[7] == '-' &&
+      (t[10] == ' ' || t[10] == 'T') && t[13] == ':' && t[16] == ':') {
+    const int y = FixedDigits(t, 4), mo = FixedDigits(t + 5, 2),
+              d = FixedDigits(t + 8, 2), h = FixedDigits(t + 11, 2),
+              mi = FixedDigits(t + 14, 2), s = FixedDigits(t + 17, 2);
+    if (std::min({y, mo, d, h, mi, s}) >= 0) {
+      return FromCalendar(y, mo, d, h, mi, s);
+    }
+  }
   int y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
   char sep = 0;
   int n = std::sscanf(text.c_str(), "%d-%d-%d%c%d:%d:%d", &y, &mo, &d, &sep,

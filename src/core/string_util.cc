@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -62,14 +63,21 @@ std::string ToLower(std::string_view text) {
 }
 
 Result<int64_t> ParseInt(std::string_view text) {
-  std::string t(Trim(text));
+  const std::string_view t = Trim(text);
   if (t.empty()) return Status::DataLoss("empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  int64_t value = std::strtoll(t.c_str(), &end, 10);
-  if (errno == ERANGE) return Status::OutOfRange("integer overflow: " + t);
-  if (end != t.c_str() + t.size()) {
-    return Status::DataLoss("invalid integer: '" + t + "'");
+  // Same grammar as strtoll in base 10: an optional sign, then digits.
+  // from_chars takes no '+', so skip it here — but only before a digit,
+  // or "+-5" would parse.
+  const char* begin = t.data();
+  const char* end = t.data() + t.size();
+  if (*begin == '+' && t.size() > 1 && t[1] != '-') ++begin;
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer overflow: " + std::string(t));
+  }
+  if (ec != std::errc() || ptr != end) {
+    return Status::DataLoss("invalid integer: '" + std::string(t) + "'");
   }
   return value;
 }

@@ -212,10 +212,26 @@ struct Endpoint {
 /// Hour-activity multiplier of a behavioural kind at a given hour; used to
 /// steer trips towards endpoints that are "open" at the trip's start time
 /// (a commute niche absorbs rush-hour arrivals, a park absorbs midday
-/// ones). `hour < 0` disables the modulation.
+/// ones). `hour < 0` disables the modulation. The sampler calls this for
+/// every micro-centre and hotspot on every trip, so the 3 kinds x
+/// {weekday, weekend} x 24 hours are tabulated once from HourProfile.
 double HourAffinity(Hotspot::Kind kind, bool weekend, int hour) {
   if (hour < 0) return 1.0;
-  return 0.05 + HourProfile(kind, weekend)[AsIndex(hour)];
+  using Table = std::array<std::array<std::array<double, 24>, 2>, 3>;
+  static const Table kTable = [] {
+    Table table{};
+    for (Hotspot::Kind k : {Hotspot::Kind::kCommute, Hotspot::Kind::kLeisure,
+                            Hotspot::Kind::kMixed}) {
+      for (bool we : {false, true}) {
+        const std::array<double, 24> profile = HourProfile(k, we);
+        for (size_t h = 0; h < 24; ++h) {
+          table[static_cast<size_t>(k)][we ? 1 : 0][h] = 0.05 + profile[h];
+        }
+      }
+    }
+    return table;
+  }();
+  return kTable[static_cast<size_t>(kind)][weekend ? 1 : 0][AsIndex(hour)];
 }
 
 /// Chooses (or creates) the dockless location for an endpoint near

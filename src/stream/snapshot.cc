@@ -245,23 +245,27 @@ Result<WindowSnapshot> FreezeSnapshotDelta(
 
 std::shared_ptr<const WindowSnapshot> SnapshotPublisher::Publish(
     WindowSnapshot snapshot) {
-  // Single-writer: the unsynchronized read-modify-write of epoch_ is safe
-  // because only the publishing thread calls Publish/RestoreEpoch.
-  const uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
+  // Single-writer: only the publishing thread stores stamped_.
+  const uint64_t next = stamped_.load(std::memory_order_relaxed) + 1;
   snapshot.epoch = next;
   auto published =
       std::make_shared<const WindowSnapshot>(std::move(snapshot));
-  // Snapshot first, counter second: a reader that observes epoch() == N
-  // is guaranteed Current() already returns epoch N (or newer) — the
-  // release stores pair with the acquire loads in the readers.
   current_.store(published, std::memory_order_release);
-  epoch_.store(next, std::memory_order_release);
+  // After the snapshot: a reader that sees no snapshot yet and reads
+  // `next` here (acquire) also sees the snapshot in its next Current().
+  stamped_.store(next, std::memory_order_release);
   return published;
+}
+
+uint64_t SnapshotPublisher::epoch() const {
+  const auto snapshot = current_.load(std::memory_order_acquire);
+  return snapshot != nullptr ? snapshot->epoch
+                             : stamped_.load(std::memory_order_acquire);
 }
 
 void SnapshotPublisher::RestoreEpoch(uint64_t epoch) {
   current_.store(nullptr, std::memory_order_release);
-  epoch_.store(epoch, std::memory_order_release);
+  stamped_.store(epoch, std::memory_order_release);
 }
 
 }  // namespace bikegraph::stream

@@ -155,11 +155,12 @@ class SnapshotPublisher {
     return current_.load(std::memory_order_acquire);
   }
 
-  /// Epoch of the latest published snapshot (0 before any publish). The
-  /// counter is advanced *after* the snapshot store, so an epoch observed
-  /// here is always already retrievable via Current(). Safe from any
-  /// thread.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  /// Epoch of the latest published snapshot, read off Current() itself so
+  /// the two never disagree: an epoch() read after a Current() is at
+  /// least that snapshot's epoch, and one read before it at most. While
+  /// nothing is published it is the epoch last stamped or restored (0 on
+  /// a fresh publisher). Safe from any thread.
+  uint64_t epoch() const;
 
   /// Recovery only (writer-side, no concurrent readers yet): rewinds the
   /// epoch counter so the next Publish stamps `epoch + 1`, and drops the
@@ -170,7 +171,10 @@ class SnapshotPublisher {
 
  private:
   std::atomic<std::shared_ptr<const WindowSnapshot>> current_;
-  std::atomic<uint64_t> epoch_{0};
+  /// The epoch last stamped by Publish or set by RestoreEpoch. Only the
+  /// writer stores it, after the snapshot it stamps; readers consult it
+  /// only while no snapshot is published.
+  std::atomic<uint64_t> stamped_{0};
 };
 
 }  // namespace bikegraph::stream

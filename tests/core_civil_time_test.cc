@@ -83,6 +83,61 @@ TEST(CivilTimeTest, ParseRejectsGarbage) {
   EXPECT_FALSE(CivilTime::Parse("2020-13-40 99:99:99").ok());
 }
 
+// Parse reads the padded "YYYY-MM-DD[ T]HH:MM:SS" form directly and every
+// other form through sscanf; both must accept, value and reject exactly as
+// sscanf alone did.
+TEST(CivilTimeTest, ParseFormsMatchScanfSemantics) {
+  auto expect_time = [](const std::string& text, int y, int mo, int d, int h,
+                        int mi, int s) {
+    auto got = CivilTime::Parse(text);
+    ASSERT_TRUE(got.ok()) << "'" << text << "': " << got.status().message();
+    auto want = CivilTime::FromCalendar(y, mo, d, h, mi, s);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(*got, *want) << "'" << text << "'";
+  };
+  expect_time("2020-06-15 08:30:07", 2020, 6, 15, 8, 30, 7);
+  expect_time("2020-06-15T08:30:07", 2020, 6, 15, 8, 30, 7);
+  expect_time("2021-09-19", 2021, 9, 19, 0, 0, 0);
+  // Unpadded fields, a sign and leading blanks all pass through sscanf.
+  expect_time("2020-6-5 8:3:7", 2020, 6, 5, 8, 3, 7);
+  expect_time("2020-6-5T8:30:00", 2020, 6, 5, 8, 30, 0);
+  expect_time("+2020-06-15 08:30:07", 2020, 6, 15, 8, 30, 7);
+  expect_time("  2020-06-15 08:30:07", 2020, 6, 15, 8, 30, 7);
+  expect_time("2020-06-15  08:30:07", 2020, 6, 15, 8, 30, 7);
+  // Text after the seconds is ignored, unless it extends their digits.
+  expect_time("2020-06-15 08:30:07 UTC", 2020, 6, 15, 8, 30, 7);
+  expect_time("2020-06-15 08:30:07.9", 2020, 6, 15, 8, 30, 7);
+  expect_time("2020-06-15 08:30:0007", 2020, 6, 15, 8, 30, 7);
+  expect_time("2020-06-15 08:30:007", 2020, 6, 15, 8, 30, 7);
+}
+
+TEST(CivilTimeTest, ParseErrorsKeepCodesAndMessages) {
+  auto expect_error = [](const std::string& text, StatusCode code,
+                         const std::string& message) {
+    auto got = CivilTime::Parse(text);
+    ASSERT_FALSE(got.ok()) << "'" << text << "'";
+    EXPECT_EQ(got.status().code(), code) << "'" << text << "'";
+    EXPECT_EQ(got.status().message(), message) << "'" << text << "'";
+  };
+  expect_error("", StatusCode::kDataLoss, "unparseable timestamp: ''");
+  expect_error("2020-06-15X08:30:07", StatusCode::kDataLoss,
+               "unparseable timestamp: '2020-06-15X08:30:07'");
+  expect_error("2020-06-15 08:30", StatusCode::kDataLoss,
+               "unparseable timestamp: '2020-06-15 08:30'");
+  expect_error("2020-06-15 ", StatusCode::kDataLoss,
+               "unparseable timestamp: '2020-06-15 '");
+  expect_error("2020-13-15 08:30:07", StatusCode::kInvalidArgument,
+               "month out of range: 13");
+  expect_error("2021-02-29 08:30:07", StatusCode::kInvalidArgument,
+               "day out of range: 29");
+  expect_error("2020-06-15 24:00:00", StatusCode::kInvalidArgument,
+               "time-of-day out of range");
+  expect_error("2020-06-15T08:60:07", StatusCode::kInvalidArgument,
+               "time-of-day out of range");
+  expect_error("2020-06-15 08:30:60", StatusCode::kInvalidArgument,
+               "time-of-day out of range");
+}
+
 TEST(CivilTimeTest, ToStringRoundTrips) {
   auto t = CivilTime::FromCalendar(2021, 12, 31, 23, 59, 58);
   ASSERT_TRUE(t.ok());

@@ -1,5 +1,9 @@
 #include "core/string_util.h"
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace bikegraph {
@@ -64,6 +68,42 @@ TEST(ParseIntTest, RejectsInvalid) {
   EXPECT_FALSE(ParseInt("12x").ok());
   EXPECT_FALSE(ParseInt("1.5").ok());
   EXPECT_FALSE(ParseInt("999999999999999999999999").ok());
+}
+
+TEST(ParseIntTest, MatchesStrtollGrammar) {
+  EXPECT_EQ(*ParseInt("+5"), 5);
+  EXPECT_EQ(*ParseInt(" +5\t"), 5);
+  EXPECT_EQ(*ParseInt("-0"), 0);
+  EXPECT_EQ(*ParseInt("007"), 7);
+  EXPECT_EQ(*ParseInt("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(*ParseInt("-9223372036854775808"), INT64_MIN);
+  for (const char* bad : {"+", "-", "++5", "+-5", "-+5", "+ 5", "- 5", "1 2",
+                          "0x10", "5+"}) {
+    EXPECT_FALSE(ParseInt(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+TEST(ParseIntTest, ErrorsKeepCodesAndMessages) {
+  auto expect_error = [](std::string_view text, StatusCode code,
+                         const std::string& message) {
+    auto got = ParseInt(text);
+    ASSERT_FALSE(got.ok()) << "'" << text << "'";
+    EXPECT_EQ(got.status().code(), code) << "'" << text << "'";
+    EXPECT_EQ(got.status().message(), message) << "'" << text << "'";
+  };
+  expect_error("", StatusCode::kDataLoss, "empty integer field");
+  expect_error(" \t ", StatusCode::kDataLoss, "empty integer field");
+  expect_error(" 12x ", StatusCode::kDataLoss, "invalid integer: '12x'");
+  expect_error("+-5", StatusCode::kDataLoss, "invalid integer: '+-5'");
+  expect_error("9223372036854775808", StatusCode::kOutOfRange,
+               "integer overflow: 9223372036854775808");
+  expect_error("-9223372036854775809", StatusCode::kOutOfRange,
+               "integer overflow: -9223372036854775809");
+  expect_error("+99999999999999999999", StatusCode::kOutOfRange,
+               "integer overflow: +99999999999999999999");
+  // Overflow wins over trailing text, as with strtoll's ERANGE.
+  expect_error("99999999999999999999x", StatusCode::kOutOfRange,
+               "integer overflow: 99999999999999999999x");
 }
 
 TEST(ParseDoubleTest, ParsesValidDoubles) {

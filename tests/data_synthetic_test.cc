@@ -1,6 +1,9 @@
 #include "data/synthetic.h"
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string_view>
 
 #include "data/cleaning.h"
 #include "geo/dublin.h"
@@ -151,6 +154,62 @@ TEST(SyntheticTest, RejectsNonsenseConfig) {
   cfg = SyntheticConfig();
   cfg.end_year = 2019;  // window before start
   EXPECT_FALSE(GenerateSyntheticMoby(cfg).ok());
+}
+
+/// FNV-1a (64-bit) over fixed-width little-endian fields, so the digest
+/// does not depend on struct layout or padding.
+class Fnv1a {
+ public:
+  void Byte(uint8_t b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
+  void Bytes(std::string_view bytes) {
+    for (char c : bytes) Byte(static_cast<uint8_t>(c));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Locks the generator's output bit for bit: any speed-up of the sampler
+// must leave every location and rental field unchanged. The golden values
+// were recorded from the generator before its hour-affinity table was
+// cached, with glibc's libm: the sampler's exp/log/trig results feed every
+// coordinate and time, so another libm may round them differently.
+TEST(SyntheticTest, DefaultConfigFingerprintIsStable) {
+  SyntheticConfig cfg;
+  cfg.seed = 424242;
+  auto ds = GenerateSyntheticMoby(cfg);
+  ASSERT_TRUE(ds.ok());
+  Fnv1a locations;
+  for (const LocationRecord& l : ds->locations()) {
+    locations.I64(l.id);
+    locations.F64(l.position.lat);
+    locations.F64(l.position.lon);
+    locations.U64(l.is_station ? 1 : 0);
+    locations.U64(l.name.size());
+    locations.Bytes(l.name);
+  }
+  Fnv1a rentals;
+  for (const RentalRecord& r : ds->rentals()) {
+    rentals.I64(r.id);
+    rentals.I64(r.bike_id);
+    rentals.I64(r.start_time.seconds_since_epoch());
+    rentals.I64(r.end_time.seconds_since_epoch());
+    rentals.I64(r.rental_location_id);
+    rentals.I64(r.return_location_id);
+  }
+  EXPECT_EQ(ds->locations().size(), 14660u);
+  EXPECT_EQ(ds->rentals().size(), 62361u);
+  EXPECT_EQ(locations.value(), 0x0af6348a691605d8ULL);
+  EXPECT_EQ(rentals.value(), 0xb1221127a378446aULL);
 }
 
 TEST(ProfileTest, CommuteWeekdayHasDoubleRush) {

@@ -7,14 +7,18 @@
 #include <cmath>
 #include <deque>
 #include <map>
+#include <queue>
 #include <vector>
 
+#include "cluster/geo_cluster.h"
 #include "cluster/hac.h"
 #include "community/aggregate.h"
 #include "community/louvain.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 #include "core/rng.h"
+#include "core/string_util.h"
+#include "data/synthetic.h"
 #include "geo/grid_index.h"
 #include "geo/haversine.h"
 #include "graphdb/weighted_graph.h"
@@ -28,7 +32,9 @@ using bikegraph::AsIndex;
 namespace bikegraph {
 namespace {
 
+using cluster::ClusterLocations;
 using cluster::DenseHacGeo;
+using cluster::GeoClusterParams;
 using cluster::Linkage;
 using cluster::ThresholdCompleteLinkage;
 using community::AggregateByPartition;
@@ -370,6 +376,254 @@ TEST(ThresholdHacEquivalenceTest, MatchesDenseCutOnRandomInputs) {
       ExpectSamePartition(*sparse, dense->CutAt(threshold));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// ThresholdCompleteLinkage vs the two-stream reference: every step merges
+// the global (distance, lo, hi) minimum over live pairs, so the labels must
+// match element by element — including on inputs full of exact ties, where
+// only the tie rule decides the partition.
+// ---------------------------------------------------------------------------
+
+/// The earlier merge loop, kept as the reference: all within-threshold
+/// pairs sorted once and consumed by index, merge-generated pairs in a
+/// heap, and the global (distance, lo, hi) minimum of the two streams
+/// merged at every step. Slot ids: points are 0..n-1, merge k creates
+/// slot n+k.
+std::vector<int32_t> ReferenceTwoStreamHac(const std::vector<LatLon>& points,
+                                           double threshold_m) {
+  const size_t n = points.size();
+  geo::GridIndex grid(std::max(threshold_m, 1.0));
+  for (size_t i = 0; i < n; ++i) grid.Add(static_cast<int64_t>(i), points[i]);
+  struct Entry {
+    int32_t slot;
+    double dist;
+  };
+  struct Pair {
+    double dist;
+    int32_t a, b;
+    bool operator<(const Pair& o) const {
+      if (dist != o.dist) return dist < o.dist;
+      if (a != o.a) return a < o.a;
+      return b < o.b;
+    }
+    bool operator>(const Pair& o) const { return o < *this; }
+  };
+  std::vector<std::vector<Entry>> nbrs(n);
+  std::vector<bool> active(n, true);
+  std::vector<Pair> initial;
+  grid.ForEachPairWithinRadius(
+      threshold_m, [&](int64_t a64, int64_t b64, double dist) {
+        const int32_t i = static_cast<int32_t>(std::min(a64, b64));
+        const int32_t j = static_cast<int32_t>(std::max(a64, b64));
+        nbrs[AsIndex(i)].push_back(Entry{j, dist});
+        nbrs[AsIndex(j)].push_back(Entry{i, dist});
+        initial.push_back(Pair{dist, i, j});
+      });
+  std::sort(initial.begin(), initial.end());
+  size_t next_initial = 0;
+  std::priority_queue<Pair, std::vector<Pair>, std::greater<>> generated;
+  std::vector<int32_t> parent(n);
+  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int32_t>(i);
+  auto find = [&parent](int32_t x) {
+    while (parent[AsIndex(x)] != x) x = parent[AsIndex(x)];
+    return x;
+  };
+  while (true) {
+    while (next_initial < initial.size() &&
+           (!active[AsIndex(initial[next_initial].a)] ||
+            !active[AsIndex(initial[next_initial].b)])) {
+      ++next_initial;
+    }
+    while (!generated.empty() && (!active[AsIndex(generated.top().a)] ||
+                                  !active[AsIndex(generated.top().b)])) {
+      generated.pop();
+    }
+    Pair top;
+    if (next_initial < initial.size() &&
+        (generated.empty() || initial[next_initial] < generated.top())) {
+      top = initial[next_initial++];
+    } else if (!generated.empty()) {
+      top = generated.top();
+      generated.pop();
+    } else {
+      break;
+    }
+    const int32_t a = top.a, b = top.b;
+    const int32_t c = static_cast<int32_t>(nbrs.size());
+    active[AsIndex(a)] = active[AsIndex(b)] = false;
+    active.push_back(true);
+    parent.push_back(c);
+    parent[AsIndex(a)] = c;
+    parent[AsIndex(b)] = c;
+    std::map<int32_t, double> from_a;
+    for (const Entry& e : nbrs[AsIndex(a)]) {
+      if (active[AsIndex(e.slot)]) from_a[e.slot] = e.dist;
+    }
+    std::vector<Entry> merged;
+    for (const Entry& e : nbrs[AsIndex(b)]) {
+      auto it = from_a.find(e.slot);
+      if (it == from_a.end()) continue;
+      const double dck = std::max(it->second, e.dist);
+      if (dck <= threshold_m) merged.push_back(Entry{e.slot, dck});
+    }
+    nbrs.push_back(merged);
+    for (const Entry& e : merged) {
+      nbrs[AsIndex(e.slot)].push_back(Entry{c, e.dist});
+      generated.push(Pair{e.dist, e.slot, c});
+    }
+  }
+  std::vector<int32_t> labels(n, -1);
+  std::vector<int32_t> remap(nbrs.size(), -1);
+  int32_t next = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t root = find(static_cast<int32_t>(i));
+    if (remap[AsIndex(root)] < 0) remap[AsIndex(root)] = next++;
+    labels[i] = remap[AsIndex(root)];
+  }
+  return labels;
+}
+
+void ExpectSameLabelsAsReference(const std::vector<LatLon>& points,
+                                 double threshold_m) {
+  auto got = ThresholdCompleteLinkage(points, threshold_m);
+  ASSERT_TRUE(got.ok());
+  const std::vector<int32_t> want = ReferenceTwoStreamHac(points, threshold_m);
+  ASSERT_EQ(got->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ((*got)[i], want[i])
+        << "label mismatch at point " << i << " of " << want.size()
+        << ", threshold " << threshold_m;
+  }
+}
+
+TEST(ThresholdHacIdentityTest, MatchesReferenceOnRandomInputs) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto points = RandomClumpedPoints(300 + 200 * seed, seed * 31);
+    for (double threshold : {40.0, 100.0, 250.0}) {
+      ExpectSameLabelsAsReference(points, threshold);
+    }
+  }
+}
+
+TEST(ThresholdHacIdentityTest, MatchesReferenceOnExactDuplicates) {
+  // Every position repeated 1-5 times: zero distances tie everywhere.
+  Rng rng(5);
+  const auto sites = RandomClumpedPoints(120, 17);
+  std::vector<LatLon> points;
+  for (const LatLon& p : sites) {
+    const size_t copies = 1 + rng.NextBounded(5);
+    for (size_t k = 0; k < copies; ++k) points.push_back(p);
+  }
+  // Interleave the copies so equal points do not sit at adjacent indices.
+  for (size_t i = points.size(); i > 1; --i) {
+    std::swap(points[i - 1], points[rng.NextBounded(i)]);
+  }
+  for (double threshold : {0.0, 30.0, 100.0}) {
+    ExpectSameLabelsAsReference(points, threshold);
+  }
+}
+
+TEST(ThresholdHacIdentityTest, MatchesReferenceOnLattice) {
+  // Dyadic lattice steps make every coordinate difference exact, so all
+  // same-row neighbours and all same-column neighbours are at exactly
+  // equal distances: ~27 m north-south, ~33 m east-west.
+  const double dlat = std::ldexp(1.0, -12);
+  const double dlon = std::ldexp(1.0, -11);
+  std::vector<LatLon> points;
+  for (int row = 0; row < 24; ++row) {
+    for (int col = 0; col < 24; ++col) {
+      points.emplace_back(53.25 + row * dlat, -6.5 + col * dlon);
+    }
+  }
+  for (double threshold : {27.5, 33.0, 45.0, 100.0, 150.0}) {
+    ExpectSameLabelsAsReference(points, threshold);
+  }
+  // A shuffled copy: slot ids no longer follow the lattice order.
+  Rng rng(11);
+  for (size_t i = points.size(); i > 1; --i) {
+    std::swap(points[i - 1], points[rng.NextBounded(i)]);
+  }
+  for (double threshold : {45.0, 100.0}) {
+    ExpectSameLabelsAsReference(points, threshold);
+  }
+}
+
+TEST(ThresholdHacIdentityTest, MatchesReferenceOnCsvRoundedCoordinates) {
+  // Dataset::WriteCsv keeps 6 decimals (~0.1 m), so a dataset read back
+  // from CSV carries snapped coordinates with many repeated distances.
+  auto points = RandomClumpedPoints(1500, 23);
+  for (LatLon& p : points) {
+    p = LatLon(*ParseDouble(FormatDouble(p.lat, 6)),
+               *ParseDouble(FormatDouble(p.lon, 6)));
+  }
+  for (double threshold : {50.0, 100.0}) {
+    ExpectSameLabelsAsReference(points, threshold);
+  }
+}
+
+TEST(ThresholdHacIdentityTest, MatchesReferenceOnSyntheticFreePoints) {
+  for (uint64_t seed : {7ULL, 424242ULL}) {
+    data::SyntheticConfig config;
+    config.seed = seed;
+    auto dataset = data::GenerateSyntheticMoby(config);
+    ASSERT_TRUE(dataset.ok());
+    std::vector<LatLon> stations, dockless;
+    for (const auto& loc : dataset->locations()) {
+      if (!loc.has_coordinates()) continue;
+      (loc.is_station ? stations : dockless).push_back(loc.position);
+    }
+    const GeoClusterParams params;
+    auto clustering = ClusterLocations(dockless, stations, params);
+    ASSERT_TRUE(clustering.ok());
+    std::vector<LatLon> free_points;
+    for (size_t i = 0; i < dockless.size(); ++i) {
+      const auto& group = clustering->clusters[AsIndex(clustering->assignment[i])];
+      if (!group.is_station_group()) free_points.push_back(dockless[i]);
+    }
+    ASSERT_GT(free_points.size(), 1000u) << "seed " << seed;
+    ExpectSameLabelsAsReference(free_points, params.cluster_boundary_m);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Station absorption: the nearest station within the radius, ties to the
+// smaller station index, the boundary inclusive.
+// ---------------------------------------------------------------------------
+TEST(StationAbsorptionTest, EquidistantStationsResolveToSmallerIndex) {
+  const LatLon location(53.35, -6.26);
+  // Mirror-image offsets in longitude: both stations are at exactly the
+  // same haversine distance from the location.
+  const double dlon = std::ldexp(1.0, -12);
+  const LatLon west(location.lat, location.lon - dlon);
+  const LatLon east(location.lat, location.lon + dlon);
+  ASSERT_EQ(geo::HaversineMeters(location, west),
+            geo::HaversineMeters(location, east));
+  for (const auto& stations : {std::vector<LatLon>{west, east},
+                               std::vector<LatLon>{east, west}}) {
+    auto result = ClusterLocations({location}, stations, GeoClusterParams{});
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->absorbed_count, 1u);
+    EXPECT_EQ(result->assignment[0], 0);
+  }
+}
+
+TEST(StationAbsorptionTest, LocationExactlyAtRadiusIsAbsorbed) {
+  const LatLon station(53.35, -6.26);
+  const LatLon location = geo::Offset(station, 37.0, 63.0);
+  GeoClusterParams params;
+  params.station_absorption_m = geo::HaversineMeters(station, location);
+  auto at_radius = ClusterLocations({location}, {station}, params);
+  ASSERT_TRUE(at_radius.ok());
+  EXPECT_EQ(at_radius->absorbed_count, 1u);
+  EXPECT_EQ(at_radius->assignment[0], 0);
+
+  params.station_absorption_m =
+      std::nextafter(params.station_absorption_m, 0.0);
+  auto inside = ClusterLocations({location}, {station}, params);
+  ASSERT_TRUE(inside.ok());
+  EXPECT_EQ(inside->absorbed_count, 0u);
+  EXPECT_EQ(inside->assignment[0], 1);
 }
 
 // ---------------------------------------------------------------------------

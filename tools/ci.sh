@@ -30,7 +30,8 @@
 # — the unsanitized gate always runs everything; with none, the
 # streaming suites (including stream_reorder_test: the reorder heap /
 # expiry ring interplay is exactly where lifetime bugs would live),
-# warm-start and grid suites run by default.
+# warm-start, grid and HAC suites (cluster_hac_test and
+# perf_equivalence_test: the slot-indexed merge loop) run by default.
 #
 #   tools/ci.sh --sanitize-matrix                   # default subset
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
@@ -209,7 +210,7 @@ if [ "$MATRIX" = 1 ]; then
   else
     # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
     # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index')
+    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence')
   fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"
