@@ -2,7 +2,7 @@
 
 // Shared helpers for the table/figure reproduction benches. Each bench is a
 // standalone binary that regenerates one table or figure of the paper and
-// prints a paper-vs-measured comparison (see EXPERIMENTS.md).
+// prints a paper-vs-measured comparison against analysis::PaperExpectations.
 
 #include <chrono>
 #include <cstdio>

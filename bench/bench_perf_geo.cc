@@ -1,7 +1,6 @@
 // Performance benchmarks for the geospatial substrate: Haversine vs the
 // equirectangular approximation, and GridIndex queries vs linear scans.
-// These justify the design choices in DESIGN.md (grid cell sizing, distance
-// function selection).
+// These justify the grid cell sizing and the choice of distance function.
 
 #include <benchmark/benchmark.h>
 

@@ -11,7 +11,7 @@ int main() {
   std::printf("=== Table II: candidate graph details (paper vs measured) ===\n");
   auto result = RunExperimentOrDie();
   const auto& net = result.pipeline.candidate_network;
-  auto counts = metrics::CountGraph(net.graph, "TRIP");
+  auto counts = metrics::CountGraph(net.graph);
   const analysis::PaperExpectations paper;
 
   viz::AsciiTable t({"Measure", "Paper", "Ours"});

@@ -7,6 +7,7 @@
 //
 //   $ ./build/examples/fleet_rebalancing
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 

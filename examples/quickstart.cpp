@@ -17,7 +17,7 @@
 using namespace bikegraph;
 
 int main() {
-  analysis::ExperimentConfig config;  // calibrated defaults (see DESIGN.md)
+  analysis::ExperimentConfig config;  // calibrated defaults
 
   auto result_or = analysis::RunPaperExperiment(config);
   if (!result_or.ok()) {

@@ -55,46 +55,34 @@ Result<CommunityTripStats> ComputeCommunityTripStats(
     }
   }
 
-  Status status = Status::OK();
-  network.graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    const int32_t cf = partition.assignment[AsIndex(network.graph.EdgeFrom(e))];
-    const int32_t ct = partition.assignment[AsIndex(network.graph.EdgeTo(e))];
+  for (const graphdb::Trip& trip : network.graph.trips()) {
+    const int32_t cf = partition.assignment[AsIndex(trip.from)];
+    const int32_t ct = partition.assignment[AsIndex(trip.to)];
     if (cf == ct) {
       ++stats.rows[AsIndex(cf)].within;
     } else {
       ++stats.rows[AsIndex(cf)].out;
       ++stats.rows[AsIndex(ct)].in;
     }
-  });
-  BIKEGRAPH_RETURN_NOT_OK(status);
+  }
   return stats;
 }
 
 namespace {
 
+/// `bucket` picks the day or the hour column; TripGraph::AddTrip keeps
+/// it below N.
 template <size_t N>
 Result<std::vector<std::array<double, N>>> CommunityShares(
     const expansion::FinalNetwork& network,
-    const community::Partition& partition, const char* property,
-    int64_t max_value) {
+    const community::Partition& partition, uint8_t graphdb::Trip::*bucket) {
   BIKEGRAPH_RETURN_NOT_OK(CheckPartition(network, partition));
   std::vector<std::array<double, N>> shares(partition.CommunityCount());
   for (auto& arr : shares) arr.fill(0.0);
-  Status status = Status::OK();
-  network.graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    if (!status.ok()) return;
-    auto value = network.graph.GetEdgeProperty(e, property).AsInt();
-    if (!value.ok() || value.ValueOrDie() < 0 ||
-        value.ValueOrDie() > max_value) {
-      status = Status::FailedPrecondition(
-          std::string("trip edge lacks a valid '") + property +
-          "' property");
-      return;
-    }
-    const int32_t c = partition.assignment[AsIndex(network.graph.EdgeFrom(e))];
-    shares[AsIndex(c)][AsIndex(value.ValueOrDie())] += 1.0;
-  });
-  BIKEGRAPH_RETURN_NOT_OK(status);
+  for (const graphdb::Trip& trip : network.graph.trips()) {
+    const int32_t c = partition.assignment[AsIndex(trip.from)];
+    shares[AsIndex(c)][trip.*bucket] += 1.0;
+  }
   for (auto& arr : shares) {
     double total = 0.0;
     for (double v : arr) total += v;
@@ -110,13 +98,13 @@ Result<std::vector<std::array<double, N>>> CommunityShares(
 Result<std::vector<std::array<double, 7>>> CommunityDayShares(
     const expansion::FinalNetwork& network,
     const community::Partition& partition) {
-  return CommunityShares<7>(network, partition, "day", 6);
+  return CommunityShares<7>(network, partition, &graphdb::Trip::day);
 }
 
 Result<std::vector<std::array<double, 24>>> CommunityHourShares(
     const expansion::FinalNetwork& network,
     const community::Partition& partition) {
-  return CommunityShares<24>(network, partition, "hour", 23);
+  return CommunityShares<24>(network, partition, &graphdb::Trip::hour);
 }
 
 DayPattern ClassifyDayPattern(const std::array<double, 7>& shares,

@@ -13,10 +13,11 @@
 
 namespace bikegraph::analysis {
 
-/// \brief The numbers the paper reports, used by EXPERIMENTS.md and the
-/// bench harnesses to print paper-vs-measured rows. Absolute values are not
-/// expected to match (our substrate is a synthetic generator); the *shape*
-/// is (see DESIGN.md §4).
+/// \brief The numbers the paper reports, used by the bench harnesses and
+/// examples/quickstart.cpp to print paper-vs-measured rows. Absolute values
+/// are not expected to match, because our substrate is a synthetic
+/// generator; the *shape* is, and tests/integration_paper_test.cc asserts
+/// it.
 struct PaperExpectations {
   // Table I.
   size_t original_stations = 95, cleaned_stations = 92;

@@ -59,68 +59,38 @@ double PerTripWeight(const StationProfiles& profiles, size_t a, size_t b,
          (1.0 - options.similarity_floor) * sharpened;
 }
 
-Result<StationProfiles> ExtractStationProfiles(
-    const graphdb::PropertyGraph& trips) {
+StationProfiles ExtractStationProfiles(const graphdb::TripGraph& trips) {
   StationProfiles profiles;
   profiles.day.assign(trips.NodeCount(), {});
   profiles.hour.assign(trips.NodeCount(), {});
-  Status status = Status::OK();
-  trips.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    if (!status.ok()) return;
-    auto day_r = trips.GetEdgeProperty(e, "day").AsInt();
-    auto hour_r = trips.GetEdgeProperty(e, "hour").AsInt();
-    if (!day_r.ok() || !hour_r.ok()) {
-      status = Status::FailedPrecondition(
-          "trip edge " + std::to_string(e) + " lacks day/hour properties");
-      return;
+  for (const graphdb::Trip& trip : trips.trips()) {
+    for (int32_t node : {trip.from, trip.to}) {
+      profiles.day[AsIndex(node)][trip.day] += 1.0;
+      profiles.hour[AsIndex(node)][trip.hour] += 1.0;
     }
-    const int64_t d = day_r.ValueOrDie();
-    const int64_t h = hour_r.ValueOrDie();
-    if (d < 0 || d > 6 || h < 0 || h > 23) {
-      status = Status::DataLoss("trip edge " + std::to_string(e) +
-                                " has out-of-range day/hour");
-      return;
-    }
-    for (graphdb::NodeId node : {trips.EdgeFrom(e), trips.EdgeTo(e)}) {
-      profiles.day[AsIndex(node)][AsIndex(d)] += 1.0;
-      profiles.hour[AsIndex(node)][AsIndex(h)] += 1.0;
-    }
-  });
-  BIKEGRAPH_RETURN_NOT_OK(status);
+  }
   return profiles;
 }
 
 Result<graphdb::WeightedGraph> BuildTemporalGraph(
-    const graphdb::PropertyGraph& trips, const TemporalGraphOptions& options) {
+    const graphdb::TripGraph& trips, const TemporalGraphOptions& options) {
   if (options.similarity_floor < 0.0 || options.similarity_floor > 1.0) {
     return Status::InvalidArgument("similarity_floor must be in [0, 1]");
   }
-
-  // Aggregate trip counts first (the GBasic weights).
+  const bool temporal = options.granularity != TemporalGranularity::kNull;
+  const StationProfiles profiles =
+      temporal ? ExtractStationProfiles(trips) : StationProfiles{};
+  // One AddEdge per trip, in row order: a pair's weight is then the
+  // repeated per-trip sum that the streaming freeze reproduces bit for
+  // bit. A pre-aggregated trips × weight would round differently.
   graphdb::WeightedGraphBuilder builder(trips.NodeCount());
-  Status status = Status::OK();
-
-  if (options.granularity == TemporalGranularity::kNull) {
-    trips.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-      if (!status.ok()) return;
-      status = builder.AddEdge(static_cast<int32_t>(trips.EdgeFrom(e)),
-                               static_cast<int32_t>(trips.EdgeTo(e)), 1.0);
-    });
-    BIKEGRAPH_RETURN_NOT_OK(status);
-    return builder.Build();
+  for (const graphdb::Trip& trip : trips.trips()) {
+    const double weight =
+        temporal ? PerTripWeight(profiles, AsIndex(trip.from),
+                                 AsIndex(trip.to), options)
+                 : 1.0;
+    BIKEGRAPH_RETURN_NOT_OK(builder.AddEdge(trip.from, trip.to, weight));
   }
-
-  BIKEGRAPH_ASSIGN_OR_RETURN(StationProfiles profiles,
-                             ExtractStationProfiles(trips));
-  trips.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    if (!status.ok()) return;
-    const auto from = static_cast<size_t>(trips.EdgeFrom(e));
-    const auto to = static_cast<size_t>(trips.EdgeTo(e));
-    status = builder.AddEdge(static_cast<int32_t>(from),
-                             static_cast<int32_t>(to),
-                             PerTripWeight(profiles, from, to, options));
-  });
-  BIKEGRAPH_RETURN_NOT_OK(status);
   return builder.Build();
 }
 

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/result.h"
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 #include "graphdb/weighted_graph.h"
 
 namespace bikegraph::analysis {
@@ -27,7 +27,8 @@ struct TemporalGraphOptions {
   /// Sharpening exponent on the similarity. Hour-of-day profiles share a
   /// strong common daytime baseline, so the paper's highly fragmented
   /// GHour structure (10 communities, Q = 0.54 vs GDay's 7 / 0.32) needs a
-  /// higher contrast to surface; see DESIGN.md "Substitutions".
+  /// higher contrast to surface. The paper names no such parameter; the
+  /// calibrated values live in ExperimentConfig.
   double contrast = 1.0;
 };
 
@@ -45,10 +46,9 @@ struct StationProfiles {
   double Similarity(size_t a, size_t b, TemporalGranularity g) const;
 };
 
-/// \brief Extracts per-station profiles from a trip multigraph whose edges
-/// carry integer "day" (0=Mon) and "hour" (0-23) properties.
-Result<StationProfiles> ExtractStationProfiles(
-    const graphdb::PropertyGraph& trips);
+/// \brief Extracts per-station profiles from a trip multigraph: each trip
+/// adds its day and hour to both endpoints.
+StationProfiles ExtractStationProfiles(const graphdb::TripGraph& trips);
 
 /// \brief Weight one trip between stations `a` and `b` contributes to the
 /// projected graph: floor + (1 − floor) · similarity^contrast. The single
@@ -67,9 +67,9 @@ double PerTripWeight(const StationProfiles& profiles, size_t a, size_t b,
 ///   aggregated edge weight by the cosine similarity of the endpoints'
 ///   day-of-week / hour-of-day profiles, so stations that exchange trips
 ///   but behave differently in time are weakly coupled. (The paper does not
-///   spell out the Neo4j projection; see DESIGN.md "Substitutions".)
+///   spell out its Neo4j projection, so this weighting is a reconstruction,
+///   not the paper's formula.)
 Result<graphdb::WeightedGraph> BuildTemporalGraph(
-    const graphdb::PropertyGraph& trips,
-    const TemporalGraphOptions& options = {});
+    const graphdb::TripGraph& trips, const TemporalGraphOptions& options = {});
 
 }  // namespace bikegraph::analysis

@@ -34,8 +34,7 @@
 #include "data/synthetic.h"
 
 // Graph store.
-#include "graphdb/property_graph.h"
-#include "graphdb/property_value.h"
+#include "graphdb/trip_graph.h"
 #include "graphdb/weighted_graph.h"
 
 // Clustering.

@@ -9,7 +9,7 @@ namespace bikegraph {
 /// \brief Signed-to-`size_t` container-index cast, debug-checked.
 ///
 /// The graph layers address everything by signed ids (`int32_t` station
-/// slots, `NodeId`/`EdgeId`) because -1 is the universal "no such"
+/// slots, `int64_t` GridIndex ids) because -1 is the universal "no such"
 /// sentinel, while the standard containers index by `size_t`. Under the
 /// tree-wide `-Wsign-conversion -Werror` floor every such subscript must
 /// say what it means: `AsIndex(i)` asserts non-negativity in debug builds

@@ -52,18 +52,9 @@ Result<CandidateNetwork> BuildCandidateNetwork(
     }
   }
 
-  // Candidate trip graph: one node per candidate, one relationship per trip.
-  for (size_t g = 0; g < net.candidates.size(); ++g) {
-    const CandidateStation& cand = net.candidates[g];
-    graphdb::NodeId node = net.graph.AddNode(
-        cand.is_fixed() ? "Station" : "Candidate");
-    (void)net.graph.SetNodeProperty(node, "lat", cand.centroid.lat);
-    (void)net.graph.SetNodeProperty(node, "lon", cand.centroid.lon);
-    (void)net.graph.SetNodeProperty(node, "is_station", cand.is_fixed());
-    if (!cand.name.empty()) {
-      (void)net.graph.SetNodeProperty(node, "name", cand.name);
-    }
-  }
+  // Candidate trip graph: one node per candidate, one row per trip.
+  net.graph = graphdb::TripGraph(net.candidates.size());
+  net.graph.Reserve(cleaned.rentals().size());
   for (const auto& rental : cleaned.rentals()) {
     auto from_it = net.location_to_candidate.find(rental.rental_location_id);
     auto to_it = net.location_to_candidate.find(rental.return_location_id);
@@ -75,13 +66,9 @@ Result<CandidateNetwork> BuildCandidateNetwork(
     }
     const int32_t from = from_it->second;
     const int32_t to = to_it->second;
-    BIKEGRAPH_ASSIGN_OR_RETURN(graphdb::EdgeId edge,
-                               net.graph.AddEdge(from, to, "TRIP"));
-    (void)net.graph.SetEdgeProperty(edge, "rental_id", rental.id);
-    (void)net.graph.SetEdgeProperty(
-        edge, "day", static_cast<int64_t>(rental.start_time.weekday()));
-    (void)net.graph.SetEdgeProperty(
-        edge, "hour", static_cast<int64_t>(rental.start_time.hour()));
+    BIKEGRAPH_RETURN_NOT_OK(net.graph.AddTrip(
+        from, to, static_cast<int>(rental.start_time.weekday()),
+        rental.start_time.hour()));
     ++net.candidates[AsIndex(from)].trips_from;
     ++net.candidates[AsIndex(to)].trips_to;
   }

@@ -8,7 +8,7 @@
 #include "core/result.h"
 #include "cluster/geo_cluster.h"
 #include "data/dataset.h"
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 
 namespace bikegraph::expansion {
 
@@ -41,9 +41,9 @@ struct CandidateNetwork {
   std::vector<CandidateStation> candidates;
   /// Location-table id -> candidate index.
   std::unordered_map<int64_t, int32_t> location_to_candidate;
-  /// Trip multigraph over candidates. Node properties: lat, lon,
-  /// is_station, name. Edge properties: rental_id, day (0=Mon), hour.
-  graphdb::PropertyGraph graph;
+  /// Trip multigraph over candidates: row i is `cleaned.rentals()[i]`
+  /// between the candidates of its two locations.
+  graphdb::TripGraph graph;
 
   size_t fixed_count = 0;  ///< number of fixed-station nodes
   size_t free_count() const { return candidates.size() - fixed_count; }

@@ -19,15 +19,13 @@ SelectedGraphStats FinalNetwork::ComputeStats() const {
   };
 
   std::unordered_set<uint64_t> directed_pairs;
-  graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    const int32_t from = static_cast<int32_t>(graph.EdgeFrom(e));
-    const int32_t to = static_cast<int32_t>(graph.EdgeTo(e));
-    ++row_of(from).trips_from;
-    ++row_of(to).trips_to;
+  for (const graphdb::Trip& trip : graph.trips()) {
+    ++row_of(trip.from).trips_from;
+    ++row_of(trip.to).trips_to;
     ++stats.total_trips;
-    directed_pairs.insert((static_cast<uint64_t>(from) << 32) |
-                          static_cast<uint64_t>(to));
-  });
+    directed_pairs.insert((static_cast<uint64_t>(trip.from) << 32) |
+                          static_cast<uint64_t>(trip.to));
+  }
   // lint: unordered-iter-ok: order-independent integer counting;
   // per-endpoint edge-count increments commute.
   for (uint64_t key : directed_pairs) {
@@ -103,23 +101,14 @@ Result<FinalNetwork> BuildFinalNetwork(const data::Dataset& cleaned,
   }
 
   // Rebuild the trip multigraph over final stations.
-  for (const auto& st : net.stations) {
-    graphdb::NodeId node = net.graph.AddNode("Station");
-    (void)net.graph.SetNodeProperty(node, "lat", st.position.lat);
-    (void)net.graph.SetNodeProperty(node, "lon", st.position.lon);
-    (void)net.graph.SetNodeProperty(node, "pre_existing", st.pre_existing);
-    (void)net.graph.SetNodeProperty(node, "name", st.name);
-  }
+  net.graph = graphdb::TripGraph(net.stations.size());
+  net.graph.Reserve(cleaned.rentals().size());
   for (const auto& rental : cleaned.rentals()) {
-    const int32_t from = net.location_to_station.at(rental.rental_location_id);
-    const int32_t to = net.location_to_station.at(rental.return_location_id);
-    BIKEGRAPH_ASSIGN_OR_RETURN(graphdb::EdgeId edge,
-                               net.graph.AddEdge(from, to, "TRIP"));
-    (void)net.graph.SetEdgeProperty(edge, "rental_id", rental.id);
-    (void)net.graph.SetEdgeProperty(
-        edge, "day", static_cast<int64_t>(rental.start_time.weekday()));
-    (void)net.graph.SetEdgeProperty(
-        edge, "hour", static_cast<int64_t>(rental.start_time.hour()));
+    BIKEGRAPH_RETURN_NOT_OK(net.graph.AddTrip(
+        net.location_to_station.at(rental.rental_location_id),
+        net.location_to_station.at(rental.return_location_id),
+        static_cast<int>(rental.start_time.weekday()),
+        rental.start_time.hour()));
   }
   return net;
 }

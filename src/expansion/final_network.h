@@ -9,7 +9,7 @@
 #include "data/dataset.h"
 #include "expansion/candidate.h"
 #include "expansion/selection.h"
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 
 namespace bikegraph::expansion {
 
@@ -47,9 +47,9 @@ struct FinalNetwork {
   /// somewhere; unselected candidates were reassigned to their nearest
   /// station, so no trips are lost — Table III's invariant).
   std::unordered_map<int64_t, int32_t> location_to_station;
-  /// Trip multigraph over the final stations. Edge properties: rental_id,
-  /// day (0=Mon), hour (0-23).
-  graphdb::PropertyGraph graph;
+  /// Trip multigraph over the final stations: row i is
+  /// `cleaned.rentals()[i]` between the stations of its two locations.
+  graphdb::TripGraph graph;
   /// Number of locations whose candidate was not selected and that were
   /// reassigned to the nearest station.
   size_t reassigned_locations = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "graphdb/property_graph.h"
-
 #include "core/checked_cast.h"
 
 namespace bikegraph::graphdb {
@@ -283,26 +281,6 @@ Result<WeightedGraph> WeightedGraphPatcher::Apply(
   g.total_weight_ = total;
   g.self_loop_count_ = loops;
   return g;
-}
-
-Result<WeightedGraph> ProjectUndirected(const PropertyGraph& graph,
-                                        const ProjectionOptions& options) {
-  WeightedGraphBuilder builder(graph.NodeCount());
-  Status status = Status::OK();
-  graph.ForEachEdge(options.edge_type, [&](EdgeId e) {
-    if (!status.ok()) return;
-    NodeId from = graph.EdgeFrom(e);
-    NodeId to = graph.EdgeTo(e);
-    if (!options.include_loops && from == to) return;
-    double w = 1.0;
-    if (!options.weight_property.empty()) {
-      w = graph.GetEdgeProperty(e, options.weight_property).NumericOr(1.0);
-    }
-    status = builder.AddEdge(static_cast<int32_t>(from),
-                             static_cast<int32_t>(to), w);
-  });
-  BIKEGRAPH_RETURN_NOT_OK(status);
-  return builder.Build();
 }
 
 DigraphBuilder::DigraphBuilder(size_t node_count) : node_count_(node_count) {}

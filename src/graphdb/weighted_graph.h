@@ -12,8 +12,6 @@
 
 namespace bikegraph::graphdb {
 
-class PropertyGraph;
-
 /// \brief An immutable undirected weighted simple graph in CSR form — the
 /// input format of all community-detection and metric algorithms.
 ///
@@ -152,22 +150,6 @@ class WeightedGraphPatcher {
   static Result<WeightedGraph> Apply(const WeightedGraph& base,
                                      std::vector<EdgeUpdate> updates);
 };
-
-/// \brief Options for projecting a PropertyGraph into a WeightedGraph.
-struct ProjectionOptions {
-  /// Edge type filter; empty = all relationships.
-  std::string edge_type;
-  /// If non-empty, edge weight is this numeric property (missing -> 1.0);
-  /// otherwise each relationship contributes weight 1.
-  std::string weight_property;
-  /// Drop self-loops entirely.
-  bool include_loops = true;
-};
-
-/// \brief Collapses a (multi-)PropertyGraph into an undirected weighted
-/// simple graph. Node ids are preserved (dense in both).
-Result<WeightedGraph> ProjectUndirected(const PropertyGraph& graph,
-                                        const ProjectionOptions& options = {});
 
 /// \brief A small immutable directed graph in CSR form (out- and in-
 /// adjacency), used by PageRank and the directed summary statistics.

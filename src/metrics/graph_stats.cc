@@ -21,20 +21,18 @@ std::string GraphCounts::ToString() const {
   return os.str();
 }
 
-GraphCounts CountGraph(const graphdb::PropertyGraph& graph,
-                       const std::string& edge_type) {
+GraphCounts CountGraph(const graphdb::TripGraph& graph) {
   GraphCounts counts;
   counts.nodes = graph.NodeCount();
   std::unordered_set<uint64_t> directed, undirected;
-  size_t trips = 0, directed_loops = 0, undirected_loops = 0;
-  graph.ForEachEdge(edge_type, [&](graphdb::EdgeId e) {
-    ++trips;
-    const auto from = static_cast<uint64_t>(graph.EdgeFrom(e));
-    const auto to = static_cast<uint64_t>(graph.EdgeTo(e));
+  size_t directed_loops = 0, undirected_loops = 0;
+  for (const graphdb::Trip& trip : graph.trips()) {
+    const auto from = static_cast<uint64_t>(trip.from);
+    const auto to = static_cast<uint64_t>(trip.to);
     directed.insert((from << 32) | to);
     const uint64_t lo = std::min(from, to), hi = std::max(from, to);
     undirected.insert((lo << 32) | hi);
-  });
+  }
   // lint: unordered-iter-ok: order-independent integer counting
   // (self-loop detection); increments commute.
   for (uint64_t key : directed) {
@@ -45,7 +43,7 @@ GraphCounts CountGraph(const graphdb::PropertyGraph& graph,
   for (uint64_t key : undirected) {
     if ((key >> 32) == (key & 0xFFFFFFFFULL)) ++undirected_loops;
   }
-  counts.trips = trips;
+  counts.trips = graph.EdgeCount();
   counts.directed_edges = directed.size();
   counts.directed_edges_no_loops = directed.size() - directed_loops;
   counts.undirected_edges = undirected.size();

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 #include "graphdb/weighted_graph.h"
 
 namespace bikegraph::metrics {
@@ -20,10 +20,8 @@ struct GraphCounts {
   std::string ToString() const;
 };
 
-/// \brief Computes Table-II style counters from a trip multigraph where
-/// every relationship is one trip.
-GraphCounts CountGraph(const graphdb::PropertyGraph& graph,
-                       const std::string& edge_type = "");
+/// \brief Computes Table-II style counters from a trip multigraph.
+GraphCounts CountGraph(const graphdb::TripGraph& graph);
 
 /// \brief Simple scalar summaries of a weighted graph.
 struct WeightedGraphSummary {

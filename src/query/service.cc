@@ -28,29 +28,33 @@ QueryService::QueryService(const stream::StreamEngine& engine,
     : QueryService(engine.publisher(), std::move(options)) {}
 
 Result<QueryService::Pinned> QueryService::Pin() const {
+  // The snapshot is loaded while the memo lock is held. Published epochs
+  // only grow, so loads made in lock order see non-decreasing epochs: a
+  // cell is only ever created for the newest epoch seen so far, and an
+  // epoch whose cell was evicted can never get a second one (which would
+  // run its detection twice).
+  std::lock_guard<std::mutex> lock(memo_mutex_);
   auto snapshot = publisher_->Current();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition(
         "nothing published yet: pin after the first snapshot epoch");
   }
   stat_pins_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t epoch = snapshot->epoch;
-  return Pinned(this, std::move(snapshot), MemoFor(epoch));
-}
-
-std::shared_ptr<EpochMemo> QueryService::MemoFor(uint64_t epoch) const {
-  std::lock_guard<std::mutex> lock(memo_mutex_);
-  auto it = memos_.find(epoch);
-  if (it != memos_.end()) return it->second;
-  auto cell = std::make_shared<EpochMemo>();
-  memos_.emplace(epoch, cell);
-  // Bound the map by evicting the oldest epochs. A cell evicted while a
-  // Pinned handle still holds it stays alive through that shared_ptr —
-  // eviction only stops NEW pins from sharing it.
-  while (memos_.size() > options_.memo_epochs && !memos_.empty()) {
-    memos_.erase(memos_.begin());
+  std::shared_ptr<EpochMemo> cell;
+  auto it = memos_.find(snapshot->epoch);
+  if (it != memos_.end()) {
+    cell = it->second;
+  } else {
+    cell = std::make_shared<EpochMemo>();
+    memos_.emplace(snapshot->epoch, cell);
+    // Bound the map by evicting the oldest epochs. A cell evicted while a
+    // Pinned handle still holds it stays alive through that shared_ptr —
+    // eviction only stops NEW pins from sharing it.
+    while (memos_.size() > options_.memo_epochs && !memos_.empty()) {
+      memos_.erase(memos_.begin());
+    }
   }
-  return cell;
+  return Pinned(this, std::move(snapshot), std::move(cell));
 }
 
 Result<const CommunityArtifacts*> QueryService::Pinned::Communities() const {

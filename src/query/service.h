@@ -56,9 +56,9 @@ struct QueryServiceStats {
 ///    epochs; the service never touches the engine's mutating API;
 ///  - any number of reader threads call Pin() / ExecuteBatch() / the
 ///    Pinned query methods concurrently, with no reader-side locking on
-///    the query path: Pin() is one atomic snapshot load plus one short
-///    memo-map critical section, and the queries themselves run on the
-///    pinned immutable snapshot.
+///    the query path: Pin() is one short memo-map critical section
+///    around an atomic snapshot load, and the queries themselves run on
+///    the pinned immutable snapshot.
 ///
 /// Pinning semantics: a `Pinned` handle is a consistent view of exactly
 /// one epoch. Every query through it answers from that epoch — bit-
@@ -167,11 +167,6 @@ class QueryService {
   const QueryServiceOptions& options() const { return options_; }
 
  private:
-  /// The memo cell for `epoch`, creating (and bounding the map) under
-  /// the memo mutex. Eviction drops the smallest epoch; live Pinned
-  /// handles keep evicted cells alive through their shared_ptr.
-  std::shared_ptr<EpochMemo> MemoFor(uint64_t epoch) const;
-
   const stream::SnapshotPublisher* publisher_;
   QueryServiceOptions options_;
 

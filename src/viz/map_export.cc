@@ -18,14 +18,13 @@ namespace {
 const char* kColors[] = {"blue", "orange", "green",  "red",  "purple",
                          "brown", "pink",  "gray",  "olive", "cyan"};
 
-/// Aggregates a TRIP multigraph into directed (from, to) -> count.
+/// Aggregates a trip multigraph into directed (from, to) -> count.
 std::map<std::pair<int32_t, int32_t>, int64_t> AggregateTrips(
-    const graphdb::PropertyGraph& graph) {
+    const graphdb::TripGraph& graph) {
   std::map<std::pair<int32_t, int32_t>, int64_t> counts;
-  graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    counts[{static_cast<int32_t>(graph.EdgeFrom(e)),
-            static_cast<int32_t>(graph.EdgeTo(e))}]++;
-  });
+  for (const graphdb::Trip& trip : graph.trips()) {
+    counts[{trip.from, trip.to}]++;
+  }
   return counts;
 }
 

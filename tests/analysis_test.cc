@@ -16,14 +16,11 @@ using geo::Offset;
 
 const LatLon kCenter(53.35, -6.26);
 
-/// Builds a tiny trip multigraph directly: 3 stations; edges carry day/hour.
-graphdb::PropertyGraph TinyTrips() {
-  graphdb::PropertyGraph g;
-  for (int i = 0; i < 3; ++i) g.AddNode("Station");
-  auto add = [&](int from, int to, int day, int hour) {
-    auto e = g.AddEdge(from, to, "TRIP");
-    (void)g.SetEdgeProperty(*e, "day", day);
-    (void)g.SetEdgeProperty(*e, "hour", hour);
+/// Builds a tiny trip multigraph directly: 3 stations; trips carry day/hour.
+graphdb::TripGraph TinyTrips() {
+  graphdb::TripGraph g(3);
+  auto add = [&](int32_t from, int32_t to, int day, int hour) {
+    EXPECT_TRUE(g.AddTrip(from, to, day, hour).ok());
   };
   // Stations 0,1: weekday-morning trade. Station 2: weekend-midday loops.
   for (int i = 0; i < 10; ++i) add(0, 1, /*day=*/1, /*hour=*/8);
@@ -34,35 +31,26 @@ graphdb::PropertyGraph TinyTrips() {
 }
 
 TEST(ProfilesTest, ExtractCountsEndpoints) {
-  auto profiles = ExtractStationProfiles(TinyTrips());
-  ASSERT_TRUE(profiles.ok());
+  const StationProfiles profiles = ExtractStationProfiles(TinyTrips());
   // Station 0: 10 out (day1 h8) + 10 in (day2 h9) + 1 out (day1 h8).
-  EXPECT_DOUBLE_EQ(profiles->day[0][1], 11.0);
-  EXPECT_DOUBLE_EQ(profiles->day[0][2], 10.0);
-  EXPECT_DOUBLE_EQ(profiles->hour[0][8], 11.0);
+  EXPECT_DOUBLE_EQ(profiles.day[0][1], 11.0);
+  EXPECT_DOUBLE_EQ(profiles.day[0][2], 10.0);
+  EXPECT_DOUBLE_EQ(profiles.hour[0][8], 11.0);
   // Station 2: self-loops count twice per trip (both endpoints).
-  EXPECT_DOUBLE_EQ(profiles->day[2][5], 16.0);
-  EXPECT_DOUBLE_EQ(profiles->hour[2][13], 16.0);
-}
-
-TEST(ProfilesTest, MissingPropertiesFail) {
-  graphdb::PropertyGraph g;
-  g.AddNode("S");
-  (void)g.AddEdge(0, 0, "TRIP");  // no day/hour
-  EXPECT_FALSE(ExtractStationProfiles(g).ok());
+  EXPECT_DOUBLE_EQ(profiles.day[2][5], 16.0);
+  EXPECT_DOUBLE_EQ(profiles.hour[2][13], 16.0);
 }
 
 TEST(ProfilesTest, SimilarityBounds) {
-  auto profiles = ExtractStationProfiles(TinyTrips());
-  ASSERT_TRUE(profiles.ok());
+  const StationProfiles profiles = ExtractStationProfiles(TinyTrips());
   // Identical profile => 1.
-  EXPECT_DOUBLE_EQ(profiles->Similarity(0, 0, TemporalGranularity::kDay), 1.0);
+  EXPECT_DOUBLE_EQ(profiles.Similarity(0, 0, TemporalGranularity::kDay), 1.0);
   // Null granularity => always 1.
-  EXPECT_DOUBLE_EQ(profiles->Similarity(0, 2, TemporalGranularity::kNull),
+  EXPECT_DOUBLE_EQ(profiles.Similarity(0, 2, TemporalGranularity::kNull),
                    1.0);
   // Weekday pair vs weekend station: dissimilar.
-  double d01 = profiles->Similarity(0, 1, TemporalGranularity::kDay);
-  double d02 = profiles->Similarity(0, 2, TemporalGranularity::kDay);
+  double d01 = profiles.Similarity(0, 1, TemporalGranularity::kDay);
+  double d02 = profiles.Similarity(0, 2, TemporalGranularity::kDay);
   EXPECT_GT(d01, d02);
   EXPECT_GE(d02, 0.0);
   EXPECT_LE(d01, 1.0);
@@ -124,11 +112,8 @@ TEST(TemporalGraphTest, RejectsBadOptions) {
 // ---------------------------------------------------------------------------
 
 TEST(TemporalGraphTest, ZeroActivityStationsStayIsolatedButValid) {
-  graphdb::PropertyGraph g;
-  for (int i = 0; i < 4; ++i) g.AddNode("Station");
-  auto e = g.AddEdge(0, 1, "TRIP");
-  (void)g.SetEdgeProperty(*e, "day", 2);
-  (void)g.SetEdgeProperty(*e, "hour", 8);
+  graphdb::TripGraph g(4);
+  ASSERT_TRUE(g.AddTrip(0, 1, /*day=*/2, /*hour=*/8).ok());
   // Stations 2 and 3 never trade: the projections must keep them as
   // isolated nodes at every granularity, not drop or crash on them.
   for (TemporalGranularity granularity :
@@ -143,20 +128,15 @@ TEST(TemporalGraphTest, ZeroActivityStationsStayIsolatedButValid) {
     EXPECT_DOUBLE_EQ(projected->strength(3), 0.0);
   }
   // Zero-activity profiles compare as "no evidence of dissimilarity".
-  auto profiles = ExtractStationProfiles(g);
-  ASSERT_TRUE(profiles.ok());
-  EXPECT_DOUBLE_EQ(profiles->Similarity(2, 3, TemporalGranularity::kDay), 1.0);
-  EXPECT_DOUBLE_EQ(profiles->Similarity(2, 0, TemporalGranularity::kHour),
+  const StationProfiles profiles = ExtractStationProfiles(g);
+  EXPECT_DOUBLE_EQ(profiles.Similarity(2, 3, TemporalGranularity::kDay), 1.0);
+  EXPECT_DOUBLE_EQ(profiles.Similarity(2, 0, TemporalGranularity::kHour),
                    1.0);
 }
 
 TEST(TemporalGraphTest, SingleTripGraphKeepsFullWeight) {
-  graphdb::PropertyGraph g;
-  g.AddNode("Station");
-  g.AddNode("Station");
-  auto e = g.AddEdge(0, 1, "TRIP");
-  (void)g.SetEdgeProperty(*e, "day", 4);
-  (void)g.SetEdgeProperty(*e, "hour", 18);
+  graphdb::TripGraph g(2);
+  ASSERT_TRUE(g.AddTrip(0, 1, /*day=*/4, /*hour=*/18).ok());
   // A single trip gives both endpoints identical one-spike profiles, so
   // similarity is exactly 1 and the projected weight stays 1 at every
   // granularity and any contrast.
@@ -169,16 +149,12 @@ TEST(TemporalGraphTest, SingleTripGraphKeepsFullWeight) {
 }
 
 TEST(TemporalGraphTest, SingleLoopTripCountsBothEndpoints) {
-  graphdb::PropertyGraph g;
-  g.AddNode("Station");
-  auto e = g.AddEdge(0, 0, "TRIP");
-  (void)g.SetEdgeProperty(*e, "day", 0);
-  (void)g.SetEdgeProperty(*e, "hour", 7);
-  auto profiles = ExtractStationProfiles(g);
-  ASSERT_TRUE(profiles.ok());
+  graphdb::TripGraph g(1);
+  ASSERT_TRUE(g.AddTrip(0, 0, /*day=*/0, /*hour=*/7).ok());
+  const StationProfiles profiles = ExtractStationProfiles(g);
   // Loop trips contribute both endpoints to the same station.
-  EXPECT_DOUBLE_EQ(profiles->day[0][0], 2.0);
-  EXPECT_DOUBLE_EQ(profiles->hour[0][7], 2.0);
+  EXPECT_DOUBLE_EQ(profiles.day[0][0], 2.0);
+  EXPECT_DOUBLE_EQ(profiles.hour[0][7], 2.0);
   TemporalGraphOptions opts{TemporalGranularity::kDay, 0.1, 2.0};
   auto projected = BuildTemporalGraph(g, opts);
   ASSERT_TRUE(projected.ok());
@@ -188,8 +164,7 @@ TEST(TemporalGraphTest, SingleLoopTripCountsBothEndpoints) {
 
 TEST(TemporalGraphTest, EmptyTripGraphProjectsToEmptyGraph) {
   // The state a drained window reaches: stations exist, nothing trades.
-  graphdb::PropertyGraph g;
-  for (int i = 0; i < 3; ++i) g.AddNode("Station");
+  graphdb::TripGraph g(3);
   for (TemporalGranularity granularity :
        {TemporalGranularity::kNull, TemporalGranularity::kDay,
         TemporalGranularity::kHour}) {
@@ -201,11 +176,10 @@ TEST(TemporalGraphTest, EmptyTripGraphProjectsToEmptyGraph) {
     EXPECT_EQ(projected->edge_count(), 0u);
     EXPECT_DOUBLE_EQ(projected->total_weight(), 0.0);
   }
-  auto profiles = ExtractStationProfiles(g);
-  ASSERT_TRUE(profiles.ok());
+  const StationProfiles profiles = ExtractStationProfiles(g);
   // All-empty profiles: similarity defaults to 1 everywhere.
-  EXPECT_DOUBLE_EQ(profiles->Similarity(0, 1, TemporalGranularity::kDay), 1.0);
-  EXPECT_DOUBLE_EQ(profiles->Similarity(1, 2, TemporalGranularity::kHour),
+  EXPECT_DOUBLE_EQ(profiles.Similarity(0, 1, TemporalGranularity::kDay), 1.0);
+  EXPECT_DOUBLE_EQ(profiles.Similarity(1, 2, TemporalGranularity::kHour),
                    1.0);
 }
 

@@ -101,21 +101,46 @@ TEST(CandidateTest, DegreesCountTripEndpoints) {
   EXPECT_EQ(net->candidates[AsIndex(cluster)].degree(), 17);
 }
 
-TEST(CandidateTest, EdgePropertiesCarryTime) {
-  auto net = BuildCandidateNetwork(Fixture());
-  ASSERT_TRUE(net.ok());
-  bool checked = false;
-  net->graph.ForEachEdge("TRIP", [&](graphdb::EdgeId e) {
-    auto day = net->graph.GetEdgeProperty(e, "day").AsInt();
-    auto hour = net->graph.GetEdgeProperty(e, "hour").AsInt();
-    ASSERT_TRUE(day.ok());
-    ASSERT_TRUE(hour.ok());
-    EXPECT_GE(*day, 0);
-    EXPECT_LE(*day, 6);
-    EXPECT_EQ(*hour, 8);
-    checked = true;
-  });
-  EXPECT_TRUE(checked);
+TEST(TripRowsTest, RowIOfBothNetworksIsRentalI) {
+  // Fixture() with every rental moved to its own weekday and hour.
+  const data::Dataset base = Fixture();
+  std::vector<data::RentalRecord> rentals = base.rentals();
+  for (size_t i = 0; i < rentals.size(); ++i) {
+    const int day = 1 + static_cast<int>(i % 7);  // 2020-06-01 is a Monday
+    const int hour = static_cast<int>((5 * i) % 23);
+    rentals[i].start_time = At(day, hour);
+    rentals[i].end_time = At(day, hour + 1);
+  }
+  const data::Dataset ds(base.locations(), std::move(rentals));
+  auto net = BuildCandidateNetwork(ds);
+  ASSERT_TRUE(net.ok()) << net.status();
+  auto sel = SelectStations(*net);
+  ASSERT_TRUE(sel.ok()) << sel.status();
+  auto fin = BuildFinalNetwork(ds, *net, *sel);
+  ASSERT_TRUE(fin.ok()) << fin.status();
+  ASSERT_EQ(net->graph.EdgeCount(), ds.rentals().size());
+  ASSERT_EQ(fin->graph.EdgeCount(), ds.rentals().size());
+  for (size_t i = 0; i < ds.rentals().size(); ++i) {
+    const data::RentalRecord& rental = ds.rentals()[i];
+    const graphdb::Trip& cand = net->graph.trips()[i];
+    EXPECT_EQ(cand.from,
+              net->location_to_candidate.at(rental.rental_location_id))
+        << "row " << i;
+    EXPECT_EQ(cand.to,
+              net->location_to_candidate.at(rental.return_location_id))
+        << "row " << i;
+    const graphdb::Trip& final_trip = fin->graph.trips()[i];
+    EXPECT_EQ(final_trip.from,
+              fin->location_to_station.at(rental.rental_location_id))
+        << "row " << i;
+    EXPECT_EQ(final_trip.to,
+              fin->location_to_station.at(rental.return_location_id))
+        << "row " << i;
+    for (const graphdb::Trip* trip : {&cand, &final_trip}) {
+      EXPECT_EQ(trip->day, static_cast<int>(i % 7)) << "row " << i;
+      EXPECT_EQ(trip->hour, static_cast<int>((5 * i) % 23)) << "row " << i;
+    }
+  }
 }
 
 TEST(CandidateTest, RejectsUncleanedDataset) {

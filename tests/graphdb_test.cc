@@ -1,7 +1,6 @@
 #include <cmath>
 
-#include "graphdb/property_graph.h"
-#include "graphdb/property_value.h"
+#include "graphdb/trip_graph.h"
 #include "graphdb/weighted_graph.h"
 
 #include <gtest/gtest.h>
@@ -9,112 +8,38 @@
 namespace bikegraph::graphdb {
 namespace {
 
-TEST(PropertyValueTest, TypeChecksAndAccessors) {
-  PropertyValue null_v;
-  EXPECT_TRUE(null_v.is_null());
-  EXPECT_FALSE(null_v.AsInt().ok());
-
-  PropertyValue i(int64_t{42});
-  EXPECT_TRUE(i.is_int());
-  EXPECT_EQ(*i.AsInt(), 42);
-  EXPECT_DOUBLE_EQ(*i.AsDouble(), 42.0);  // widening allowed
-  EXPECT_FALSE(i.AsString().ok());
-
-  PropertyValue d(3.5);
-  EXPECT_TRUE(d.is_double());
-  EXPECT_DOUBLE_EQ(*d.AsDouble(), 3.5);
-  EXPECT_FALSE(d.AsInt().ok());  // no silent narrowing
-
-  PropertyValue b(true);
-  EXPECT_TRUE(b.is_bool());
-  EXPECT_TRUE(*b.AsBool());
-
-  PropertyValue s("hello");
-  EXPECT_TRUE(s.is_string());
-  EXPECT_EQ(*s.AsString(), "hello");
+TEST(TripGraphTest, RowsKeepInsertionOrder) {
+  TripGraph g(3);
+  EXPECT_EQ(g.NodeCount(), 3u);
+  ASSERT_TRUE(g.AddTrip(0, 1, 0, 0).ok());
+  ASSERT_TRUE(g.AddTrip(2, 2, 6, 23).ok());  // loop; top of both ranges
+  ASSERT_TRUE(g.AddTrip(0, 1, 3, 8).ok());   // parallel to row 0
+  ASSERT_TRUE(g.AddTrip(1, 0, 5, 17).ok());
+  ASSERT_EQ(g.EdgeCount(), 4u);
+  const int expected[4][4] = {{0, 1, 0, 0}, {2, 2, 6, 23}, {0, 1, 3, 8},
+                              {1, 0, 5, 17}};
+  for (size_t i = 0; i < 4; ++i) {
+    const Trip& trip = g.trips()[i];
+    EXPECT_EQ(trip.from, expected[i][0]) << "row " << i;
+    EXPECT_EQ(trip.to, expected[i][1]) << "row " << i;
+    EXPECT_EQ(trip.day, expected[i][2]) << "row " << i;
+    EXPECT_EQ(trip.hour, expected[i][3]) << "row " << i;
+  }
 }
 
-TEST(PropertyValueTest, NumericOrFallbacks) {
-  EXPECT_DOUBLE_EQ(PropertyValue(int64_t{7}).NumericOr(0.0), 7.0);
-  EXPECT_DOUBLE_EQ(PropertyValue(2.5).NumericOr(0.0), 2.5);
-  EXPECT_DOUBLE_EQ(PropertyValue(true).NumericOr(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(PropertyValue("x").NumericOr(9.0), 9.0);
-  EXPECT_DOUBLE_EQ(PropertyValue().NumericOr(-1.0), -1.0);
-}
-
-TEST(PropertyValueTest, ToStringForms) {
-  EXPECT_EQ(PropertyValue().ToString(), "null");
-  EXPECT_EQ(PropertyValue(int64_t{5}).ToString(), "5");
-  EXPECT_EQ(PropertyValue(true).ToString(), "true");
-  EXPECT_EQ(PropertyValue("abc").ToString(), "abc");
-}
-
-TEST(PropertyGraphTest, NodesAndEdges) {
-  PropertyGraph g;
-  NodeId a = g.AddNode("Station");
-  NodeId b = g.AddNode("Station");
-  EXPECT_EQ(a, 0);
-  EXPECT_EQ(b, 1);
-  EXPECT_EQ(g.NodeCount(), 2u);
-
-  auto e = g.AddEdge(a, b, "TRIP");
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ(g.EdgeCount(), 1u);
-  EXPECT_EQ(g.EdgeFrom(*e), a);
-  EXPECT_EQ(g.EdgeTo(*e), b);
-  EXPECT_EQ(g.EdgeType(*e), "TRIP");
-}
-
-TEST(PropertyGraphTest, RejectsBadEndpoints) {
-  PropertyGraph g;
-  g.AddNode("X");
-  EXPECT_FALSE(g.AddEdge(0, 5, "TRIP").ok());
-  EXPECT_FALSE(g.AddEdge(-1, 0, "TRIP").ok());
-}
-
-TEST(PropertyGraphTest, ParallelEdgesAndLoops) {
-  PropertyGraph g;
-  NodeId a = g.AddNode("S"), b = g.AddNode("S");
-  ASSERT_TRUE(g.AddEdge(a, b, "TRIP").ok());
-  ASSERT_TRUE(g.AddEdge(a, b, "TRIP").ok());
-  ASSERT_TRUE(g.AddEdge(a, a, "TRIP").ok());
-  EXPECT_EQ(g.EdgeCount(), 3u);
-  EXPECT_EQ(g.OutDegree(a), 3u);
-  EXPECT_EQ(g.InDegree(a), 1u);
-  EXPECT_EQ(g.InDegree(b), 2u);
-  EXPECT_EQ(g.DistinctDirectedPairs(true), 2u);
-  EXPECT_EQ(g.DistinctDirectedPairs(false), 1u);
-  EXPECT_EQ(g.DistinctUndirectedPairs(true), 2u);
-  EXPECT_EQ(g.DistinctUndirectedPairs(false), 1u);
-}
-
-TEST(PropertyGraphTest, Properties) {
-  PropertyGraph g;
-  NodeId a = g.AddNode("S");
-  ASSERT_TRUE(g.SetNodeProperty(a, "lat", 53.35).ok());
-  EXPECT_DOUBLE_EQ(*g.GetNodeProperty(a, "lat").AsDouble(), 53.35);
-  EXPECT_TRUE(g.GetNodeProperty(a, "missing").is_null());
-  EXPECT_FALSE(g.SetNodeProperty(99, "x", 1).ok());
-
-  auto e = g.AddEdge(a, a, "TRIP");
-  ASSERT_TRUE(e.ok());
-  ASSERT_TRUE(g.SetEdgeProperty(*e, "day", 3).ok());
-  EXPECT_EQ(*g.GetEdgeProperty(*e, "day").AsInt(), 3);
-}
-
-TEST(PropertyGraphTest, ForEachFiltersByLabelAndType) {
-  PropertyGraph g;
-  NodeId a = g.AddNode("Station");
-  NodeId b = g.AddNode("Candidate");
-  (void)g.AddEdge(a, b, "TRIP");
-  (void)g.AddEdge(b, a, "NEAR");
-  int stations = 0, trips = 0, all_edges = 0;
-  g.ForEachNode("Station", [&](NodeId) { ++stations; });
-  g.ForEachEdge("TRIP", [&](EdgeId) { ++trips; });
-  g.ForEachEdge("", [&](EdgeId) { ++all_edges; });
-  EXPECT_EQ(stations, 1);
-  EXPECT_EQ(trips, 1);
-  EXPECT_EQ(all_edges, 2);
+TEST(TripGraphTest, RejectsOutOfRangeRows) {
+  TripGraph g(2);
+  EXPECT_EQ(g.AddTrip(2, 0, 0, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, 2, 0, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(-1, 0, 0, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, -1, 0, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, 1, 7, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, 1, -1, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, 1, 0, 24).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.AddTrip(0, 1, 0, -1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(g.EdgeCount(), 0u);  // a rejected row is not stored
+  TripGraph empty;  // no nodes: every endpoint is out of range
+  EXPECT_FALSE(empty.AddTrip(0, 0, 0, 0).ok());
 }
 
 TEST(WeightedGraphTest, EmptyGraphDefaults) {
@@ -178,51 +103,6 @@ TEST(WeightedGraphTest, NeighborsAreSymmetric) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(ProjectionTest, CollapsesMultigraph) {
-  PropertyGraph pg;
-  NodeId a = pg.AddNode("S"), b = pg.AddNode("S");
-  for (int i = 0; i < 3; ++i) (void)pg.AddEdge(a, b, "TRIP");
-  (void)pg.AddEdge(b, a, "TRIP");
-  (void)pg.AddEdge(a, a, "TRIP");
-  auto g = ProjectUndirected(pg);
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->WeightBetween(0, 1), 4.0);
-  EXPECT_DOUBLE_EQ(g->self_weight(0), 1.0);
-}
-
-TEST(ProjectionTest, WeightPropertyAndLoopExclusion) {
-  PropertyGraph pg;
-  NodeId a = pg.AddNode("S"), b = pg.AddNode("S");
-  auto e1 = pg.AddEdge(a, b, "TRIP");
-  (void)pg.SetEdgeProperty(*e1, "w", 2.5);
-  (void)pg.AddEdge(a, a, "TRIP");
-
-  ProjectionOptions opts;
-  // std::string{} rather than a raw literal assign: GCC 12's -Wrestrict
-  // misfires on basic_string::operator=(const char*) under ASan's
-  // inlining (bogus "may overlap" on the SSO copy) and the tree builds
-  // -Werror; assigning an already-built string takes a different path.
-  opts.weight_property = std::string("w");
-  opts.include_loops = false;
-  auto g = ProjectUndirected(pg, opts);
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->WeightBetween(0, 1), 2.5);
-  EXPECT_DOUBLE_EQ(g->self_weight(0), 0.0);
-  EXPECT_EQ(g->self_loop_count(), 0u);
-}
-
-TEST(ProjectionTest, EdgeTypeFilter) {
-  PropertyGraph pg;
-  NodeId a = pg.AddNode("S"), b = pg.AddNode("S");
-  (void)pg.AddEdge(a, b, "TRIP");
-  (void)pg.AddEdge(a, b, "NEAR");
-  ProjectionOptions opts;
-  opts.edge_type = "TRIP";
-  auto g = ProjectUndirected(pg, opts);
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->WeightBetween(0, 1), 1.0);
 }
 
 TEST(DigraphTest, BuildsCsrBothDirections) {

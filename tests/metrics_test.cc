@@ -1,7 +1,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "graphdb/property_graph.h"
+#include "graphdb/trip_graph.h"
 #include "metrics/centrality.h"
 #include "metrics/graph_stats.h"
 
@@ -197,14 +197,14 @@ TEST(GiniTest, InvariantToScaleAndOrder) {
 }
 
 TEST(GraphCountsTest, TableTwoStyleCounters) {
-  graphdb::PropertyGraph g;
-  auto a = g.AddNode("S"), b = g.AddNode("S"), c = g.AddNode("S");
-  (void)g.AddEdge(a, b, "TRIP");
-  (void)g.AddEdge(a, b, "TRIP");  // parallel
-  (void)g.AddEdge(b, a, "TRIP");  // reverse direction
-  (void)g.AddEdge(a, a, "TRIP");  // loop
-  (void)g.AddEdge(b, c, "TRIP");
-  auto counts = CountGraph(g, "TRIP");
+  graphdb::TripGraph g(3);
+  const int32_t a = 0, b = 1, c = 2;
+  ASSERT_TRUE(g.AddTrip(a, b, 0, 8).ok());
+  ASSERT_TRUE(g.AddTrip(a, b, 0, 8).ok());  // parallel
+  ASSERT_TRUE(g.AddTrip(b, a, 0, 8).ok());  // reverse direction
+  ASSERT_TRUE(g.AddTrip(a, a, 0, 8).ok());  // loop
+  ASSERT_TRUE(g.AddTrip(b, c, 0, 8).ok());
+  auto counts = CountGraph(g);
   EXPECT_EQ(counts.nodes, 3u);
   EXPECT_EQ(counts.trips, 5u);
   EXPECT_EQ(counts.directed_edges, 4u);           // ab, ba, aa, bc

@@ -115,10 +115,29 @@ TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGDay) {
   ExpectGraphsIdentical((*snapshot)->graph, *batch_graph);
 
   // The window profiles match the batch extraction exactly.
-  auto batch_profiles = analysis::ExtractStationProfiles(net.graph);
-  ASSERT_TRUE(batch_profiles.ok());
-  EXPECT_EQ((*snapshot)->profiles.day, batch_profiles->day);
-  EXPECT_EQ((*snapshot)->profiles.hour, batch_profiles->hour);
+  const analysis::StationProfiles batch_profiles =
+      analysis::ExtractStationProfiles(net.graph);
+  EXPECT_EQ((*snapshot)->profiles.day, batch_profiles.day);
+  EXPECT_EQ((*snapshot)->profiles.hour, batch_profiles.hour);
+}
+
+TEST_F(StreamBatchEquivalenceTest, LandmarkReplayReproducesBatchGHour) {
+  const expansion::FinalNetwork& net = pipeline_->final_network;
+  const analysis::ExperimentConfig defaults;
+  auto batch_graph = analysis::BuildTemporalGraph(net.graph, defaults.ghour);
+  ASSERT_TRUE(batch_graph.ok());
+
+  StreamEngineConfig config;
+  config.station_count = net.stations.size();
+  config.window_seconds = 0;
+  config.projection = defaults.ghour;
+  StreamEngine engine(config);
+  ReplaySource replay = ReplaySource::FromFinalNetwork(pipeline_->cleaned, net);
+  ASSERT_TRUE(replay.ReplayInto(&engine).ok());
+
+  auto snapshot = engine.Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  ExpectGraphsIdentical((*snapshot)->graph, *batch_graph);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@
 # streaming suites (including stream_reorder_test: the reorder heap /
 # expiry ring interplay is exactly where lifetime bugs would live),
 # warm-start, grid and HAC suites (cluster_hac_test and
-# perf_equivalence_test: the slot-indexed merge loop) run by default.
+# perf_equivalence_test: the slot-indexed merge loop) and the paper
+# pipeline suites (graphdb, analysis, expansion, metrics, viz and
+# integration_paper: every projection and counter indexes per-station
+# arrays by the trip table's rows) run by default.
 #
 #   tools/ci.sh --sanitize-matrix                   # default subset
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
@@ -210,7 +213,7 @@ if [ "$MATRIX" = 1 ]; then
   else
     # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
     # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence')
+    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence|graphdb|analysis|expansion|metrics|viz|integration_paper')
   fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"

@@ -45,10 +45,53 @@ if [ "${#JSON_FILES[@]}" -eq 0 ]; then
   exit 1
 fi
 
-python3 - "$REPO_ROOT/BENCH_perf.json" "${JSON_FILES[@]}" <<'EOF'
-import json, sys
+python3 - "$REPO_ROOT" "$BUILD_DIR" "${JSON_FILES[@]}" <<'EOF'
+import glob, json, os, re, subprocess, sys
 
-out_path, *inputs = sys.argv[1:]
+repo_root, build_dir, *inputs = sys.argv[1:]
+out_path = os.path.join(repo_root, "BENCH_perf.json")
+
+
+def cmake_value(path, pattern):
+    """First capture of `pattern` in a CMake-generated file, else None."""
+    try:
+        with open(path) as f:
+            match = re.search(pattern, f.read(), re.MULTILINE)
+    except OSError:
+        return None
+    return match.group(1) if match else None
+
+
+def git(*args):
+    proc = subprocess.run(["git", "-C", repo_root, *args],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+# What was measured: the build tree's own build type and compiler (not
+# google-benchmark's library build type) and the commit. The dirty flag
+# ignores BENCH_perf.json, which this script rewrites.
+compiler_files = sorted(
+    glob.glob(os.path.join(build_dir, "CMakeFiles", "*",
+                           "CMakeCXXCompiler.cmake")))
+compiler_file = compiler_files[-1] if compiler_files else ""
+compiler_id = cmake_value(compiler_file,
+                          r'^set\(CMAKE_CXX_COMPILER_ID "([^"]*)"\)')
+compiler_version = cmake_value(
+    compiler_file, r'^set\(CMAKE_CXX_COMPILER_VERSION "([^"]*)"\)')
+git_sha = git("rev-parse", "--short", "HEAD")
+changes = git("status", "--porcelain", "--untracked-files=no", "--", ".",
+              ":(exclude)BENCH_perf.json")
+build_context = {
+    "build_type": cmake_value(os.path.join(build_dir, "CMakeCache.txt"),
+                              r"^CMAKE_BUILD_TYPE:STRING=(.*)$"),
+    "compiler": " ".join(v for v in (compiler_id, compiler_version) if v)
+                or None,
+    "git_sha": git_sha,
+    "git_dirty": None if git_sha is None or changes is None
+                 else bool(changes),
+}
+
 merged = {"schema": 1, "benches": {}}
 for path in inputs:
     with open(path) as f:
@@ -58,8 +101,9 @@ for path in inputs:
     merged.setdefault("context", {
         "host": ctx.get("host_name"),
         "num_cpus": ctx.get("num_cpus"),
-        "build_type": ctx.get("library_build_type"),
+        "benchmark_library_build_type": ctx.get("library_build_type"),
         "date": ctx.get("date"),
+        **build_context,
     })
     bench = {}
     for b in data.get("benchmarks", []):
@@ -86,8 +130,7 @@ for path in inputs:
 # Shard-scaling curve (docs/STREAMING.md, "Sharded ingestion"): distill
 # the BM_ShardedIngest/N rows into one comparable record — events/s per
 # shard count plus the speedup over the single-writer (N=1) baseline.
-# On this single-CPU CI host the curve measures ring/barrier overhead,
-# not parallel speedup; the raw rows stay in "benches" either way.
+# The raw rows stay in "benches" either way.
 curve = {}
 for bench in merged["benches"].values():
     for name, row in bench.items():
