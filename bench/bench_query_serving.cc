@@ -96,8 +96,8 @@ void BM_QueryServingClosedLoop(benchmark::State& state) {
         spec.station_count = kStations;
         spec.community_count = 2;
         spec.batch_size = 16;
-        // do-while: even if the writer outruns this thread's first
-        // schedule (single-CPU hosts), every reader samples once.
+        // do-while: the writer can finish before this thread's first
+        // pass on any host, so every reader samples at least once.
         do {
           const auto batch = MakeWorkloadBatch(spec, rng);
           const auto t0 = std::chrono::steady_clock::now();

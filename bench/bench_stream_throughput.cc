@@ -42,18 +42,17 @@ BENCHMARK(BM_StreamIngest)->Arg(64)->Arg(256);
 
 // Out-of-order ingestion: the same planted stream with up to an hour of
 // arrival jitter (the shared stream::JitterArrivalOrder model), pushed
-// through the reorder buffer in front of the window — the engine's
-// Ingest/DrainReady shape (batch ForEachReady release, no per-event
-// optional). Compare against BM_StreamIngest to read the buffer's
-// overhead; the measured numbers are discussed in docs/STREAMING.md.
-void StreamIngestOutOfOrder(benchmark::State& state, ReorderBackend backend) {
+// through the timing-wheel reorder buffer in front of the window — the
+// engine's Ingest/DrainReady shape (batch ForEachReady release).
+// Compare against BM_StreamIngest to read the buffer's overhead; the
+// measured numbers are discussed in docs/STREAMING.md.
+void BM_StreamIngestWheel(benchmark::State& state) {
   const auto stations = static_cast<size_t>(state.range(0));
   const auto events =
       JitterArrivalOrder(PlantedStream(stations, 4, 28, 4000, 17), 3600, 99)
           .events;
   ReorderBufferOptions options;
   options.max_lateness_seconds = 3600;
-  options.backend = backend;
   for (auto _ : state) {
     ReorderBuffer buffer(options);
     SlidingWindowGraph window({stations, 7 * 86400});
@@ -70,17 +69,6 @@ void StreamIngestOutOfOrder(benchmark::State& state, ReorderBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(events.size()));
-}
-
-// The PR 4 min-heap backend, kept selectable for multi-month horizons.
-void BM_StreamIngestOutOfOrder(benchmark::State& state) {
-  StreamIngestOutOfOrder(state, ReorderBackend::kHeap);
-}
-BENCHMARK(BM_StreamIngestOutOfOrder)->Arg(64)->Arg(256);
-
-// The timing-wheel backend (the default): amortized O(1) release.
-void BM_StreamIngestWheel(benchmark::State& state) {
-  StreamIngestOutOfOrder(state, ReorderBackend::kWheel);
 }
 BENCHMARK(BM_StreamIngestWheel)->Arg(64)->Arg(256);
 

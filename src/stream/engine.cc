@@ -11,16 +11,7 @@
 
 namespace bikegraph::stream {
 
-namespace {
-
 namespace fs = std::filesystem;
-
-bool IsWalSegmentName(const std::string& name) {
-  return name.size() == 28 && name.rfind("wal-", 0) == 0 &&
-         name.compare(24, 4, ".log") == 0;
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -60,7 +51,6 @@ class EngineShard {
       : reorder(ReorderBufferOptions{config.max_lateness_seconds,
                                      config.late_policy,
                                      config.suppress_duplicate_rentals,
-                                     config.reorder_backend,
                                      config.max_duplicate_rental_ids}),
         window(WindowGraphOptions{config.station_count,
                                   config.window_seconds}),
@@ -992,11 +982,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
     // Every surviving record (if any) is at or below the checkpoint —
     // appending to the tail would tear its sequence. The checkpoint
     // carries all their state, so drop the segments and start fresh.
-    for (const auto& entry : fs::directory_iterator(directory, ec)) {
-      if (IsWalSegmentName(entry.path().filename().string())) {
-        fs::remove(entry.path(), ec);
-      }
-    }
+    BIKEGRAPH_RETURN_NOT_OK(RemoveWalSegments(directory, env));
     BIKEGRAPH_ASSIGN_OR_RETURN(
         engine->wal_,
         WalWriter::Open(engine->config_.durability, resume_seq + 1));

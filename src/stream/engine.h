@@ -51,7 +51,8 @@ struct StreamEngineConfig {
   /// into start-time order before they reach the window. Size it to the
   /// feed's worst start-to-report delay (for trips reported at their end,
   /// the longest trip duration). 0 (the default) keeps the strict
-  /// pre-buffer contract: any start-time regression is late.
+  /// pre-buffer contract: any start-time regression is late. At most
+  /// 2^22 s (~48 days), the reorder buffer's timing-wheel limit.
   int64_t max_lateness_seconds = 0;
   /// What happens to an event older than the horizon: kError (default)
   /// fails the Ingest — the pre-buffer contract — while kDrop discards
@@ -64,11 +65,6 @@ struct StreamEngineConfig {
   /// Cap on the duplicate-suppression id set (0 = unbounded); see
   /// ReorderBufferOptions::max_duplicate_ids for the eviction contract.
   size_t max_duplicate_rental_ids = size_t{1} << 20;
-  /// Data structure behind the reorder buffer: the timing wheel (default)
-  /// releases at amortized O(1) per event with memory O(max_lateness);
-  /// the min-heap costs O(log buffered) but stays lean on multi-month
-  /// horizons. Release order is identical either way.
-  ReorderBackend reorder_backend = ReorderBackend::kWheel;
   /// Freeze snapshots by copy-on-write patching of the previous epoch's
   /// CSR and profiles when only a small fraction of the window changed
   /// (see SnapshotDeltaPolicy); disable to force a full rebuild per

@@ -7,34 +7,43 @@ namespace bikegraph::stream {
 namespace {
 
 /// Wheel memory is one bucket per horizon second; past ~48 days of
-/// horizon that is >100 MB of (mostly empty) buckets, and the heap is
-/// the honest choice.
+/// horizon that is >100 MB of (mostly empty) buckets.
 constexpr int64_t kMaxWheelHorizonSeconds = int64_t{1} << 22;
 
 }  // namespace
 
 ReorderBuffer::ReorderBuffer(const ReorderBufferOptions& options)
     : options_(options) {
-  if (options_.backend == ReorderBackend::kWheel &&
-      options_.max_lateness_seconds > 0 &&
-      options_.max_lateness_seconds <= kMaxWheelHorizonSeconds) {
-    EnsureWheel();
+  if (options_.max_lateness_seconds < 0) {
+    options_status_ =
+        Status::InvalidArgument("max_lateness_seconds must be >= 0");
+    return;
   }
+  if (options_.max_lateness_seconds > kMaxWheelHorizonSeconds) {
+    options_status_ = Status::InvalidArgument(
+        "max_lateness_seconds " +
+        std::to_string(options_.max_lateness_seconds) +
+        " exceeds the timing wheel's horizon limit (" +
+        std::to_string(kMaxWheelHorizonSeconds) + "s)");
+    return;
+  }
+  // Held events span at most the max_lateness seconds in
+  // (cutoff, watermark] plus the current walk second, so the next power
+  // of two above that guarantees no two live seconds ever share a
+  // bucket — each bucket is one second's events, sortable by rental id
+  // alone. At least 64 so the wheel is whole occupancy words: a release
+  // walk then maps one word's bits onto 64 consecutive seconds with no
+  // mid-word wrap.
+  size_t size = 64;
+  const auto span = static_cast<uint64_t>(options_.max_lateness_seconds) + 2;
+  while (size < span) size <<= 1;
+  primary_.resize(size);
+  occupancy_.assign(size / 64, 0);
+  overflow_occupancy_.assign(size / 64, 0);
 }
 
 Status ReorderBuffer::Push(const TripEvent& event) {
-  if (options_.max_lateness_seconds < 0) {
-    return Status::InvalidArgument("max_lateness_seconds must be >= 0");
-  }
-  if (options_.backend == ReorderBackend::kWheel &&
-      options_.max_lateness_seconds > kMaxWheelHorizonSeconds) {
-    return Status::InvalidArgument(
-        "max_lateness_seconds " +
-        std::to_string(options_.max_lateness_seconds) +
-        " exceeds the wheel backend's horizon limit (" +
-        std::to_string(kMaxWheelHorizonSeconds) +
-        "s); use ReorderBackend::kHeap for multi-month horizons");
-  }
+  if (!options_status_.ok()) return options_status_;
   if (flushed_) {
     return Status::FailedPrecondition(
         "ReorderBuffer was flushed (end of stream); no further events may "
@@ -90,9 +99,8 @@ Status ReorderBuffer::Push(const TripEvent& event) {
   if (advances) {
     watermark_seconds_ = start;
     if (!seen_expiry_.empty()) EvictExpiredIds(HorizonCutoff());
-    if (options_.backend == ReorderBackend::kWheel && wheel_count_ > 0 &&
-        watermark_seconds_ - drained_upto_ >=
-            static_cast<int64_t>(primary_.size())) {
+    if (wheel_count_ > 0 && watermark_seconds_ - drained_upto_ >=
+                                static_cast<int64_t>(primary_.size())) {
       // A watermark jump of a whole revolution would let a new second
       // collide with a not-yet-walked older one in the same bucket;
       // spilling the releasable seconds to the FIFO first keeps every
@@ -102,11 +110,7 @@ Status ReorderBuffer::Push(const TripEvent& event) {
     }
   }
   if (releasable) {
-    const bool pending_release =
-        options_.backend == ReorderBackend::kWheel
-            ? ready_head_ < ready_.size() || wheel_count_ > 0
-            : !heap_.empty();
-    if (!pending_release && !has_direct_) {
+    if (!has_direct_ && ready_head_ == ready_.size() && wheel_count_ == 0) {
       direct_ = event;
       has_direct_ = true;
       return Status::OK();
@@ -114,7 +118,7 @@ Status ReorderBuffer::Push(const TripEvent& event) {
     if (has_direct_) {
       // Two releasable events pending: keep the smaller (start, rental
       // id) key in the direct slot so ties still release in rental-id
-      // order — the direct slot is always popped first. The displaced
+      // order — the direct slot is always released first. The displaced
       // event is parked where it is immediately releasable. A new
       // arrival can never be *older* than the direct event (both are
       // >= the cutoff the direct event was <= of), so only the tie
@@ -124,66 +128,18 @@ Status ReorderBuffer::Push(const TripEvent& event) {
           (start == direct_start && event.rental_id < direct_.rental_id)) {
         const TripEvent displaced = direct_;
         direct_ = event;
-        if (options_.backend == ReorderBackend::kWheel) {
-          ParkWheelReleasable(displaced);
-        } else {
-          PushToHeap(displaced);
-        }
+        ParkWheelReleasable(displaced);
         return Status::OK();
       }
     }
-    if (options_.backend == ReorderBackend::kWheel) {
-      ParkWheelReleasable(event);
-    } else {
-      PushToHeap(event);
-    }
+    ParkWheelReleasable(event);
     return Status::OK();
   }
-  if (options_.backend == ReorderBackend::kWheel) {
-    PushToWheel(event);
-  } else {
-    PushToHeap(event);
-  }
+  PushToWheel(event);
   return Status::OK();
 }
 
-uint32_t ReorderBuffer::AllocSlot(const TripEvent& event) {
-  if (free_slots_.empty()) {
-    const auto slot = static_cast<uint32_t>(slots_.size());
-    slots_.push_back(event);
-    return slot;
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
-  slots_[slot] = event;
-  return slot;
-}
-
-void ReorderBuffer::PushToHeap(const TripEvent& event) {
-  heap_.push(HeapKey{event.start_time.seconds_since_epoch(),
-                     event.rental_id, AllocSlot(event)});
-}
-
-void ReorderBuffer::EnsureWheel() {
-  if (!primary_.empty()) return;
-  // Held events span at most the max_lateness seconds in
-  // (cutoff, watermark] plus the current walk second, so the next power
-  // of two above that guarantees no two live seconds ever share a
-  // bucket — each bucket is one second's events, sortable by rental id
-  // alone. At least 64 so the wheel is whole occupancy words: a release
-  // walk then maps one word's bits onto 64 consecutive seconds with no
-  // mid-word wrap.
-  size_t size = 64;
-  const auto span =
-      static_cast<uint64_t>(options_.max_lateness_seconds) + 2;
-  while (size < span) size <<= 1;
-  primary_.resize(size);
-  occupancy_.assign(size / 64, 0);
-  overflow_occupancy_.assign(size / 64, 0);
-}
-
 void ReorderBuffer::PushToWheel(const TripEvent& event) {
-  EnsureWheel();
   const int64_t start = event.start_time.seconds_since_epoch();
   if (wheel_count_ == 0) {
     // Nothing is parked below this event, so fast-forward the walk
@@ -282,36 +238,12 @@ void ReorderBuffer::DrainWheelUpTo(int64_t upto) {
     return;
   }
   // Same walk as WalkWheel, but spilling into the ready FIFO instead of
-  // a visitor — the big-jump and PopReady fallbacks.
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, upto,
-                        [&](int64_t second, size_t bucket) {
-                          DrainBucketToReady(second, bucket);
-                          return wheel_count_ > 0;
-                        });
+  // a visitor — the big-jump fallback.
+  ForEachOccupiedSecond(upto, [&](int64_t second, size_t bucket) {
+    DrainBucketToReady(second, bucket);
+    return wheel_count_ > 0;
+  });
   drained_upto_ = upto;
-}
-
-bool ReorderBuffer::DrainWheelNextSecond(int64_t limit) {
-  bool found = false;
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, limit,
-                        [&](int64_t second, size_t bucket) {
-                          DrainBucketToReady(second, bucket);
-                          drained_upto_ = second;
-                          found = true;
-                          return false;  // one second only
-                        });
-  if (!found) drained_upto_ = limit;
-  return found;
-}
-
-bool ReorderBuffer::HasOccupiedSecondUpTo(int64_t limit) const {
-  bool found = false;
-  ForEachOccupiedSecond(occupancy_, primary_.size(), drained_upto_, limit,
-                        [&](int64_t, size_t) {
-                          found = true;
-                          return false;
-                        });
-  return found;
 }
 
 void ReorderBuffer::FifoInsertSorted(const TripEvent& event) {
@@ -334,16 +266,15 @@ void ReorderBuffer::AdvanceWatermark(CivilTime watermark) {
   if (seconds <= watermark_seconds_) return;
   watermark_seconds_ = seconds;
   if (!seen_expiry_.empty()) EvictExpiredIds(HorizonCutoff());
-  if (options_.backend == ReorderBackend::kWheel && wheel_count_ > 0 &&
-      watermark_seconds_ - drained_upto_ >=
-          static_cast<int64_t>(primary_.size())) {
+  if (wheel_count_ > 0 && watermark_seconds_ - drained_upto_ >=
+                              static_cast<int64_t>(primary_.size())) {
     DrainWheelUpTo(HorizonCutoff());  // see Push: keeps buckets one-second
   }
 }
 
 void ReorderBuffer::Flush() {
   // Raises WheelReleaseLimit() to the watermark; the next release walk
-  // or pop hands the remaining events out in order.
+  // hands the remaining events out in order.
   flushed_ = true;
 }
 
@@ -370,13 +301,16 @@ ReorderBufferState ReorderBuffer::ExportState() const {
   ReorderBuffer drain(*this);
   drain.flushed_ = true;
   state.buffered.reserve(buffered_count());
-  while (auto event = drain.PopReady()) {
-    state.buffered.push_back(*event);
-  }
+  // The visitor never fails, so neither does the drain.
+  (void)drain.ForEachReady([&state](const TripEvent& event) {
+    state.buffered.push_back(event);
+    return Status::OK();
+  });
   return state;
 }
 
 Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
+  BIKEGRAPH_RETURN_NOT_OK(options_status_);
   *this = ReorderBuffer(ReorderBufferOptions(options_));
   watermark_seconds_ = state.watermark_seconds;
   flushed_ = state.flushed;
@@ -394,9 +328,9 @@ Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
     }
     seen_expiry_.emplace(start, id);
   }
-  // Re-park the held events. They are backend-neutral release order, so
-  // ascending (start, rental id) — exactly what the wheel's
-  // one-second-per-bucket invariant and the heap both accept.
+  // Re-park the held events. They arrive in release order, ascending
+  // (start, rental id) — exactly what the wheel's one-second-per-bucket
+  // invariant accepts.
   const int64_t cutoff = HorizonCutoff();
   int64_t prev_start = INT64_MIN;
   int64_t prev_id = INT64_MIN;
@@ -408,17 +342,21 @@ Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
     }
     prev_start = start;
     prev_id = event.rental_id;
-    if (start > watermark_seconds_ || start < cutoff) {
+    // A held event may lie below the cutoff (a spill, a failed
+    // visitor's remainder, or an advance with no drain since), but never
+    // beyond the watermark.
+    if (start > watermark_seconds_) {
       return Status::DataLoss(
           "checkpointed buffered event at " + event.start_time.ToString() +
-          " lies outside (horizon, watermark]");
+          " lies beyond the watermark");
     }
-    if (options_.backend == ReorderBackend::kHeap) {
-      PushToHeap(event);
-    } else if (flushed_ || start <= cutoff) {
+    if (flushed_ || start <= cutoff) {
       // Already releasable: the FIFO drains before the bucket walk, and
-      // the events arrive here in release order.
+      // the events arrive here in release order. Moving the walk cursor
+      // to them sends a same-second straggler through FifoInsertSorted,
+      // so it still releases in rental-id order.
       ready_.push_back(event);
+      drained_upto_ = start;
     } else {
       PushToWheel(event);
     }

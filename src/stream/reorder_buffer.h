@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <unordered_set>
 #include <vector>
@@ -29,29 +28,13 @@ enum class LateEventPolicy {
   kError,
 };
 
-/// \brief Which data structure holds the buffered (not-yet-releasable)
-/// events. Both backends release the exact same sequence — (start time,
-/// rental id) ascending — so the choice is purely a performance trade.
-enum class ReorderBackend {
-  /// Min-heap keyed by (start, rental id): O(log buffered) per event,
-  /// memory O(buffered events). The right choice for very long horizons
-  /// (days+) on sparse feeds, where a second-granularity wheel would
-  /// waste memory on empty buckets.
-  kHeap,
-  /// Hashed timing wheel (Varghese & Lauck): one flat bucket per second
-  /// of the horizon, amortized O(1) insert and release, memory
-  /// O(max_lateness_seconds) buckets plus the buffered events. The
-  /// default — on horizons up to a few hours it releases at nearly the
-  /// ordered-ingest cost (see docs/STREAMING.md).
-  kWheel,
-};
-
 /// \brief Options for a ReorderBuffer.
 struct ReorderBufferOptions {
   /// The reorder horizon: an arriving event may start at most this many
   /// seconds before the newest start time seen so far. 0 means strict
   /// order (any regression of start time is late) with pass-through
-  /// release — the pre-buffer contract.
+  /// release — the pre-buffer contract. At most 2^22 s (~48 days): the
+  /// timing wheel keeps one bucket per horizon second.
   int64_t max_lateness_seconds = 0;
   /// Applied to events older than the horizon.
   LateEventPolicy late_policy = LateEventPolicy::kError;
@@ -63,8 +46,6 @@ struct ReorderBufferOptions {
   /// handled by the late policy instead, which is the only reason the
   /// id set stays bounded.
   bool suppress_duplicates = false;
-  /// Buffer data structure; see ReorderBackend.
-  ReorderBackend backend = ReorderBackend::kWheel;
   /// Hard cap on the duplicate-suppression id set (0 = unbounded).
   ///
   /// The eviction contract: watermark advance already evicts ids whose
@@ -84,9 +65,8 @@ struct ReorderBufferOptions {
 };
 
 /// \brief A ReorderBuffer's complete logical state, for checkpointing.
-/// Backend-neutral: `buffered` lists the held events in release order, so
-/// a state exported from a wheel restores into a heap bit-identically
-/// (release order is (start, rental id) ascending either way).
+/// `buffered` lists the held events in release order, independent of
+/// where inside the buffer each one sits.
 struct ReorderBufferState {
   int64_t watermark_seconds = INT64_MIN;
   bool flushed = false;
@@ -108,13 +88,13 @@ struct ReorderBufferState {
 /// The paper's temporal graphs key trips by *start* time, but a live feed
 /// reports a trip when it *ends* — so arrivals are start-time-ordered only
 /// up to the longest trip duration. The buffer absorbs that: events are
-/// held (in a min-heap or a second-granularity timing wheel, see
-/// ReorderBackend) and released once the watermark (the newest start time
-/// seen, or an explicit `AdvanceWatermark`) has moved at least
+/// held in a hashed timing wheel (Varghese & Lauck) with one bucket per
+/// second of the horizon, and released once the watermark (the newest
+/// start time seen, or an explicit `AdvanceWatermark`) has moved at least
 /// `max_lateness_seconds` past them — at that point no admissible future
 /// arrival can precede them, so the released order equals the fully
 /// sorted order. Ties release in rental-id order, keeping a jittered
-/// replay deterministic.
+/// replay deterministic. Insert and release are amortized O(1).
 ///
 /// An event older than the horizon at arrival is late: depending on
 /// `LateEventPolicy` it is dropped-and-counted or refused. `Flush()`
@@ -123,16 +103,18 @@ struct ReorderBufferState {
 /// The buffer holds at most the events of one horizon (plus, with
 /// duplicate suppression, one id per event in the horizon), so event
 /// memory is bounded by the feed rate times `max_lateness_seconds`; the
-/// wheel backend additionally keeps one (mostly empty) bucket per horizon
-/// second.
+/// wheel additionally keeps one (mostly empty) bucket per horizon second.
 class ReorderBuffer {
  public:
+  /// Validates the options once and allocates the wheel; invalid options
+  /// leave the buffer refusing every Push with InvalidArgument.
   explicit ReorderBuffer(const ReorderBufferOptions& options = {});
 
-  /// Admits one event. Returns FailedPrecondition for a too-late event
-  /// under LateEventPolicy::kError and after Flush(); OK otherwise (late
-  /// drops and duplicate suppressions are OK — check the counters).
-  /// Admitted events advance the watermark to their start time.
+  /// Admits one event. Returns InvalidArgument when the options were
+  /// invalid, FailedPrecondition for a too-late event under
+  /// LateEventPolicy::kError and after Flush(); OK otherwise (late drops
+  /// and duplicate suppressions are OK — check the counters). Admitted
+  /// events advance the watermark to their start time.
   Status Push(const TripEvent& event);
 
   /// Raises the watermark without an event (e.g. wall-clock time on a
@@ -144,51 +126,17 @@ class ReorderBuffer {
   /// order), and further Push calls fail.
   void Flush();
 
-  /// Pops the oldest releasable event, or nullopt when none is ready.
-  /// An event is releasable once its start time is at least
-  /// `max_lateness_seconds` behind the watermark (or after Flush).
-  std::optional<TripEvent> PopReady() {
-    if (has_direct_) {
-      has_direct_ = false;
-      ++released_count_;
-      return direct_;
-    }
-    if (options_.backend == ReorderBackend::kWheel) {
-      if (ready_head_ == ready_.size()) {
-        ready_.clear();  // keeps capacity: steady state never reallocates
-        ready_head_ = 0;
-        // Pull the next releasable second's bucket (if any) into the
-        // FIFO; ForEachReady is the copy-free batch path.
-        if (wheel_count_ == 0 ||
-            !DrainWheelNextSecond(WheelReleaseLimit())) {
-          return std::nullopt;
-        }
-      }
-      ++released_count_;
-      return ready_[ready_head_++];
-    }
-    if (heap_.empty() ||
-        (!flushed_ && heap_.top().start_seconds > HorizonCutoff())) {
-      return std::nullopt;
-    }
-    const uint32_t slot = heap_.top().slot;
-    heap_.pop();
-    free_slots_.push_back(slot);
-    ++released_count_;
-    return slots_[slot];
-  }
-
-  /// Releases every currently-releasable event in release order without
-  /// per-event copies: `visit(const TripEvent&)` is called with a
-  /// reference into the buffer's storage and must return a Status (and
-  /// must not re-enter the buffer). Iteration stops at the first non-OK
-  /// status (that event is already consumed) and returns it; the
-  /// remaining events stay buffered. The batch equivalent of a PopReady
-  /// loop — the engine's ingest drain uses it so a released event is
-  /// moved exactly once (into the window), never through an optional.
-  /// For the wheel backend this IS the release walk: Push only parks
-  /// events in their second's bucket, and this walk visits the
-  /// releasable seconds straight out of the buckets.
+  /// Releases every currently-releasable event in release order — the
+  /// only way events leave the buffer. An event is releasable once its
+  /// start time is at least `max_lateness_seconds` behind the watermark
+  /// (or after Flush). `visit(const TripEvent&)` is called with a
+  /// reference into the buffer's storage, so a released event is copied
+  /// at most once (by the visitor); it must return a Status and must not
+  /// re-enter the buffer. Iteration stops at the first non-OK status
+  /// (that event is already consumed) and returns it; the remaining
+  /// events stay buffered. Push only parks events in their second's
+  /// bucket, and this walk visits the releasable seconds straight out of
+  /// the buckets.
   template <typename Visitor>
   Status ForEachReady(Visitor&& visit) {
     if (has_direct_) {
@@ -197,52 +145,28 @@ class ReorderBuffer {
       Status status = visit(static_cast<const TripEvent&>(direct_));
       if (!status.ok()) return status;
     }
-    if (options_.backend == ReorderBackend::kWheel) {
-      // Leftover stragglers first (they predate every bucketed second),
-      // then the bucket walk.
-      while (ready_head_ < ready_.size()) {
-        ++released_count_;
-        Status status =
-            visit(static_cast<const TripEvent&>(ready_[ready_head_++]));
-        if (!status.ok()) return status;
-      }
-      ready_.clear();
-      ready_head_ = 0;
-      if (wheel_count_ > 0) {
-        const int64_t limit = WheelReleaseLimit();
-        if (limit > drained_upto_) {
-          return WalkWheel(limit, std::forward<Visitor>(visit));
-        }
-      }
-      return Status::OK();
-    }
-    while (!heap_.empty() &&
-           (flushed_ || heap_.top().start_seconds <= HorizonCutoff())) {
-      const uint32_t slot = heap_.top().slot;
-      heap_.pop();
-      free_slots_.push_back(slot);
+    // Leftover stragglers first (they predate every bucketed second),
+    // then the bucket walk.
+    while (ready_head_ < ready_.size()) {
       ++released_count_;
-      Status status = visit(static_cast<const TripEvent&>(slots_[slot]));
+      Status status =
+          visit(static_cast<const TripEvent&>(ready_[ready_head_++]));
       if (!status.ok()) return status;
+    }
+    ready_.clear();  // keeps capacity: steady state never reallocates
+    ready_head_ = 0;
+    if (wheel_count_ > 0) {
+      const int64_t limit = WheelReleaseLimit();
+      if (limit > drained_upto_) {
+        return WalkWheel(limit, std::forward<Visitor>(visit));
+      }
     }
     return Status::OK();
   }
 
-  /// True when PopReady would return an event.
-  bool HasReady() const {
-    if (has_direct_) return true;
-    if (options_.backend == ReorderBackend::kWheel) {
-      if (ready_head_ < ready_.size()) return true;
-      return wheel_count_ > 0 &&
-             HasOccupiedSecondUpTo(WheelReleaseLimit());
-    }
-    if (heap_.empty()) return false;
-    return flushed_ || heap_.top().start_seconds <= HorizonCutoff();
-  }
-
   /// Events currently held (admitted but not yet handed out).
   size_t buffered_count() const {
-    return heap_.size() + wheel_count_ + (ready_.size() - ready_head_) +
+    return wheel_count_ + (ready_.size() - ready_head_) +
            (has_direct_ ? 1 : 0);
   }
 
@@ -259,7 +183,7 @@ class ReorderBuffer {
   uint64_t late_dropped_count() const { return late_dropped_count_; }
   /// Redelivered events suppressed by duplicate detection.
   uint64_t duplicate_count() const { return duplicate_count_; }
-  /// Events released so far via PopReady.
+  /// Events released so far via ForEachReady.
   uint64_t released_count() const { return released_count_; }
   /// Peak size the duplicate-suppression id set ever reached — the
   /// memory high-water mark of the storm-exposed structure. Bounded by
@@ -277,30 +201,15 @@ class ReorderBuffer {
   ReorderBufferState ExportState() const;
 
   /// Replaces this buffer's contents with `state` (recovery). The
-  /// options stay as constructed — state is backend-neutral, so a
-  /// checkpoint taken under one backend restores under the other.
-  /// Returns DataLoss for internally inconsistent state (unsorted or
-  /// beyond-watermark buffered events, duplicate seen ids).
+  /// options stay as constructed. Returns the constructor's
+  /// InvalidArgument for invalid options, and DataLoss for internally
+  /// inconsistent state (unsorted or beyond-watermark buffered events,
+  /// duplicate seen ids).
   Status RestoreState(const ReorderBufferState& state);
 
  private:
   /// End-of-chain marker for the overflow node links.
   static constexpr uint32_t kNilNode = 0xFFFFFFFFu;
-
-  /// Heap key: (start_seconds, rental_id) ascending — the release order.
-  /// The TripEvent itself lives in the slot pool, so sift operations move
-  /// 24-byte keys instead of whole events.
-  struct HeapKey {
-    int64_t start_seconds;
-    int64_t rental_id;
-    uint32_t slot;
-    bool operator>(const HeapKey& other) const {
-      if (start_seconds != other.start_seconds) {
-        return start_seconds > other.start_seconds;
-      }
-      return rental_id > other.rental_id;
-    }
-  };
 
   /// Oldest start an arriving event may have and still be admitted; also
   /// the newest start a held event may have and be released. The two
@@ -315,13 +224,7 @@ class ReorderBuffer {
     return watermark_seconds_ - options_.max_lateness_seconds;
   }
   void EvictExpiredIds(int64_t cutoff);
-  /// Parks `event` in the heap's slot pool, so heap sifts move 24-byte
-  /// keys instead of whole events.
-  uint32_t AllocSlot(const TripEvent& event);
-  /// Parks `event` in the slot pool and pushes its key onto the heap.
-  void PushToHeap(const TripEvent& event);
 
-  // --- wheel backend ---
   size_t WheelBucket(int64_t second) const {
     // Power-of-two mask; two's-complement & handles negative seconds.
     return static_cast<size_t>(static_cast<uint64_t>(second) &
@@ -332,8 +235,6 @@ class ReorderBuffer {
   int64_t WheelReleaseLimit() const {
     return flushed_ ? watermark_seconds_ : HorizonCutoff();
   }
-  /// Allocates the bucket array.
-  void EnsureWheel();
   /// Parks an event in its second's bucket.
   void PushToWheel(const TripEvent& event);
   /// Parks a releasable-on-arrival event: in its bucket when that second
@@ -353,36 +254,26 @@ class ReorderBuffer {
   /// seconds within one wheel revolution; releases normally happen
   /// straight off the buckets in WalkWheel.
   void DrainWheelUpTo(int64_t upto);
-  /// Moves the single oldest occupied second in (drained_upto_, limit]
-  /// into the ready FIFO; false when there is none (the PopReady path).
-  bool DrainWheelNextSecond(int64_t limit);
-  /// True when some bucket holds a second in (drained_upto_, limit].
-  bool HasOccupiedSecondUpTo(int64_t limit) const;
   /// Inserts an immediately-releasable event into the ready FIFO at its
   /// sorted position (only same-second ties at the tail ever shift).
   void FifoInsertSorted(const TripEvent& event);
 
-  /// The one occupied-second iteration all wheel walks share: calls
+  /// The one occupied-second iteration both wheel walks share: calls
   /// `fn(second, bucket)` for each occupied second in
-  /// (from_exclusive, limit] in ascending order, advancing one occupancy
+  /// (drained_upto_, limit] in ascending order, advancing one occupancy
   /// word (64 seconds) per probe and iterating only the set bits inside
-  /// it. `fn` returns false to stop early. The wheel is whole words, so
-  /// one word's bits map onto 64 consecutive seconds with no mid-word
-  /// wrap. Static over a caller-chosen bitmap so const and mutating
-  /// walks share the exact same bit-window arithmetic.
+  /// it (read once per word, so `fn` may clear the bit it is handed).
+  /// `fn` returns false to stop early. The wheel is whole words, so one
+  /// word's bits map onto 64 consecutive seconds with no mid-word wrap.
   template <typename Fn>
-  static void ForEachOccupiedSecond(const std::vector<uint64_t>& occupancy,
-                                    size_t bucket_count,
-                                    int64_t from_exclusive, int64_t limit,
-                                    Fn&& fn) {
-    int64_t second = from_exclusive + 1;
+  void ForEachOccupiedSecond(int64_t limit, Fn&& fn) {
+    int64_t second = drained_upto_ + 1;
     while (second <= limit) {
-      const auto bucket = static_cast<size_t>(
-          static_cast<uint64_t>(second) & (bucket_count - 1));
+      const size_t bucket = WheelBucket(second);
       const auto bit = static_cast<unsigned>(bucket & 63);
       const int64_t word_last = second + (63 - static_cast<int64_t>(bit));
       const int64_t span_last = word_last < limit ? word_last : limit;
-      uint64_t bits = occupancy[bucket >> 6] >> bit;
+      uint64_t bits = occupancy_[bucket >> 6] >> bit;
       const auto nbits = static_cast<unsigned>(span_last - second + 1);
       if (nbits < 64) bits &= (uint64_t{1} << nbits) - 1;
       while (bits != 0) {
@@ -404,8 +295,7 @@ class ReorderBuffer {
   Status WalkWheel(int64_t limit, Visitor&& visit) {
     Status status = Status::OK();
     ForEachOccupiedSecond(
-        occupancy_, primary_.size(), drained_upto_, limit,
-        [&](int64_t second, size_t bucket) {
+        limit, [&](int64_t second, size_t bucket) {
           const uint64_t occ_bit = uint64_t{1} << (bucket & 63);
           if (overflow_count_ == 0 ||
               (overflow_occupancy_[bucket >> 6] & occ_bit) == 0) {
@@ -446,14 +336,10 @@ class ReorderBuffer {
   }
 
   ReorderBufferOptions options_;
+  /// The constructor's verdict on `options_`, returned by every Push.
+  Status options_status_;
   int64_t watermark_seconds_ = INT64_MIN;
   bool flushed_ = false;
-
-  std::priority_queue<HeapKey, std::vector<HeapKey>, std::greater<HeapKey>>
-      heap_;
-  /// Slot pool backing the heap keys; free slots are recycled.
-  std::vector<TripEvent> slots_;
-  std::vector<uint32_t> free_slots_;
 
   /// Wheel state, sized for the common one-event-per-second case: one
   /// flat inline event slot per horizon second (`primary_`), occupancy
@@ -488,16 +374,17 @@ class ReorderBuffer {
   /// limit, so a releasable-on-arrival straggler at an already-walked
   /// second takes the FIFO path instead of stranding in a bucket.
   int64_t drained_upto_ = INT64_MIN;
-  /// Already-released events awaiting PopReady, in release order; all
+  /// Releasable events parked outside the buckets, in release order; all
   /// at seconds <= drained_upto_. Normally empty — ForEachReady visits
-  /// buckets directly — it carries PopReady pulls, emergency spills,
-  /// and boundary stragglers.
+  /// buckets directly — it carries spills after big watermark jumps,
+  /// exact-boundary stragglers, a failed visitor's unconsumed remainder,
+  /// and restored events that are already releasable.
   std::vector<TripEvent> ready_;
   size_t ready_head_ = 0;
 
   /// One-event bypass: an event that is releasable the moment it arrives
   /// (every in-order event in strict max_lateness = 0 mode) skips the
-  /// heap/wheel entirely and is handed straight to the next PopReady,
+  /// wheel entirely and is handed straight to the next ForEachReady,
   /// keeping the strict configuration pass-through-cheap.
   TripEvent direct_;
   bool has_direct_ = false;

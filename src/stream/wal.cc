@@ -601,6 +601,16 @@ Status PruneWalSegments(const std::string& directory, uint64_t through_seq,
   return Status::OK();
 }
 
+Status RemoveWalSegments(const std::string& directory, IoEnv* env) {
+  env = ResolveEnv(env);
+  for (const auto& segment : ListSegments(directory)) {
+    if (env->Unlink(segment.second.c_str()) != 0) {
+      return IOError("remove WAL segment", segment.second);
+    }
+  }
+  return Status::OK();
+}
+
 uint64_t OldestCheckpointSeq(const std::string& directory) {
   uint64_t oldest = 0;
   std::error_code ec;

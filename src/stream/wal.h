@@ -233,6 +233,14 @@ struct WalReadResult {
                                       uint64_t* pruned = nullptr,
                                       IoEnv* env = nullptr);
 
+/// \brief Deletes every WAL segment under `directory` — recovery's reset
+/// when the checkpoint covers every surviving record. Removal goes through
+/// `env` (nullptr = IoEnv::Default()); the first failed unlink returns
+/// IOError, since a stale segment left beside the next writer's fresh one
+/// reads back as a sequence gap.
+[[nodiscard]] Status RemoveWalSegments(const std::string& directory,
+                                       IoEnv* env = nullptr);
+
 /// \brief The smallest `wal_seq` among the `ckpt-*.ckpt` files under
 /// `directory`, or 0 when there are none. This is the safe
 /// PruneWalSegments bound the ENOSPC self-heal uses without consulting

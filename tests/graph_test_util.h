@@ -1,8 +1,8 @@
 // Shared graph-equality assertion for the streaming test suites: the
 // strictest possible identity — every field and every adjacency entry
 // bitwise-equal (EXPECT_EQ on doubles, never NEAR). Used by the
-// jittered-replay, backend-equivalence, and delta-freeze locks, which
-// all promise bit-for-bit reproduction.
+// jittered-replay, shard, recovery and delta-freeze locks, which all
+// promise bit-for-bit reproduction.
 #pragma once
 
 #include <cstddef>

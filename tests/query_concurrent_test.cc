@@ -67,8 +67,8 @@ TEST(QueryConcurrentTest, ReadersServeWhileWriterPublishes) {
       spec.community_count = 2;  // planted graphs never collapse below 2
       spec.batch_size = 8;
       uint64_t last_epoch = 0;
-      // do-while: on a single-CPU host the writer can drain the whole
-      // stream before a reader first runs; serve at least one batch.
+      // do-while: on any host the writer can drain the whole stream
+      // before a reader's first pass; serve at least one batch.
       do {
         const auto batch = MakeWorkloadBatch(spec, rng);
         auto outcome = service.ExecuteBatch(batch);

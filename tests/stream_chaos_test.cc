@@ -26,15 +26,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
-StreamEngineConfig EngineConfigFor(const ChaosConfig& chaos,
-                                   ReorderBackend backend) {
+StreamEngineConfig EngineConfigFor(const ChaosConfig& chaos) {
   StreamEngineConfig config;
   config.station_count = chaos.station_count;
   config.window_seconds = 6 * 3600;
   config.max_lateness_seconds = chaos.max_lateness_seconds;
   config.late_policy = LateEventPolicy::kDrop;
   config.suppress_duplicate_rentals = true;
-  config.reorder_backend = backend;
   config.detection.options.seed = 19;
   return config;
 }
@@ -148,18 +146,15 @@ TEST(ChaosGeneratorTest, TogglesIsolateScenarios) {
   EXPECT_EQ(stream.stats.events, stream.stats.fresh_events);
 }
 
-class ChaosPropertyTest
-    : public ::testing::TestWithParam<std::tuple<ReorderBackend, uint64_t>> {
-};
+class ChaosPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ChaosPropertyTest, HostileStreamUpholdsInvariants) {
-  const auto [backend, seed] = GetParam();
   ChaosConfig chaos;
-  chaos.seed = seed;
+  chaos.seed = GetParam();
   chaos.duration_seconds = 86'400;  // one day keeps sanitizer runs quick
   const ChaosStream stream = GenerateChaosStream(chaos);
 
-  StreamEngine engine(EngineConfigFor(chaos, backend));
+  StreamEngine engine(EngineConfigFor(chaos));
   size_t step = 0;
   for (const ChaosAction& action : stream.actions) {
     ApplyAction(engine, action);
@@ -181,12 +176,9 @@ TEST_P(ChaosPropertyTest, HostileStreamUpholdsInvariants) {
   CheckInvariants(engine, stream.stats);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BackendsAndSeeds, ChaosPropertyTest,
-    ::testing::Combine(::testing::Values(ReorderBackend::kWheel,
-                                         ReorderBackend::kHeap),
-                       ::testing::Values(uint64_t{1}, uint64_t{2},
-                                         uint64_t{3})));
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPropertyTest,
+                         ::testing::Values(uint64_t{1}, uint64_t{2},
+                                           uint64_t{3}));
 
 TEST(ChaosPropertyTest, DuplicateStormRespectsIdCap) {
   ChaosConfig chaos;
@@ -194,7 +186,7 @@ TEST(ChaosPropertyTest, DuplicateStormRespectsIdCap) {
   chaos.duration_seconds = 43'200;
   const ChaosStream stream = GenerateChaosStream(chaos);
 
-  StreamEngineConfig config = EngineConfigFor(chaos, ReorderBackend::kWheel);
+  StreamEngineConfig config = EngineConfigFor(chaos);
   config.max_duplicate_rental_ids = 256;  // far below one horizon of ids
   StreamEngine engine(config);
   for (const ChaosAction& action : stream.actions) {
@@ -225,8 +217,7 @@ TEST(ChaosDurabilityTest, KillAndRecoverUnderHostileStream) {
   const ChaosStream stream = GenerateChaosStream(chaos);
   ASSERT_GT(stream.actions.size(), 100u);
 
-  const StreamEngineConfig base =
-      EngineConfigFor(chaos, ReorderBackend::kWheel);
+  const StreamEngineConfig base = EngineConfigFor(chaos);
   StreamEngine reference(base);
   for (const ChaosAction& action : stream.actions) {
     ApplyAction(reference, action);

@@ -556,6 +556,71 @@ TEST(CheckpointFaultTest, StrayTempFilesAreSweptOnLoad) {
 }
 
 // ---------------------------------------------------------------------
+// Recovery's WAL reset goes through the IoEnv seam: when the checkpoint
+// covers every surviving record, Recover deletes the old segments, and a
+// failed delete is an error, not a stale segment that the next Recover
+// would misread as a sequence gap.
+
+TEST(RecoveryFaultTest, FailedSegmentResetFailsRecoverAndRetrySucceeds) {
+  const fs::path dir = FreshDir("recover_reset");
+  FaultInjectingIoEnv env(FaultPlan{});
+  const StreamEngineConfig config = SmallEngineConfig(dir, &env);
+  {
+    StreamEngine engine(config);
+    for (int i = 0; i < 10; ++i) {
+      if (i == 5) {
+        // From record 6 on, WAL fsyncs report success but keep nothing.
+        FaultPlan::Rule rule;
+        rule.op = IoOp::kFsync;
+        rule.kind = FaultPlan::Kind::kSyncLie;
+        rule.after = env.op_count(IoOp::kFsync);
+        rule.count = 1000;
+        rule.path_substr = "wal-";
+        env.AddRule(rule);
+      }
+      ASSERT_TRUE(engine
+                      .Ingest(MakeEvent(i + 1, i % 8, (i + 3) % 8,
+                                        1'600'000'000 + i * 60))
+                      .ok());
+    }
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_EQ(engine.wal_seq(), 10u);
+  }
+  // The crash keeps WAL records 1-5 only, all covered by the checkpoint
+  // at seq 10, so Recover must delete the segment and start afresh.
+  env.SimulateCrash();
+  {
+    FaultPlan::Rule rule;
+    rule.op = IoOp::kUnlink;
+    rule.kind = FaultPlan::Kind::kError;
+    rule.after = env.op_count(IoOp::kUnlink);
+    rule.count = 1;
+    rule.error = EIO;
+    rule.path_substr = "wal-";
+    env.AddRule(rule);
+  }
+  const uint64_t unlinks_before = env.op_count(IoOp::kUnlink);
+  auto failed = StreamEngine::Recover(config);
+  ASSERT_FALSE(failed.ok()) << "the failed segment delete was ignored";
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(env.op_count(IoOp::kUnlink), unlinks_before + 1);
+
+  // The fault has passed: a retry recovers from the checkpoint...
+  StreamEngine::RecoveryStats stats;
+  {
+    auto recovered = StreamEngine::Recover(config, &stats);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_TRUE(stats.used_checkpoint);
+    EXPECT_EQ(stats.recovered_seq, 10u);
+  }
+  // ...and leaves no stale segment behind to fail the next one.
+  auto again = StreamEngine::Recover(config, &stats);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(stats.recovered_seq, 10u);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
 // Satellite 3: retry/backoff determinism on the injected clock, at one
 // and at two shards (the WAL is written on the ingestion thread before
 // dispatch, so shard count must not change a single counter).

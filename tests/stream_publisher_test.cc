@@ -108,8 +108,9 @@ TEST(StreamEngineTest, ReaderPollsStatsWhileIngestionFreezes) {
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
-    // do-while: on a single-CPU host the ingestion loop can finish
-    // before this thread first runs; poll at least once regardless.
+    // do-while: on any host the ingestion loop can finish before this
+    // thread's first pass (nothing orders thread start-up before the
+    // writer); poll at least once regardless.
     do {
       auto snap = engine.LatestSnapshot();
       // Counters after the acquire load: the publish's release store

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,44 +59,51 @@ bool IsStartOrdered(const std::vector<TripEvent>& events) {
 }
 
 // ---------------------------------------------------------------------------
-// ReorderBuffer unit behaviour — identical for both backends, so every
-// test here runs against the heap AND the timing wheel.
+// ReorderBuffer unit behaviour.
 // ---------------------------------------------------------------------------
 
-class ReorderBufferTest : public ::testing::TestWithParam<ReorderBackend> {
- protected:
-  ReorderBufferOptions Opts(
-      int64_t max_lateness_seconds = 0,
-      LateEventPolicy late_policy = LateEventPolicy::kError,
-      bool suppress_duplicates = false) const {
-    return ReorderBufferOptions{max_lateness_seconds, late_policy,
-                                suppress_duplicates, GetParam()};
-  }
-};
+ReorderBufferOptions Opts(
+    int64_t max_lateness_seconds = 0,
+    LateEventPolicy late_policy = LateEventPolicy::kError,
+    bool suppress_duplicates = false) {
+  ReorderBufferOptions options;
+  options.max_lateness_seconds = max_lateness_seconds;
+  options.late_policy = late_policy;
+  options.suppress_duplicates = suppress_duplicates;
+  return options;
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ReorderBufferTest,
-    ::testing::Values(ReorderBackend::kHeap, ReorderBackend::kWheel),
-    [](const ::testing::TestParamInfo<ReorderBackend>& param_info) {
-      return param_info.param == ReorderBackend::kHeap ? "Heap" : "Wheel";
-    });
+/// Everything the buffer releases right now, in release order.
+std::vector<TripEvent> Drain(ReorderBuffer& buffer) {
+  std::vector<TripEvent> released;
+  const Status status = buffer.ForEachReady([&](const TripEvent& e) {
+    released.push_back(e);
+    return Status::OK();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return released;
+}
 
-TEST_P(ReorderBufferTest, StrictModeIsPassThrough) {
+std::vector<int64_t> Ids(const std::vector<TripEvent>& events) {
+  std::vector<int64_t> ids;
+  for (const TripEvent& e : events) ids.push_back(e.rental_id);
+  return ids;
+}
+
+TEST(ReorderBufferTest, StrictModeIsPassThrough) {
   ReorderBuffer buffer(Opts());  // max_lateness 0, kError: the pre-buffer
                                  // contract
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 1)).ok());
-  auto released = buffer.PopReady();
-  ASSERT_TRUE(released.has_value());
-  EXPECT_EQ(released->rental_id, 1);
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{1}));
   // Equal start times are fine, a regression is not.
   ASSERT_TRUE(buffer.Push(Trip(1, 0, At(6, 8), 2)).ok());
-  EXPECT_TRUE(buffer.PopReady().has_value());
+  EXPECT_EQ(Drain(buffer).size(), 1u);
   auto late = buffer.Push(Trip(0, 1, At(6, 7), 3));
   EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(buffer.reordered_count(), 0u);
 }
 
-TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
+TEST(ReorderBufferTest, ReordersWithinHorizon) {
   ReorderBuffer buffer(Opts(3600));
   // Arrival order 10:00, 9:30, 10:20, 9:40 — all within an hour of the
   // running watermark.
@@ -105,12 +114,12 @@ TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
   }
   EXPECT_EQ(buffer.reordered_count(), 2u);  // 9:30 and 9:40 arrived late
   EXPECT_EQ(buffer.buffered_count(), 4u);
-  EXPECT_FALSE(buffer.HasReady());  // nothing is an hour behind 10:20 yet
+  EXPECT_TRUE(Drain(buffer).empty());  // nothing is an hour behind 10:20 yet
 
   buffer.AdvanceWatermark(At(6, 11, 20));
   std::vector<int64_t> released;
-  while (auto e = buffer.PopReady()) {
-    released.push_back(e->start_time.seconds_since_epoch());
+  for (const TripEvent& e : Drain(buffer)) {
+    released.push_back(e.start_time.seconds_since_epoch());
   }
   // Everything up to 10:20 is now safe, and comes out in start order.
   ASSERT_EQ(released.size(), 4u);
@@ -118,18 +127,16 @@ TEST_P(ReorderBufferTest, ReordersWithinHorizon) {
   EXPECT_EQ(buffer.released_count(), 4u);
 }
 
-TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrder) {
+TEST(ReorderBufferTest, TiesReleaseInRentalIdOrder) {
   ReorderBuffer buffer(Opts(600));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 9)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 7)).ok());
   buffer.Flush();
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{3, 7, 9}));
 }
 
-TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
+TEST(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
   // Strict mode: both events are releasable on arrival, so the first
   // occupies the direct slot. The smaller rental id arriving second must
   // still come out first.
@@ -137,9 +144,7 @@ TEST_P(ReorderBufferTest, TiesReleaseInRentalIdOrderThroughTheDirectSlot) {
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 9)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 8), 7)).ok());
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{3, 7, 9}));
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{3, 7, 9}));
 }
 
 TEST(JitterModelTest, HasBoundedNonDecreasingReportTimes) {
@@ -159,19 +164,18 @@ TEST(JitterModelTest, HasBoundedNonDecreasingReportTimes) {
   }
 }
 
-TEST_P(ReorderBufferTest, LateDropPolicyCountsAndDiscards) {
+TEST(ReorderBufferTest, LateDropPolicyCountsAndDiscards) {
   ReorderBuffer buffer(Opts(600, LateEventPolicy::kDrop));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 1)).ok());
   // 20 minutes behind a 10-minute horizon: dropped, not an error.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 9, 40), 2)).ok());
   EXPECT_EQ(buffer.late_dropped_count(), 1u);
   buffer.Flush();
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{1}));  // the late event never releases
+  // The late event never releases.
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{1}));
 }
 
-TEST_P(ReorderBufferTest, LateErrorPolicyRefuses) {
+TEST(ReorderBufferTest, LateErrorPolicyRefuses) {
   ReorderBuffer buffer(Opts(600, LateEventPolicy::kError));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 1)).ok());
   auto late = buffer.Push(Trip(0, 1, At(6, 9, 40), 2));
@@ -181,7 +185,7 @@ TEST_P(ReorderBufferTest, LateErrorPolicyRefuses) {
   EXPECT_TRUE(buffer.Push(Trip(0, 1, At(6, 9, 50), 3)).ok());
 }
 
-TEST_P(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
+TEST(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
   ReorderBuffer buffer(Opts(3600, LateEventPolicy::kDrop, true));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 42)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 42)).ok());  // redelivery
@@ -199,7 +203,7 @@ TEST_P(ReorderBufferTest, DuplicateRentalIdsAreSuppressed) {
   EXPECT_EQ(buffer.late_dropped_count(), 1u);
 }
 
-TEST_P(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
+TEST(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
   ReorderBuffer buffer(Opts(3600, LateEventPolicy::kError, true));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), data::kInvalidId)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), data::kInvalidId)).ok());
@@ -207,72 +211,68 @@ TEST_P(ReorderBufferTest, InvalidIdsAreNeverSuppressed) {
   EXPECT_EQ(buffer.buffered_count(), 2u);
 }
 
-TEST_P(ReorderBufferTest, FlushDrainsAndSealsTheStream) {
+TEST(ReorderBufferTest, FlushDrainsAndSealsTheStream) {
   ReorderBuffer buffer(Opts(7200));
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 10), 2)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, At(6, 9), 1)).ok());
-  EXPECT_FALSE(buffer.HasReady());
+  EXPECT_TRUE(Drain(buffer).empty());
   buffer.Flush();
-  EXPECT_TRUE(buffer.HasReady());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 1);
-  EXPECT_EQ(buffer.PopReady()->rental_id, 2);
-  EXPECT_FALSE(buffer.PopReady().has_value());
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{1, 2}));
+  EXPECT_TRUE(Drain(buffer).empty());
   // End of stream means end of stream.
   EXPECT_EQ(buffer.Push(Trip(0, 1, At(6, 11), 3)).code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST_P(ReorderBufferTest, NegativeLatenessIsRejected) {
+TEST(ReorderBufferTest, NegativeLatenessIsRejected) {
   ReorderBuffer buffer(Opts(-1));
   EXPECT_EQ(buffer.Push(Trip(0, 1, At(6, 10), 1)).code(),
             StatusCode::kInvalidArgument);
 }
 
+TEST(ReorderBufferTest, HorizonBeyondTheWheelLimitIsRejected) {
+  // The wheel holds one bucket per horizon second; 2^22 s (~48 days) is
+  // the largest horizon it accepts.
+  ReorderBuffer buffer(Opts((int64_t{1} << 22) + 1));
+  EXPECT_EQ(buffer.Push(Trip(0, 1, At(6, 10), 1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(buffer.buffered_count(), 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Wheel-specific behaviour: boundary stragglers after their second was
-// walked, and watermark jumps past a whole wheel revolution.
+// Wheel boundaries: stragglers after their second was walked, and
+// watermark jumps past a whole wheel revolution.
 // ---------------------------------------------------------------------------
 
 TEST(ReorderBufferWheelTest, BoundaryStragglerAfterWalkReleasesInOrder) {
-  ReorderBufferOptions options;
-  options.max_lateness_seconds = 600;
-  options.backend = ReorderBackend::kWheel;
-  ReorderBuffer buffer(options);
+  ReorderBuffer buffer(Opts(600));
   const CivilTime t0 = At(6, 10);
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0, 1)).ok());
   // Watermark to t0+600: t0 hits the horizon exactly and releases.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(600), 2)).ok());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 1);  // walk passes second t0
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{1}));  // walks t0
   // A straggler at exactly the cutoff (== t0) is still admissible and
   // immediately releasable — its second was already walked, so it takes
   // the FIFO path, and must still precede everything younger.
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0, 3)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(1), 4)).ok());
-  EXPECT_EQ(buffer.PopReady()->rental_id, 3);
-  EXPECT_FALSE(buffer.PopReady().has_value());  // 4 and 2 still held
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{3}));  // 4, 2 held
   buffer.Flush();
-  EXPECT_EQ(buffer.PopReady()->rental_id, 4);
-  EXPECT_EQ(buffer.PopReady()->rental_id, 2);
-  EXPECT_FALSE(buffer.PopReady().has_value());
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{4, 2}));
 }
 
 TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
   // Lateness 64 -> a 128-bucket wheel; an Advance of several thousand
   // seconds crosses many revolutions and must spill-and-release every
   // held second in order (the emergency drain path).
-  ReorderBufferOptions options;
-  options.max_lateness_seconds = 64;
-  options.backend = ReorderBackend::kWheel;
-  ReorderBuffer buffer(options);
+  ReorderBuffer buffer(Opts(64));
   const CivilTime t0 = At(6, 10);
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(30), 2)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0, 1)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t0.AddSeconds(60), 3)).ok());
   EXPECT_EQ(buffer.buffered_count(), 3u);
   buffer.AdvanceWatermark(t0.AddSeconds(10000));
-  std::vector<int64_t> ids;
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{1, 2, 3}));
   // New events deep into a later revolution still work (same buckets,
   // new seconds), including one landing exactly on the new cutoff.
   const CivilTime t1 = t0.AddSeconds(10000);
@@ -280,58 +280,134 @@ TEST(ReorderBufferWheelTest, WatermarkJumpPastOneRevolutionStaysOrdered) {
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t1.AddSeconds(-30), 5)).ok());
   ASSERT_TRUE(buffer.Push(Trip(0, 1, t1.AddSeconds(20), 6)).ok());
   buffer.Flush();
-  ids.clear();
-  while (auto e = buffer.PopReady()) ids.push_back(e->rental_id);
-  EXPECT_EQ(ids, (std::vector<int64_t>{4, 5, 6}));
+  EXPECT_EQ(Ids(Drain(buffer)), (std::vector<int64_t>{4, 5, 6}));
   EXPECT_EQ(buffer.late_dropped_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Randomized wheel-vs-heap equivalence: any admissible interleaving of
-// pushes (in-horizon jitter, exact-boundary stragglers, hopeless
-// latecomers, duplicate redeliveries), watermark advances (small and
-// multi-revolution), incremental pops, and batch releases must produce
-// the identical released (start, rental id) sequence, identical
-// counters, and identical buffered counts from both backends.
+// Randomized check against a model written from the buffer's contract:
+// any interleaving of pushes (in-horizon jitter, exact-boundary
+// stragglers, hopeless latecomers, duplicate redeliveries), watermark
+// advances (small and multi-revolution) and drains (complete, or cut
+// short by a failing visitor) must release, drain by drain, exactly the
+// model's sequence, with identical counters.
 // ---------------------------------------------------------------------------
 
-TEST(ReorderWheelVsHeapTest, RandomizedReleaseOrderEquivalence) {
+using ReleaseKey = std::pair<int64_t, int64_t>;  // (start, rental id)
+
+/// The contract, stated directly over a plain list of held events. An
+/// event is admitted unless it is late (older than the horizon) or, with
+/// duplicate suppression, its id repeats an admitted id whose start is
+/// still inside the horizon. Admitted events raise the watermark. Each
+/// drain hands out the held events at or below the cutoff (all of them
+/// after Flush) in (start, rental id) order; a visitor that fails on the
+/// k-th event consumes exactly k.
+class ReorderModel {
+ public:
+  explicit ReorderModel(const ReorderBufferOptions& options)
+      : lateness_(options.max_lateness_seconds),
+        suppress_duplicates_(options.suppress_duplicates) {}
+
+  void Push(const TripEvent& event) {
+    const int64_t start = event.start_time.seconds_since_epoch();
+    if (start < Cutoff()) {
+      ++late_dropped_count;
+      return;
+    }
+    if (suppress_duplicates_ && event.rental_id != data::kInvalidId) {
+      const auto it = admitted_start_.find(event.rental_id);
+      if (it != admitted_start_.end() && it->second >= Cutoff()) {
+        ++duplicate_count;
+        return;
+      }
+      admitted_start_[event.rental_id] = start;
+    }
+    if (start < watermark) ++reordered_count;
+    watermark = std::max(watermark, start);
+    held_.emplace_back(start, event.rental_id);
+  }
+
+  void AdvanceWatermark(int64_t seconds) {
+    watermark = std::max(watermark, seconds);
+  }
+
+  void Flush() { flushed_ = true; }
+
+  /// Releases the first `budget` releasable events in release order.
+  std::vector<ReleaseKey> Drain(size_t budget) {
+    std::vector<ReleaseKey> ready;
+    std::vector<ReleaseKey> kept;
+    for (const ReleaseKey& key : held_) {
+      (flushed_ || key.first <= Cutoff() ? ready : kept).push_back(key);
+    }
+    std::sort(ready.begin(), ready.end());
+    if (ready.size() > budget) {
+      kept.insert(kept.end(), ready.begin() + static_cast<ptrdiff_t>(budget),
+                  ready.end());
+      ready.resize(budget);
+    }
+    held_ = std::move(kept);
+    released_count += ready.size();
+    return ready;
+  }
+
+  size_t buffered_count() const { return held_.size(); }
+
+  int64_t watermark = INT64_MIN;
+  uint64_t reordered_count = 0;
+  uint64_t late_dropped_count = 0;
+  uint64_t duplicate_count = 0;
+  uint64_t released_count = 0;
+
+ private:
+  int64_t Cutoff() const {
+    return watermark == INT64_MIN ? INT64_MIN : watermark - lateness_;
+  }
+
+  int64_t lateness_;
+  bool suppress_duplicates_;
+  bool flushed_ = false;
+  std::vector<ReleaseKey> held_;
+  std::map<int64_t, int64_t> admitted_start_;  // rental id -> start
+};
+
+TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
   Rng rng(0xC0FFEE);
   const int64_t base = At(6, 0).seconds_since_epoch();
   const int64_t lateness_choices[] = {0, 1, 7, 64, 600, 3600};
   for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
     ReorderBufferOptions options;
-    options.max_lateness_seconds =
-        lateness_choices[rng.NextBounded(6)];
+    options.max_lateness_seconds = lateness_choices[rng.NextBounded(6)];
     options.late_policy = LateEventPolicy::kDrop;
     options.suppress_duplicates = rng.NextBounded(2) == 0;
-    options.backend = ReorderBackend::kHeap;
-    ReorderBuffer heap(options);
-    options.backend = ReorderBackend::kWheel;
-    ReorderBuffer wheel(options);
+    ReorderBuffer buffer(options);
+    ReorderModel model(options);
     const int64_t lateness = options.max_lateness_seconds;
 
-    std::vector<std::pair<int64_t, int64_t>> released;
-    const auto pop_both = [&]() {
-      auto he = heap.PopReady();
-      auto we = wheel.PopReady();
-      EXPECT_EQ(he.has_value(), we.has_value());
-      if (!he.has_value() || !we.has_value()) return false;
-      EXPECT_EQ(he->start_time, we->start_time);
-      EXPECT_EQ(he->rental_id, we->rental_id);
-      released.emplace_back(he->start_time.seconds_since_epoch(),
-                            he->rental_id);
-      return true;
+    // One drain on both sides; the visitor fails on the budget-th event.
+    const auto drain_both = [&](size_t budget) {
+      std::vector<ReleaseKey> released;
+      const Status status = buffer.ForEachReady([&](const TripEvent& e) {
+        released.emplace_back(e.start_time.seconds_since_epoch(),
+                              e.rental_id);
+        return released.size() < budget ? Status::OK()
+                                        : Status::Internal("budget spent");
+      });
+      const std::vector<ReleaseKey> expected = model.Drain(budget);
+      EXPECT_EQ(released, expected);
+      EXPECT_EQ(status.ok(), expected.size() < budget);
     };
 
     int64_t now = base;
     for (int step = 0; step < 500; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
       const uint64_t action = rng.NextBounded(100);
       if (action < 70) {
         now += static_cast<int64_t>(rng.NextBounded(40));
         int64_t start;
         const uint64_t kind = rng.NextBounded(12);
-        const int64_t mark = heap.watermark().seconds_since_epoch();
+        const int64_t mark = buffer.watermark().seconds_since_epoch();
         if (kind == 0 && mark != INT64_MIN) {
           start = mark - lateness;  // exactly on the horizon edge
         } else if (kind == 1) {
@@ -348,61 +424,139 @@ TEST(ReorderWheelVsHeapTest, RandomizedReleaseOrderEquivalence) {
                                ? static_cast<int64_t>(rng.NextBounded(64))
                                : step;
         const TripEvent e = Trip(0, 1, CivilTime(start), id);
-        const Status hs = heap.Push(e);
-        const Status ws = wheel.Push(e);
-        EXPECT_EQ(hs.code(), ws.code());
+        const Status status = buffer.Push(e);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        model.Push(e);
       } else if (action < 80) {
-        const int64_t jump =
-            static_cast<int64_t>(rng.NextBounded(5000));  // may cross
-                                                          // revolutions
-        const CivilTime to(now + jump);
-        heap.AdvanceWatermark(to);
-        wheel.AdvanceWatermark(to);
-        now = std::max(now, now + jump);
+        // May cross several wheel revolutions.
+        const int64_t jump = static_cast<int64_t>(rng.NextBounded(5000));
+        buffer.AdvanceWatermark(CivilTime(now + jump));
+        model.AdvanceWatermark(now + jump);
+        now += jump;
       } else {
-        for (uint64_t k = rng.NextBounded(8); k > 0; --k) {
-          if (!pop_both()) break;
-        }
+        // Half the drains complete; the rest stop after 1-8 events.
+        const size_t budget =
+            rng.NextBounded(2) == 0 ? SIZE_MAX : 1 + rng.NextBounded(8);
+        drain_both(budget);
       }
-      ASSERT_EQ(heap.buffered_count(), wheel.buffered_count())
-          << "trial " << trial << " step " << step;
-      ASSERT_EQ(heap.watermark(), wheel.watermark());
+      ASSERT_EQ(buffer.buffered_count(), model.buffered_count());
+      ASSERT_EQ(buffer.watermark().seconds_since_epoch(), model.watermark);
     }
-    heap.Flush();
-    wheel.Flush();
-    // Batch release for the tail: ForEachReady on both must agree too.
-    std::vector<std::pair<int64_t, int64_t>> heap_tail, wheel_tail;
-    ASSERT_TRUE(heap.ForEachReady([&](const TripEvent& e) {
-                      heap_tail.emplace_back(
-                          e.start_time.seconds_since_epoch(), e.rental_id);
-                      return Status::OK();
-                    }).ok());
-    ASSERT_TRUE(wheel
-                    .ForEachReady([&](const TripEvent& e) {
-                      wheel_tail.emplace_back(
-                          e.start_time.seconds_since_epoch(), e.rental_id);
-                      return Status::OK();
-                    })
-                    .ok());
-    EXPECT_EQ(heap_tail, wheel_tail) << "trial " << trial;
-    released.insert(released.end(), heap_tail.begin(), heap_tail.end());
-    // Start times never regress. (Full (start, id) order is NOT asserted
-    // globally: an exact-boundary straggler may legitimately arrive
-    // after an earlier same-second event was already popped, and nothing
-    // can release before an already-released event — both backends
-    // handle that identically, which the element-wise comparison above
-    // locks.)
-    EXPECT_TRUE(std::is_sorted(
-        released.begin(), released.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; }))
-        << "trial " << trial;
-    EXPECT_EQ(heap.released_count(), wheel.released_count());
-    EXPECT_EQ(heap.reordered_count(), wheel.reordered_count());
-    EXPECT_EQ(heap.late_dropped_count(), wheel.late_dropped_count());
-    EXPECT_EQ(heap.duplicate_count(), wheel.duplicate_count());
-    EXPECT_EQ(heap.buffered_count(), 0u);
-    EXPECT_EQ(wheel.buffered_count(), 0u);
+    buffer.Flush();
+    model.Flush();
+    drain_both(SIZE_MAX);
+    EXPECT_EQ(buffer.buffered_count(), 0u);
+    EXPECT_EQ(buffer.released_count(), model.released_count);
+    EXPECT_EQ(buffer.reordered_count(), model.reordered_count);
+    EXPECT_EQ(buffer.late_dropped_count(), model.late_dropped_count);
+    EXPECT_EQ(buffer.duplicate_count(), model.duplicate_count);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpointing a busy buffer: ExportState/RestoreState round trips taken
+// while held events sit in the direct slot, in the ready FIFO after a
+// spill, and in a second that holds several events.
+// ---------------------------------------------------------------------------
+
+void ExpectSameCounters(const ReorderBuffer& a, const ReorderBuffer& b) {
+  EXPECT_EQ(a.buffered_count(), b.buffered_count());
+  EXPECT_EQ(a.watermark(), b.watermark());
+  EXPECT_EQ(a.released_count(), b.released_count());
+  EXPECT_EQ(a.reordered_count(), b.reordered_count());
+  EXPECT_EQ(a.late_dropped_count(), b.late_dropped_count());
+  EXPECT_EQ(a.duplicate_count(), b.duplicate_count());
+  EXPECT_EQ(a.duplicate_ids_high_water(), b.duplicate_ids_high_water());
+  EXPECT_EQ(a.duplicate_ids_evicted(), b.duplicate_ids_evicted());
+}
+
+std::vector<ReleaseKey> Keys(const std::vector<TripEvent>& events) {
+  std::vector<ReleaseKey> keys;
+  for (const TripEvent& e : events) {
+    keys.emplace_back(e.start_time.seconds_since_epoch(), e.rental_id);
+  }
+  return keys;
+}
+
+TEST(ReorderBufferCheckpointTest, RestoredBuffersReleaseLikeTheOriginal) {
+  // Lateness 64: a 128-bucket wheel, so a 128 s watermark jump spills.
+  const ReorderBufferOptions options =
+      Opts(64, LateEventPolicy::kDrop, /*suppress_duplicates=*/true);
+  // buffers[0] is exported at every checkpoint and buffers[1] never is;
+  // each checkpoint restores into a fresh buffer appended to the list.
+  // Every later call goes to all of them, and every drain must agree.
+  std::vector<ReorderBuffer> buffers(2, ReorderBuffer(options));
+  const auto push = [&](CivilTime start, int64_t id) {
+    for (ReorderBuffer& buffer : buffers) {
+      ASSERT_TRUE(buffer.Push(Trip(0, 1, start, id)).ok());
+    }
+  };
+  const auto advance = [&](CivilTime to) {
+    for (ReorderBuffer& buffer : buffers) buffer.AdvanceWatermark(to);
+  };
+  const auto drain = [&]() {
+    const std::vector<TripEvent> released = Drain(buffers[0]);
+    for (size_t i = 1; i < buffers.size(); ++i) {
+      SCOPED_TRACE("buffer " + std::to_string(i));
+      EXPECT_EQ(Keys(Drain(buffers[i])), Keys(released));
+      ExpectSameCounters(buffers[i], buffers[0]);
+    }
+    return Ids(released);
+  };
+  const auto checkpoint = [&]() {
+    const ReorderBufferState state = buffers[0].ExportState();
+    EXPECT_EQ(state.buffered.size(), buffers[0].buffered_count());
+    // Exporting again sees the same state: the first export changed
+    // nothing.
+    const ReorderBufferState again = buffers[0].ExportState();
+    EXPECT_EQ(Keys(again.buffered), Keys(state.buffered));
+    EXPECT_EQ(again.seen, state.seen);
+    ReorderBuffer restored(options);
+    ASSERT_TRUE(restored.RestoreState(state).ok());
+    ExpectSameCounters(restored, buffers[0]);
+    buffers.push_back(std::move(restored));
+  };
+  const CivilTime t = At(6, 10);
+
+  // Direct slot: everything up to the cutoff t+36 is released, then an
+  // exact-boundary straggler arrives into an otherwise empty buffer.
+  push(t, 1);
+  advance(t.AddSeconds(100));
+  EXPECT_EQ(drain(), (std::vector<int64_t>{1}));
+  push(t.AddSeconds(36), 20);
+  checkpoint();
+  push(t.AddSeconds(36), 10);  // same second, smaller id: released first
+  push(t.AddSeconds(36), 20);  // redelivery: suppressed everywhere
+  EXPECT_EQ(drain(), (std::vector<int64_t>{10, 20}));
+
+  // Ready FIFO after a spill: a jump of one whole revolution moves the
+  // held seconds up to the new cutoff t+200 into the FIFO, and t+210
+  // stays in the wheel.
+  push(t.AddSeconds(200), 31);
+  push(t.AddSeconds(150), 30);
+  push(t.AddSeconds(210), 32);
+  advance(t.AddSeconds(264));
+  checkpoint();
+  push(t.AddSeconds(200), 29);  // exact-boundary straggler, smaller id
+  EXPECT_EQ(drain(), (std::vector<int64_t>{30, 29, 31}));
+
+  // A second holding several events.
+  push(t.AddSeconds(300), 43);
+  push(t.AddSeconds(300), 41);
+  push(t.AddSeconds(300), 42);
+  checkpoint();
+  push(t.AddSeconds(300), 41);  // redelivery: suppressed everywhere
+  push(t.AddSeconds(300), 40);
+  advance(t.AddSeconds(364));
+  EXPECT_EQ(drain(), (std::vector<int64_t>{32, 40, 41, 42, 43}));
+
+  ASSERT_EQ(buffers.size(), 5u);
+  push(t.AddSeconds(400), 51);
+  push(t.AddSeconds(380), 50);
+  for (ReorderBuffer& buffer : buffers) buffer.Flush();
+  EXPECT_EQ(drain(), (std::vector<int64_t>{50, 51}));
+  EXPECT_EQ(buffers[0].duplicate_count(), 2u);
+  EXPECT_EQ(buffers[0].released_count(), 13u);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,41 +673,6 @@ TEST(StreamEngineReorderTest, JitteredPlantedStreamMatchesOrdered) {
   EXPECT_EQ((*jittered_snap)->profiles.day, (*ordered_snap)->profiles.day);
   EXPECT_EQ((*jittered_snap)->profiles.hour, (*ordered_snap)->profiles.hour);
   ExpectGraphsIdentical((*jittered_snap)->graph, (*ordered_snap)->graph);
-}
-
-TEST(StreamEngineReorderTest, WheelAndHeapBackendsProduceIdenticalResults) {
-  const size_t stations = 24;
-  const auto jittered =
-      JitterOrder(PlantedStream(stations, 3, 10, 300, 7), 1800, 42);
-
-  StreamEngineConfig config;
-  config.station_count = stations;
-  config.window_seconds = 3 * 86400;
-  config.max_lateness_seconds = 1800;
-  config.reorder_backend = ReorderBackend::kHeap;
-  StreamEngine heap_engine(config);
-  config.reorder_backend = ReorderBackend::kWheel;
-  StreamEngine wheel_engine(config);
-
-  for (const TripEvent& e : jittered) {
-    ASSERT_TRUE(heap_engine.Ingest(e).ok());
-    ASSERT_TRUE(wheel_engine.Ingest(e).ok());
-    ASSERT_EQ(heap_engine.buffered_count(), wheel_engine.buffered_count());
-    ASSERT_EQ(heap_engine.window().trip_count(),
-              wheel_engine.window().trip_count());
-  }
-  ASSERT_TRUE(heap_engine.Flush().ok());
-  ASSERT_TRUE(wheel_engine.Flush().ok());
-  EXPECT_EQ(heap_engine.reordered_count(), wheel_engine.reordered_count());
-  EXPECT_GT(wheel_engine.reordered_count(), 0u);
-
-  auto heap_snap = heap_engine.Snapshot();
-  auto wheel_snap = wheel_engine.Snapshot();
-  ASSERT_TRUE(heap_snap.ok());
-  ASSERT_TRUE(wheel_snap.ok());
-  EXPECT_EQ((*wheel_snap)->profiles.day, (*heap_snap)->profiles.day);
-  EXPECT_EQ((*wheel_snap)->profiles.hour, (*heap_snap)->profiles.hour);
-  ExpectGraphsIdentical((*wheel_snap)->graph, (*heap_snap)->graph);
 }
 
 // ---------------------------------------------------------------------------
@@ -681,7 +800,7 @@ TEST_F(JitteredReplayEquivalenceTest, LandmarkWindowBitForBitFourShards) {
 // The pre-fix failure mode: with the cap disabled, a long-lateness stream
 // of distinct rental ids grows the suppression set without bound — the
 // high-water mark tracks the stream length, not any horizon.
-TEST_P(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
+TEST(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
   ReorderBufferOptions options =
       Opts(/*max_lateness_seconds=*/86400, LateEventPolicy::kDrop,
            /*suppress_duplicates=*/true);
@@ -697,7 +816,7 @@ TEST_P(ReorderBufferTest, DuplicateIdSetGrowsUnboundedWithoutCap) {
   EXPECT_EQ(buffer.duplicate_ids_evicted(), 0u);
 }
 
-TEST_P(ReorderBufferTest, DuplicateIdCapEvictsOldestStartsFirst) {
+TEST(ReorderBufferTest, DuplicateIdCapEvictsOldestStartsFirst) {
   ReorderBufferOptions options =
       Opts(/*max_lateness_seconds=*/86400, LateEventPolicy::kDrop,
            /*suppress_duplicates=*/true);

@@ -28,8 +28,9 @@
 # FULL run, build the tree into build-asan/ and build-ubsan/ and re-run
 # a ctest subset under each. Extra args select the sanitized subset only
 # — the unsanitized gate always runs everything; with none, the
-# streaming suites (including stream_reorder_test: the reorder heap /
-# expiry ring interplay is exactly where lifetime bugs would live),
+# streaming suites (including stream_reorder_test: the timing wheel's
+# overflow chains, ready FIFO and duplicate-id expiry heap are exactly
+# where lifetime bugs would live),
 # warm-start, grid and HAC suites (cluster_hac_test and
 # perf_equivalence_test: the slot-indexed merge loop) and the paper
 # pipeline suites (graphdb, analysis, expansion, metrics, viz and
@@ -67,6 +68,16 @@
 #
 #   tools/ci.sh --faults
 #
+# Stress gate (the flag must come first): after the regular run, repeat
+# every threaded suite until its first failure, up to 100 times
+# (ctest --repeat until-fail:100 -R 'stream|query|shard'), on the plain
+# build and then under TSan in build-tsan/ with
+# tools/tsan_suppressions.txt. A race that fails one run in fifty fails
+# this gate. On a 4-vCPU host the plain pass takes about 75 s and the
+# TSan pass about 13 min.
+#
+#   tools/ci.sh --stress
+#
 # Deep-analysis gate (the flag must come first; takes no ctest args):
 # rebuild the whole tree — src, tests, benches, tools, examples — into
 # build-analyze/ under GCC's interprocedural -fanalyzer, capture the
@@ -91,6 +102,7 @@ MATRIX=0
 BENCH_SMOKE=0
 CHAOS=0
 FAULTS=0
+STRESS=0
 ANALYZE=0
 while :; do
   case "${1:-}" in
@@ -98,6 +110,7 @@ while :; do
     --bench-smoke)     BENCH_SMOKE=1; shift ;;
     --chaos)           CHAOS=1; shift ;;
     --faults)          FAULTS=1; shift ;;
+    --stress)          STRESS=1; shift ;;
     --analyze)         ANALYZE=1; shift ;;
     *) break ;;
   esac
@@ -105,7 +118,7 @@ done
 for arg in "$@"; do
   if [ "$arg" = "--sanitize-matrix" ] || [ "$arg" = "--bench-smoke" ] ||
      [ "$arg" = "--chaos" ] || [ "$arg" = "--faults" ] ||
-     [ "$arg" = "--analyze" ]; then
+     [ "$arg" = "--stress" ] || [ "$arg" = "--analyze" ]; then
     echo "$arg must come before any ctest arguments" >&2
     exit 2
   fi
@@ -204,6 +217,18 @@ if [ "$FAULTS" = 1 ]; then
     env -u BUILD_DIR BIKEGRAPH_SANITIZE="$san" \
         "${BASH_SOURCE[0]}" -R 'stream_fault|stream_durability'
   done
+fi
+
+if [ "$STRESS" = 1 ]; then
+  # The regular run above covered every suite once; this repeats the
+  # threaded ones, plain and then under TSan.
+  STRESS_ARGS=(--repeat until-fail:100 -R 'stream|query|shard')
+  echo ">>> stress gate: plain"
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+        "${STRESS_ARGS[@]}"
+  echo ">>> stress gate: thread"
+  env -u BUILD_DIR BIKEGRAPH_SANITIZE=thread \
+      "${BASH_SOURCE[0]}" "${STRESS_ARGS[@]}"
 fi
 
 if [ "$MATRIX" = 1 ]; then
