@@ -17,6 +17,79 @@ double WeightedGraph::WeightBetween(int32_t u, int32_t v) const {
   return 0.0;
 }
 
+void WeightedGraph::FinishTotals() {
+  const size_t n = node_count();
+  double total = 0.0;
+  size_t loops = 0;
+  for (size_t u = 0; u < n; ++u) {
+    total += strength_[u];
+    if (self_weight_[u] > 0.0) ++loops;
+    strength_[u] += 2.0 * self_weight_[u];
+  }
+  total /= 2.0;
+  for (size_t u = 0; u < n; ++u) total += self_weight_[u];
+  total_weight_ = total;
+  self_loop_count_ = loops;
+}
+
+Result<WeightedGraph> WeightedGraph::FromSortedEdges(
+    size_t node_count, std::span<const Edge> edges) {
+  const size_t n = node_count;
+  // AddEdge's limit: ids are int32, and the unsigned compare rejects
+  // negatives in the same branch.
+  const auto limit =
+      static_cast<uint32_t>(std::min<size_t>(n, uint32_t{1} << 31));
+  WeightedGraph g;
+  g.offsets_.assign(n + 1, 0);
+  g.self_weight_.assign(n, 0.0);
+  g.strength_.assign(n, 0.0);
+
+  // Pass 1: check every edge and count each row's neighbours.
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
+    if (static_cast<uint32_t>(e.u) >= limit ||
+        static_cast<uint32_t>(e.v) >= limit) {
+      return Status::InvalidArgument("edge endpoint out of range");
+    }
+    if (!std::isfinite(e.weight) || e.weight < 0.0) {
+      return Status::InvalidArgument("edge weight must be finite and >= 0");
+    }
+    if (e.u > e.v) {
+      return Status::InvalidArgument("sorted edge must have u <= v");
+    }
+    if (i > 0 && (edges[i - 1].u > e.u ||
+                  (edges[i - 1].u == e.u && edges[i - 1].v >= e.v))) {
+      return Status::InvalidArgument(
+          "sorted edges must be strictly ascending in (u, v)");
+    }
+    if (e.u != e.v) {
+      ++g.offsets_[AsIndex(e.u) + 1];
+      ++g.offsets_[AsIndex(e.v) + 1];
+      ++g.edge_count_;
+    }
+  }
+  for (size_t u = 0; u < n; ++u) g.offsets_[u + 1] += g.offsets_[u];
+
+  // Pass 2: scatter. Row r first receives its smaller neighbours (from
+  // the edges (x, r), x ascending), then its larger ones (the edges
+  // (r, y), y ascending), so every row lands sorted, and its strength
+  // sums in Build()'s ascending-neighbour order.
+  g.adj_.resize(g.offsets_[n]);  // Neighbor() performs no init
+  std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  for (const Edge& e : edges) {
+    if (e.u == e.v) {
+      g.self_weight_[AsIndex(e.u)] += e.weight;
+      continue;
+    }
+    g.adj_[cursor[AsIndex(e.u)]++] = Neighbor(e.v, e.weight);
+    g.adj_[cursor[AsIndex(e.v)]++] = Neighbor(e.u, e.weight);
+    g.strength_[AsIndex(e.u)] += e.weight;
+    g.strength_[AsIndex(e.v)] += e.weight;
+  }
+  g.FinishTotals();
+  return g;
+}
+
 WeightedGraphBuilder::WeightedGraphBuilder(size_t node_count)
     : node_count_(node_count),
       check_limit_(static_cast<uint32_t>(
@@ -116,17 +189,7 @@ WeightedGraph WeightedGraphBuilder::Build() const {
   g.adj_.resize(out);
   if (g.adj_.capacity() > 2 * (out + 8)) g.adj_.shrink_to_fit();
   g.edge_count_ = pair_count;
-  double total = 0.0;
-  size_t loops = 0;
-  for (size_t u = 0; u < n; ++u) {
-    total += g.strength_[u];
-    if (g.self_weight_[u] > 0.0) ++loops;
-    g.strength_[u] += 2.0 * g.self_weight_[u];
-  }
-  total /= 2.0;
-  for (size_t u = 0; u < n; ++u) total += g.self_weight_[u];
-  g.total_weight_ = total;
-  g.self_loop_count_ = loops;
+  g.FinishTotals();
   return g;
 }
 
@@ -269,17 +332,7 @@ Result<WeightedGraph> WeightedGraphPatcher::Apply(
   }
   g.edge_count_ =
       static_cast<size_t>(static_cast<int64_t>(base.edge_count_) + pair_delta);
-  double total = 0.0;
-  size_t loops = 0;
-  for (size_t u = 0; u < n; ++u) {
-    total += g.strength_[u];
-    if (g.self_weight_[u] > 0.0) ++loops;
-    g.strength_[u] += 2.0 * g.self_weight_[u];
-  }
-  total /= 2.0;
-  for (size_t u = 0; u < n; ++u) total += g.self_weight_[u];
-  g.total_weight_ = total;
-  g.self_loop_count_ = loops;
+  g.FinishTotals();
   return g;
 }
 

@@ -30,8 +30,24 @@ class WeightedGraph {
     double weight;
   };
 
+  /// One weighted pair for FromSortedEdges; u == v is a self-loop.
+  struct Edge {
+    int32_t u;
+    int32_t v;
+    double weight;
+  };
+
   /// An empty graph (0 nodes); usable as a value-type default.
   WeightedGraph() : offsets_{0} {}
+
+  /// Builds the CSR from `edges` strictly ascending in (u, v) with
+  /// u <= v, in two counting passes and no sort: in that order every
+  /// row already receives its neighbours in ascending order. Equal bit
+  /// for bit to a WeightedGraphBuilder fed the same edges in the same
+  /// order. InvalidArgument for AddEdge's range and weight violations,
+  /// u > v, and a repeated or descending pair.
+  static Result<WeightedGraph> FromSortedEdges(size_t node_count,
+                                               std::span<const Edge> edges);
 
   size_t node_count() const { return offsets_.size() - 1; }
   size_t edge_count() const { return edge_count_; }  ///< distinct u<v pairs
@@ -53,6 +69,10 @@ class WeightedGraph {
  private:
   friend class WeightedGraphBuilder;
   friend class WeightedGraphPatcher;
+  /// Adds the self-loop terms to the row sums held in `strength_`, and
+  /// derives the total weight and self-loop count, in the one float
+  /// order every constructor shares.
+  void FinishTotals();
   std::vector<size_t> offsets_;
   std::vector<Neighbor> adj_;
   std::vector<double> self_weight_;

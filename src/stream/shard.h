@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/civil_time.h"
@@ -114,37 +115,27 @@ class ShardedWindowView {
 
   /// Visits every live pair ordered by (u, v) ascending, exactly like
   /// `SlidingWindowGraph::ForEachPair`: a k-way merge of the shards'
-  /// sorted pair-key lists (disjoint, so ascending merge order is total
-  /// order with no ties to break).
+  /// sorted pair runs, counts included (disjoint, so ascending merge
+  /// order is total order with no ties to break).
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    struct Cursor {
-      const std::vector<uint64_t>* keys;
-      size_t pos;
-      const SlidingWindowGraph* shard;
-    };
-    std::vector<Cursor> cursors;
-    cursors.reserve(shards_.size());
+    std::vector<std::span<const SlidingWindowGraph::PairTrips>> runs;
+    runs.reserve(shards_.size());
     for (const SlidingWindowGraph* shard : shards_) {
-      const std::vector<uint64_t>& keys = shard->SortedPairKeys();
-      if (!keys.empty()) cursors.push_back(Cursor{&keys, 0, shard});
+      const auto& run = shard->PairRun();
+      if (!run.empty()) runs.emplace_back(run);
     }
-    while (!cursors.empty()) {
+    while (!runs.empty()) {
       size_t best = 0;
-      for (size_t i = 1; i < cursors.size(); ++i) {
-        if ((*cursors[i].keys)[cursors[i].pos] <
-            (*cursors[best].keys)[cursors[best].pos]) {
-          best = i;
-        }
+      for (size_t i = 1; i < runs.size(); ++i) {
+        if (runs[i].front().key < runs[best].front().key) best = i;
       }
-      Cursor& cursor = cursors[best];
-      const uint64_t key = (*cursor.keys)[cursor.pos];
-      const auto u = static_cast<int32_t>(key >> 32);
-      const auto v = static_cast<int32_t>(key & 0xFFFFFFFFu);
-      visit(u, v, cursor.shard->TripsBetween(u, v));
-      if (++cursor.pos == cursor.keys->size()) {
-        cursors.erase(cursors.begin() +
-                      static_cast<std::ptrdiff_t>(best));
+      const SlidingWindowGraph::PairTrips& pair = runs[best].front();
+      visit(static_cast<int32_t>(pair.key >> 32),
+            static_cast<int32_t>(pair.key & 0xFFFFFFFFu), pair.trips);
+      runs[best] = runs[best].subspan(1);
+      if (runs[best].empty()) {
+        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(best));
       }
     }
   }

@@ -70,16 +70,17 @@ Result<WindowSnapshot> FreezeSnapshotImpl(
   snap.projection = projection;
   snap.profiles = window.Profiles();
 
-  graphdb::WeightedGraphBuilder builder(window.station_count());
-  builder.Reserve(window.pair_count());
-  Status status = Status::OK();
+  // ForEachPair visits the pairs strictly ascending with u <= v, which
+  // is exactly the order the sort-free CSR writer takes.
+  std::vector<graphdb::WeightedGraph::Edge> edges;
+  edges.reserve(window.pair_count());
   window.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
-    if (!status.ok()) return;
-    status = builder.AddEdge(
-        u, v, PairWeight(snap.profiles, u, v, projection, trips));
+    edges.push_back(
+        {u, v, PairWeight(snap.profiles, u, v, projection, trips)});
   });
-  BIKEGRAPH_RETURN_NOT_OK(status);
-  snap.graph = builder.Build();
+  BIKEGRAPH_ASSIGN_OR_RETURN(
+      snap.graph, graphdb::WeightedGraph::FromSortedEdges(
+                      window.station_count(), edges));
   snap.station_index = std::move(station_index);
   return snap;
 }

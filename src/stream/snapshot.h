@@ -86,7 +86,7 @@ struct SnapshotDeltaPolicy {
   /// under a temporal projection — every previous edge incident to a
   /// profile-dirty station) exceeds this fraction of the previous
   /// graph's edges: past that point the patch writes most of the CSR
-  /// anyway and the O(E log E) rebuild's simplicity wins.
+  /// anyway and the full freeze's single sort-free pass wins.
   double max_dirty_fraction = 0.25;
 };
 

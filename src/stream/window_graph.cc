@@ -10,6 +10,23 @@
 
 namespace bikegraph::stream {
 
+namespace {
+
+/// Adds non-negative checkpointed counters into `*total`; false on a
+/// negative counter or an int64 overflow.
+template <size_t N>
+bool AddCounters(const std::array<int64_t, N>& counters, int64_t* total) {
+  for (int64_t c : counters) {
+    if (c < 0 || c > std::numeric_limits<int64_t>::max() - *total) {
+      return false;
+    }
+    *total += c;
+  }
+  return true;
+}
+
+}  // namespace
+
 SlidingWindowGraph::SlidingWindowGraph(const WindowGraphOptions& options)
     : options_(options) {
   day_.assign(options_.station_count, {});
@@ -160,11 +177,19 @@ analysis::StationProfiles SlidingWindowGraph::Profiles() const {
 
 void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
   const uint64_t key = PairKey(e.from, e.to);
+  pair_run_stale_ = true;
   if (delta > 0) {
     auto [it, inserted] = pair_trips_.try_emplace(key);
     it->second.trips += delta;
-    if (inserted) sorted_pairs_dirty_ = true;
     if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
+    if (inserted) {
+      pending_pairs_.push_back(key);
+      // Bounds a window that is never read. The merge sorts the pending
+      // keys and walks the run once, so it costs O(log) per created key.
+      if (pending_pairs_.size() > 2 * pair_trips_.size() + 4096) {
+        MergePendingPairs();
+      }
+    }
   } else {
     auto it = pair_trips_.find(key);
     if (it == pair_trips_.end()) {
@@ -183,10 +208,7 @@ void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
     }
     it->second.trips += delta;
     if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
-    if (it->second.trips == 0) {
-      pair_trips_.erase(it);
-      sorted_pairs_dirty_ = true;
-    }
+    if (it->second.trips == 0) pair_trips_.erase(it);
   }
   for (int32_t station : {e.from, e.to}) {
     day_[AsIndex(station)][e.day] += delta;
@@ -241,11 +263,11 @@ WindowGraphState SlidingWindowGraph::ExportState() const {
       state.ring.push_back({e.start_seconds, e.from, e.to});
     }
   } else {
-    state.pairs.reserve(pair_trips_.size());
-    for (const auto& [key, pair_state] : pair_trips_) {
-      state.pairs.emplace_back(key, pair_state.trips);
+    const std::vector<PairTrips>& run = PairRun();
+    state.pairs.reserve(run.size());
+    for (const PairTrips& pair : run) {
+      state.pairs.emplace_back(pair.key, pair.trips);
     }
-    std::sort(state.pairs.begin(), state.pairs.end());
     state.day = day_;
     state.hour = hour_;
     state.endpoint_count = endpoint_count_;
@@ -290,7 +312,9 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
       return Status::DataLoss(
           "checkpointed window profiles do not cover the station universe");
     }
-    for (const auto& [key, trips] : state.pairs) {
+    int64_t pair_trips_total = 0;
+    for (size_t i = 0; i < state.pairs.size(); ++i) {
+      const auto& [key, trips] = state.pairs[i];
       const auto u = static_cast<int32_t>(key >> 32);
       const auto v = static_cast<int32_t>(key & 0xFFFFFFFFu);
       if (u < 0 || u >= n || v < u || v >= n || trips <= 0 ||
@@ -301,7 +325,39 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
         return Status::DataLoss(
             "checkpointed window pair map holds an invalid entry");
       }
-      pair_trips_[key] = PairState{static_cast<int32_t>(trips), 0};
+      if (i > 0 && state.pairs[i - 1].first >= key) {
+        return Status::DataLoss(
+            "checkpointed window pair keys are not strictly ascending");
+      }
+      // Each count is below 2^31, so the sum cannot overflow short of
+      // 2^32 pairs (64 GiB of state).
+      pair_trips_total += trips;
+      pair_trips_.emplace(key, PairState{static_cast<int32_t>(trips), 0});
+      pair_run_.push_back(PairTrips{key, trips});
+    }
+    if (static_cast<uint64_t>(pair_trips_total) != state.live_count) {
+      return Status::DataLoss(
+          "checkpointed window pair trips do not sum to its live_count");
+    }
+    int64_t endpoint_total = 0;
+    for (size_t s = 0; s < options_.station_count; ++s) {
+      int64_t day_total = 0;
+      int64_t hour_total = 0;
+      const int64_t endpoints = state.endpoint_count[s];
+      if (!AddCounters(state.day[s], &day_total) ||
+          !AddCounters(state.hour[s], &hour_total) ||
+          day_total != endpoints || hour_total != endpoints ||
+          endpoints > std::numeric_limits<int64_t>::max() - endpoint_total) {
+        return Status::DataLoss(
+            "checkpointed window station counters do not sum to its "
+            "endpoint count");
+      }
+      endpoint_total += endpoints;
+    }
+    if (static_cast<uint64_t>(endpoint_total) != 2 * state.live_count) {
+      return Status::DataLoss(
+          "checkpointed window endpoint counts do not sum to twice its "
+          "live_count");
     }
     day_ = state.day;
     hour_ = state.hour;
@@ -316,16 +372,45 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
   last_event_seconds_ = state.last_event_seconds;
   ingested_count_ = state.ingested_count;
   delta_desync_count_ = state.delta_desync_count;
-  sorted_pairs_dirty_ = true;
   return Status::OK();
 }
 
-void SlidingWindowGraph::RebuildSortedPairs() const {
-  sorted_pairs_.clear();
-  sorted_pairs_.reserve(pair_trips_.size());
-  for (const auto& [key, trips] : pair_trips_) sorted_pairs_.push_back(key);
-  std::sort(sorted_pairs_.begin(), sorted_pairs_.end());
-  sorted_pairs_dirty_ = false;
+void SlidingWindowGraph::MergePendingPairs() const {
+  std::sort(pending_pairs_.begin(), pending_pairs_.end());
+  // Merge the pending keys into the run from the back, so the run's
+  // own prefix [0, kept) stays where it is. A pending key that is
+  // already in the run (it died and was re-created), or that is
+  // pending twice, takes one slot, which leaves a gap of unused slots
+  // between the prefix and the merged tail [tail, end).
+  size_t kept = pair_run_.size();
+  size_t pending = pending_pairs_.size();
+  pair_run_.resize(kept + pending);
+  size_t tail = pair_run_.size();
+  while (pending > 0) {
+    const uint64_t key = pending_pairs_[pending - 1];
+    if (kept > 0 && pair_run_[kept - 1].key > key) {
+      pair_run_[--tail] = pair_run_[--kept];
+      continue;
+    }
+    if (kept > 0 && pair_run_[kept - 1].key == key) --kept;
+    pair_run_[--tail] = PairTrips{key, 0};
+    while (pending > 0 && pending_pairs_[pending - 1] == key) --pending;
+  }
+  // Compact forward over the prefix and the tail, dropping keys whose
+  // count reached zero and refreshing every count. The write index
+  // never passes the read index.
+  size_t out = 0;
+  const auto keep_live = [&](size_t i) {
+    const auto it = pair_trips_.find(pair_run_[i].key);
+    if (it == pair_trips_.end()) return;
+    pair_run_[out++] = PairTrips{pair_run_[i].key, it->second.trips};
+  };
+  for (size_t i = 0; i < kept; ++i) keep_live(i);
+  for (size_t i = tail; i < pair_run_.size(); ++i) keep_live(i);
+  pair_run_.resize(out);
+  assert(out == pair_trips_.size() && "a live pair is missing from the run");
+  pending_pairs_.clear();
+  pair_run_stale_ = false;
 }
 
 }  // namespace bikegraph::stream

@@ -63,7 +63,8 @@ struct WindowGraphState {
   };
   std::vector<RingEvent> ring;
   /// Landmark windows only: the aggregates themselves.
-  std::vector<std::pair<uint64_t, int64_t>> pairs;  ///< (PairKey, trips)
+  /// (PairKey, trips), keys strictly ascending.
+  std::vector<std::pair<uint64_t, int64_t>> pairs;
   std::vector<std::array<int64_t, 7>> day;
   std::vector<std::array<int64_t, 24>> hour;
   std::vector<int64_t> endpoint_count;
@@ -153,26 +154,32 @@ class SlidingWindowGraph {
   /// (`analysis::StationProfiles`), for similarity reweighting.
   analysis::StationProfiles Profiles() const;
 
+  /// One live pair of the sorted pair run: its PairKey and trip count.
+  struct PairTrips {
+    uint64_t key;
+    int64_t trips;
+  };
+
+  /// The live pairs sorted ascending by PairKey, with their trip
+  /// counts — the sequence ForEachPair visits. Exposed so a sharded
+  /// merge view can k-way merge several windows' runs without
+  /// materializing a combined copy (see stream/shard.h). Reading merges
+  /// in the keys created since the last read (see MergePendingPairs);
+  /// the reference is invalidated by the next mutation.
+  const std::vector<PairTrips>& PairRun() const {
+    if (pair_run_stale_) MergePendingPairs();
+    return pair_run_;
+  }
+
   /// Visits every pair with a live trip count, ordered by (u, v)
   /// ascending: `visit(u, v, trips)` with u <= v. Deterministic, so
   /// snapshot freezes are reproducible.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    if (sorted_pairs_dirty_) RebuildSortedPairs();
-    for (uint64_t key : sorted_pairs_) {
-      visit(static_cast<int32_t>(key >> 32),
-            static_cast<int32_t>(key & 0xFFFFFFFFu),
-            pair_trips_.find(key)->second.trips);
+    for (const PairTrips& pair : PairRun()) {
+      visit(static_cast<int32_t>(pair.key >> 32),
+            static_cast<int32_t>(pair.key & 0xFFFFFFFFu), pair.trips);
     }
-  }
-
-  /// The live pair keys sorted ascending — the sequence ForEachPair
-  /// iterates. Exposed so a sharded merge view can k-way merge several
-  /// windows' pair sets without materializing a combined copy (see
-  /// stream/shard.h). The reference is invalidated by the next mutation.
-  const std::vector<uint64_t>& SortedPairKeys() const {
-    if (sorted_pairs_dirty_) RebuildSortedPairs();
-    return sorted_pairs_;
   }
 
   /// The packed pair key used by WindowDirtySet::pairs:
@@ -219,7 +226,10 @@ class SlidingWindowGraph {
   /// day/hour fields from their start times), a landmark window adopts
   /// the serialized aggregates. Dirty tracking restarts unarmed, exactly
   /// as on a fresh graph. Returns DataLoss for internally inconsistent
-  /// state (unsorted ring, out-of-range stations, counter mismatches).
+  /// state: an unsorted ring, out-of-range stations, pair keys not
+  /// strictly ascending, or counters that disagree with each other
+  /// (pair trips vs live_count, a station's day or hour counters vs its
+  /// endpoint count, endpoint counts vs 2 × live_count).
   Status RestoreState(const WindowGraphState& state);
 
  private:
@@ -252,7 +262,7 @@ class SlidingWindowGraph {
   void MarkPairDirty(uint64_t key, PairState& state);
   void ExpireOlderThan(int64_t cutoff_seconds);
   void PushRing(const RingEntry& e);
-  void RebuildSortedPairs() const;
+  void MergePendingPairs() const;
 
   WindowGraphOptions options_;
   CivilTime watermark_{INT64_MIN};
@@ -285,10 +295,14 @@ class SlidingWindowGraph {
   size_t ingested_count_ = 0;
   size_t delta_desync_count_ = 0;
 
-  // Sorted pair keys for deterministic iteration; rebuilt lazily after
-  // the pair set changes.
-  mutable std::vector<uint64_t> sorted_pairs_;
-  mutable bool sorted_pairs_dirty_ = false;
+  // The sorted pair run behind PairRun. Every key ApplyDelta creates is
+  // appended to pending_pairs_; a read (or a pending list past
+  // 2 × live pairs + 4096) sorts just those keys and merges them into
+  // the run, dropping dead keys and refreshing every count, so the run
+  // is never rebuilt from the hash map. Stale after any delta.
+  mutable std::vector<PairTrips> pair_run_;
+  mutable std::vector<uint64_t> pending_pairs_;
+  mutable bool pair_run_stale_ = false;
 };
 
 }  // namespace bikegraph::stream

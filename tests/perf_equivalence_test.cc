@@ -4,8 +4,10 @@
 // implementations (and of the dense reference algorithms).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <queue>
 #include <vector>
@@ -169,6 +171,120 @@ TEST(FlatCsrBuilderTest, MatchesMapReferenceOnRandomMultigraphs) {
                   expect);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sort-free CSR writer: on edges strictly ascending in (u, v) with u <= v,
+// WeightedGraph::FromSortedEdges must equal WeightedGraphBuilder fed the
+// same edges in the same order, bit for bit.
+// ---------------------------------------------------------------------------
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+std::vector<size_t> Offsets(const WeightedGraph& g) {
+  std::vector<size_t> offsets{0};
+  for (size_t u = 0; u < g.node_count(); ++u) {
+    offsets.push_back(offsets.back() + g.degree(static_cast<int32_t>(u)));
+  }
+  return offsets;
+}
+
+void ExpectSameCsrBits(const WeightedGraph& got, const WeightedGraph& want) {
+  ASSERT_EQ(got.node_count(), want.node_count());
+  EXPECT_EQ(Offsets(got), Offsets(want));
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(got.self_loop_count(), want.self_loop_count());
+  EXPECT_EQ(Bits(got.total_weight()), Bits(want.total_weight()));
+  for (size_t u = 0; u < got.node_count(); ++u) {
+    const auto ui = static_cast<int32_t>(u);
+    EXPECT_EQ(Bits(got.self_weight(ui)), Bits(want.self_weight(ui))) << u;
+    EXPECT_EQ(Bits(got.strength(ui)), Bits(want.strength(ui))) << u;
+    const auto row = got.neighbors(ui);
+    const auto want_row = want.neighbors(ui);
+    ASSERT_EQ(row.size(), want_row.size()) << u;
+    for (size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row[i].node, want_row[i].node) << u << " nb " << i;
+      EXPECT_EQ(Bits(row[i].weight), Bits(want_row[i].weight))
+          << u << " nb " << i;
+    }
+  }
+}
+
+/// Every pair (u <= v) of `n` nodes in ascending order, each kept with
+/// a small probability (self-loops more often), with zero, integral and
+/// fractional weights. About a fifth of the nodes stay isolated.
+std::vector<WeightedGraph::Edge> RandomSortedEdges(size_t n, Rng* rng) {
+  std::vector<bool> isolated(n);
+  for (size_t u = 0; u < n; ++u) isolated[u] = rng->NextBounded(5) == 0;
+  std::vector<WeightedGraph::Edge> edges;
+  for (size_t u = 0; u < n; ++u) {
+    for (size_t v = u; v < n; ++v) {
+      if (isolated[u] || isolated[v]) continue;
+      if (rng->NextBounded(u == v ? 2 : 24) != 0) continue;
+      double w = rng->NextDouble();
+      if (rng->NextBounded(4) == 0) w = 0.0;
+      if (rng->NextBounded(3) == 0) {
+        w = static_cast<double>(1 + rng->NextBounded(40));
+      }
+      edges.push_back(
+          {static_cast<int32_t>(u), static_cast<int32_t>(v), w});
+    }
+  }
+  return edges;
+}
+
+TEST(SortedCsrWriterTest, MatchesBuilderBitForBit) {
+  Rng rng(2716);
+  size_t self_loops = 0, zero_weights = 0, isolated_rows = 0;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{272}}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const std::vector<WeightedGraph::Edge> edges =
+          RandomSortedEdges(n, &rng);
+      WeightedGraphBuilder builder(n);
+      for (const WeightedGraph::Edge& e : edges) {
+        ASSERT_TRUE(builder.AddEdge(e.u, e.v, e.weight).ok());
+        if (e.u == e.v) ++self_loops;
+        if (e.weight == 0.0) ++zero_weights;
+      }
+      auto got = WeightedGraph::FromSortedEdges(n, edges);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameCsrBits(*got, builder.Build());
+      for (size_t u = 0; u < n; ++u) {
+        const auto ui = static_cast<int32_t>(u);
+        if (got->degree(ui) == 0 && got->self_weight(ui) == 0.0) {
+          ++isolated_rows;
+        }
+      }
+    }
+  }
+  // The inputs did cover the shapes the writer must get right.
+  EXPECT_GT(self_loops, 100u);
+  EXPECT_GT(zero_weights, 100u);
+  EXPECT_GT(isolated_rows, 100u);
+}
+
+TEST(SortedCsrWriterTest, RejectsEachViolatedPrecondition) {
+  using Edges = std::vector<WeightedGraph::Edge>;
+  const auto code = [](const Edges& edges) {
+    return WeightedGraph::FromSortedEdges(4, edges).status().code();
+  };
+  EXPECT_EQ(code({{0, 1, 1.0}, {1, 1, 0.0}, {2, 3, 2.5}}), StatusCode::kOk);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* what;
+    Edges edges;
+  } cases[] = {
+      {"negative endpoint", {{-1, 2, 1.0}}},
+      {"endpoint >= n", {{0, 4, 1.0}}},
+      {"u > v", {{2, 1, 1.0}}},
+      {"repeated pair", {{0, 1, 1.0}, {0, 1, 1.0}}},
+      {"descending pair", {{0, 2, 1.0}, {0, 1, 1.0}}},
+      {"descending row", {{1, 2, 1.0}, {0, 3, 1.0}}},
+      {"NaN weight", {{0, 1, nan}}},
+      {"negative weight", {{0, 1, -0.5}}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(code(c.edges), StatusCode::kInvalidArgument) << c.what;
   }
 }
 

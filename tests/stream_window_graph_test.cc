@@ -3,8 +3,13 @@
 // (zero-activity stations, single-trip windows, profiles that empty out
 // on expiry).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "core/civil_time.h"
 #include "core/rng.h"
@@ -20,8 +25,12 @@ namespace bikegraph::stream {
 
 /// Test-only backdoor (befriended by SlidingWindowGraph): forges the
 /// desync the ApplyDelta guard defends against — an expiry reversal for a
-/// pair the map has never seen — which the public API cannot produce.
+/// pair the map has never seen — which the public API cannot produce,
+/// and reads the pair run's pending-key list.
 struct WindowGraphTestPeer {
+  static size_t PendingPairs(const SlidingWindowGraph& w) {
+    return w.pending_pairs_.size();
+  }
   static void ForceReverseUnknownPair(SlidingWindowGraph* w) {
     SlidingWindowGraph::RingEntry entry;
     entry.start_seconds = 0;
@@ -331,6 +340,211 @@ TEST(SlidingWindowGraphTest, RestoreRejectsPairCountOverflowingInt32) {
   const Status status = tampered.RestoreState(state);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+}
+
+// A landmark state over 3 stations: trips (0, 1) twice and (1, 2)
+// once, so pairs {(0, 1): 2, (1, 2): 1}, live_count 3 and endpoint
+// counts {2, 3, 1}.
+WindowGraphState LandmarkState() {
+  SlidingWindowGraph w({3, /*window_seconds=*/0});
+  EXPECT_TRUE(w.Ingest(Trip(0, 1, At(6, 8))).ok());
+  EXPECT_TRUE(w.Ingest(Trip(1, 0, At(6, 9))).ok());
+  EXPECT_TRUE(w.Ingest(Trip(1, 2, At(6, 10))).ok());
+  return w.ExportState();
+}
+
+StatusCode RestoreCode(const WindowGraphState& state) {
+  SlidingWindowGraph w({3, 0});
+  return w.RestoreState(state).code();
+}
+
+// Satellite regression: each corrupted landmark state below used to
+// restore OK. Each one keeps every other check satisfied, so the check
+// under test is the only one that can reject it.
+TEST(SlidingWindowGraphTest, RestoreAcceptsConsistentLandmarkState) {
+  const WindowGraphState state = LandmarkState();
+  ASSERT_EQ(state.pairs.size(), 2u);
+  ASSERT_EQ(state.live_count, 3u);
+  SlidingWindowGraph w({3, 0});
+  ASSERT_TRUE(w.RestoreState(state).ok());
+  EXPECT_EQ(w.TripsBetween(0, 1), 2);
+  EXPECT_EQ(w.TripsBetween(1, 2), 1);
+  EXPECT_EQ(w.trip_count(), 3u);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsRepeatedPairKey) {
+  WindowGraphState state = LandmarkState();
+  // (0, 1) twice with one trip each: the trip total is unchanged, but
+  // the parent kept the last count and lost a trip.
+  state.pairs = {{state.pairs[0].first, 1},
+                 {state.pairs[0].first, 1},
+                 state.pairs[1]};
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsUnsortedPairKeys) {
+  WindowGraphState state = LandmarkState();
+  std::swap(state.pairs[0], state.pairs[1]);
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsLiveCountOffPairTrips) {
+  WindowGraphState state = LandmarkState();
+  state.live_count = 7;
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+  // A pair count off by one with live_count intact: the endpoint counts
+  // still sum to 2 × live_count, so only the pair-trip sum catches it.
+  state = LandmarkState();
+  state.pairs[1].second = 2;
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsDayCountersOffEndpointCount) {
+  WindowGraphState state = LandmarkState();
+  state.day[1][3] += 1;
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsHourCountersOffEndpointCount) {
+  WindowGraphState state = LandmarkState();
+  state.hour[2][23] += 1;
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+TEST(SlidingWindowGraphTest, RestoreRejectsEndpointTotalOffLiveCount) {
+  WindowGraphState state = LandmarkState();
+  // Station 0 stays self-consistent (its day and hour counters still sum
+  // to its endpoint count); only the total breaks 2 × live_count.
+  state.endpoint_count[0] += 1;
+  state.day[0][0] += 1;
+  state.hour[0][0] += 1;
+  EXPECT_EQ(RestoreCode(state), StatusCode::kDataLoss);
+}
+
+using PairSequence = std::vector<std::array<int64_t, 3>>;
+
+PairSequence ReadPairs(const SlidingWindowGraph& w) {
+  PairSequence seen;
+  w.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
+    seen.push_back({u, v, trips});
+  });
+  return seen;
+}
+
+/// A std::map model of a window's live pair counts.
+struct PairModel {
+  int64_t window_seconds;
+  std::deque<TripEvent> live;
+  std::map<std::pair<int32_t, int32_t>, int64_t> trips;
+
+  void Ingest(const TripEvent& e) {
+    live.push_back(e);
+    Add(e, +1);
+    if (window_seconds == 0) return;
+    const int64_t cutoff =
+        e.start_time.seconds_since_epoch() - window_seconds;
+    while (live.front().start_time.seconds_since_epoch() <= cutoff) {
+      Add(live.front(), -1);
+      live.pop_front();
+    }
+  }
+  void Add(const TripEvent& e, int64_t delta) {
+    const auto key = std::minmax(e.from_station, e.to_station);
+    if ((trips[key] += delta) == 0) trips.erase(key);
+  }
+  PairSequence Expected() const {
+    PairSequence out;
+    for (const auto& [key, count] : trips) {
+      out.push_back({key.first, key.second, count});
+    }
+    return out;
+  }
+};
+
+// The sorted pair run under churn: a short window over 6 stations, so
+// pairs die and are re-created between reads. Every read, wherever it
+// falls, must yield exactly the std::map model's (u, v, trips) sequence:
+// two reads with no mutation between them, a read right after the
+// pending list was merged at its bound, and reads after RestoreState of
+// a sliding and of a landmark state.
+TEST(SlidingWindowGraphTest, PairRunMatchesMapModelUnderChurn) {
+  const size_t stations = 6;
+  const int64_t window = 300;
+  SlidingWindowGraph sliding({stations, window});
+  SlidingWindowGraph landmark({stations, 0});
+  PairModel sliding_model{window, {}, {}};
+  PairModel landmark_model{0, {}, {}};
+  Rng rng(1607);
+  CivilTime t = At(6, 0);
+  size_t reads = 0, bound_merges = 0, restores = 0;
+  for (int i = 0; i < 60000; ++i) {
+    t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(120)));
+    const TripEvent e =
+        Trip(static_cast<int32_t>(rng.NextBounded(stations)),
+             static_cast<int32_t>(rng.NextBounded(stations)), t, i);
+    const size_t pending_before = WindowGraphTestPeer::PendingPairs(sliding);
+    ASSERT_TRUE(sliding.Ingest(e).ok());
+    ASSERT_TRUE(landmark.Ingest(e).ok());
+    sliding_model.Ingest(e);
+    landmark_model.Ingest(e);
+
+    // Reads happen only in every other 10k-event phase, so the quiet
+    // phases run the pending list up to its bound.
+    const bool quiet = (i / 10000) % 2 == 1;
+    if (WindowGraphTestPeer::PendingPairs(sliding) < pending_before) {
+      ASSERT_TRUE(quiet) << "merged without a read outside a quiet phase";
+      ++bound_merges;
+      ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
+    } else if (!quiet && rng.NextBounded(100) == 0) {
+      ++reads;
+      ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
+      ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
+      ASSERT_EQ(ReadPairs(landmark), landmark_model.Expected()) << i;
+    }
+    if (i % 7919 == 7918) {
+      ++restores;
+      SlidingWindowGraph restored({stations, window});
+      ASSERT_TRUE(restored.RestoreState(sliding.ExportState()).ok());
+      ASSERT_EQ(ReadPairs(restored), sliding_model.Expected()) << i;
+      sliding = std::move(restored);
+      SlidingWindowGraph restored_landmark({stations, 0});
+      ASSERT_TRUE(
+          restored_landmark.RestoreState(landmark.ExportState()).ok());
+      ASSERT_EQ(ReadPairs(restored_landmark), landmark_model.Expected())
+          << i;
+      landmark = std::move(restored_landmark);
+    }
+  }
+  EXPECT_GT(reads, 100u);
+  EXPECT_GE(bound_merges, 3u);
+  EXPECT_GE(restores, 7u);
+  EXPECT_EQ(ReadPairs(sliding), sliding_model.Expected());
+  EXPECT_EQ(ReadPairs(landmark), landmark_model.Expected());
+}
+
+// A window that is never read (ingest only, no freeze) keeps its pending
+// list within 2 × live pairs + 4096: it merges in place at the bound.
+TEST(SlidingWindowGraphTest, PendingPairsStayBoundedWithoutReads) {
+  const size_t stations = 6;
+  const size_t max_pairs = stations * (stations + 1) / 2;
+  SlidingWindowGraph w({stations, /*window_seconds=*/300});
+  Rng rng(99);
+  CivilTime t = At(6, 0);
+  size_t peak = 0, merges = 0;
+  for (int i = 0; i < 120000; ++i) {
+    t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(120)));
+    const size_t before = WindowGraphTestPeer::PendingPairs(w);
+    ASSERT_TRUE(w.Ingest(Trip(static_cast<int32_t>(rng.NextBounded(stations)),
+                              static_cast<int32_t>(rng.NextBounded(stations)),
+                              t, i))
+                    .ok());
+    const size_t pending = WindowGraphTestPeer::PendingPairs(w);
+    ASSERT_LE(pending, 2 * max_pairs + 4096) << i;
+    if (pending < before) ++merges;
+    peak = std::max(peak, pending);
+  }
+  EXPECT_GE(merges, 10u);
+  EXPECT_GT(peak, 4096u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 # counters (the serving bench's p50/p99/qps) are kept in the merge, and
 # the BM_ShardedIngest rows are distilled into a top-level
 # "shard_scaling" block (events/s and speedup-vs-single-writer per
-# shard count — the ROADMAP item 1 curve).
+# shard count — the curve ROADMAP.md's "Make sharding pay, or delete it"
+# judges).
 #
 # Usage: tools/run_benches.sh [build_dir] [benchmark_filter]
 #   build_dir         defaults to "build"
