@@ -1,9 +1,7 @@
-// Performance benchmarks for the clustering substrate: the scalable
-// threshold-bounded complete-linkage HAC vs the dense O(n^2) reference, and
-// linkage-criterion comparison. The sparse variant is what makes the
-// paper's 14k-location clustering tractable (the paper itself reports
-// being "impeded by the sheer number of locations and software
-// limitations").
+// Performance benchmark for the clustering substrate: the scalable
+// threshold-bounded complete-linkage HAC. It is what makes the paper's
+// 14k-location clustering tractable (the paper itself reports being
+// "impeded by the sheer number of locations and software limitations").
 
 #include <benchmark/benchmark.h>
 
@@ -45,39 +43,6 @@ void BM_ThresholdHac(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ThresholdHac)->Arg(500)->Arg(2000)->Arg(8000)->Arg(16000);
-
-void BM_DenseHacComplete(benchmark::State& state) {
-  auto points = ClusteredPoints(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto dendro = DenseHacGeo(points, Linkage::kComplete);
-    benchmark::DoNotOptimize(dendro);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-// The dense reference is O(n^2) memory; keep sizes modest.
-BENCHMARK(BM_DenseHacComplete)->Arg(500)->Arg(1000)->Arg(2000);
-
-void BM_DenseHacLinkages(benchmark::State& state) {
-  auto points = ClusteredPoints(600);
-  const auto linkage = static_cast<Linkage>(state.range(0));
-  for (auto _ : state) {
-    auto dendro = DenseHacGeo(points, linkage);
-    benchmark::DoNotOptimize(dendro);
-  }
-}
-BENCHMARK(BM_DenseHacLinkages)
-    ->Arg(static_cast<int>(Linkage::kSingle))
-    ->Arg(static_cast<int>(Linkage::kComplete))
-    ->Arg(static_cast<int>(Linkage::kAverage));
-
-void BM_DendrogramCut(benchmark::State& state) {
-  auto points = ClusteredPoints(1000);
-  auto dendro = DenseHacGeo(points, Linkage::kComplete).ValueOrDie();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dendro.CutAt(100.0));
-  }
-}
-BENCHMARK(BM_DendrogramCut);
 
 }  // namespace
 }  // namespace bikegraph::cluster

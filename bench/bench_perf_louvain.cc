@@ -1,15 +1,13 @@
 // Performance benchmarks for the community-detection algorithms: Louvain
 // vs label propagation vs CNM fast-greedy vs Infomap-lite, on planted
-// clique-ring graphs of growing size.
+// clique-ring graphs of growing size. Each runs through Detect(), so every
+// row includes the modularity of the result.
 
 #include <benchmark/benchmark.h>
 
-#include "community/fast_greedy.h"
-#include "core/checked_cast.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
+#include "community/detector.h"
 #include "community/modularity.h"
+#include "core/checked_cast.h"
 #include "core/rng.h"
 
 namespace bikegraph::community {
@@ -68,7 +66,7 @@ BENCHMARK(BM_WeightedGraphBuild)->Arg(50)->Arg(200)->Arg(800);
 void BM_Louvain(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunLouvain(g);
+    auto r = Detect(g, {AlgorithmId::kLouvain, {}});
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -79,7 +77,7 @@ BENCHMARK(BM_Louvain)->Arg(10)->Arg(50)->Arg(200);
 void BM_LabelPropagation(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunLabelPropagation(g);
+    auto r = Detect(g, {AlgorithmId::kLabelPropagation, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -88,7 +86,7 @@ BENCHMARK(BM_LabelPropagation)->Arg(10)->Arg(50)->Arg(200);
 void BM_FastGreedy(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunFastGreedy(g);
+    auto r = Detect(g, {AlgorithmId::kFastGreedy, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -97,7 +95,7 @@ BENCHMARK(BM_FastGreedy)->Arg(10)->Arg(50)->Arg(200);
 void BM_InfomapLite(benchmark::State& state) {
   auto g = CliqueRing(static_cast<int>(state.range(0)), 12);
   for (auto _ : state) {
-    auto r = RunInfomapLite(g);
+    auto r = Detect(g, {AlgorithmId::kInfomap, {}});
     benchmark::DoNotOptimize(r);
   }
 }
@@ -105,7 +103,8 @@ BENCHMARK(BM_InfomapLite)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_Modularity(benchmark::State& state) {
   auto g = CliqueRing(100, 12);
-  auto partition = RunLouvain(g).ValueOrDie().partition;
+  auto partition =
+      Detect(g, {AlgorithmId::kLouvain, {}}).ValueOrDie().partition;
   for (auto _ : state) {
     benchmark::DoNotOptimize(Modularity(g, partition));
   }

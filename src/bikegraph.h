@@ -47,15 +47,11 @@
 #include "expansion/pipeline.h"
 #include "expansion/selection.h"
 
-// Community detection. detector.h is the unified entry point (Detect(),
-// algorithm registry); the per-algorithm headers remain for the legacy
-// Run* wrappers and their option/result structs.
+// Community detection. detector.h is the single entry point (Detect(),
+// algorithm registry); modularity.h holds the two objectives, modularity
+// and the map-equation codelength.
 #include "community/aggregate.h"
 #include "community/detector.h"
-#include "community/fast_greedy.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 
@@ -65,9 +61,7 @@
 
 // Streaming ingestion: sliding-window graphs, immutable snapshots,
 // warm-start community refresh (see docs/STREAMING.md); durability —
-// write-ahead log, crash-consistent checkpoints, hostile-input chaos
-// streams (see docs/DURABILITY.md).
-#include "stream/chaos.h"
+// write-ahead log, crash-consistent checkpoints (see docs/DURABILITY.md).
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/event.h"

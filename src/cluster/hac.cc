@@ -1,12 +1,10 @@
 #include "cluster/hac.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <queue>
 
 #include "geo/grid_index.h"
-#include "geo/haversine.h"
 
 #include "core/checked_cast.h"
 
@@ -16,176 +14,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Union-find with path compression.
-class UnionFind {
- public:
-  explicit UnionFind(size_t n) : parent_(n) {
-    for (size_t i = 0; i < n; ++i) parent_[i] = static_cast<int32_t>(i);
-  }
-  int32_t Find(int32_t x) {
-    while (parent_[AsIndex(x)] != x) {
-      parent_[AsIndex(x)] = parent_[AsIndex(parent_[AsIndex(x)])];
-      x = parent_[AsIndex(x)];
-    }
-    return x;
-  }
-  void Union(int32_t a, int32_t b) { parent_[AsIndex(Find(a))] = Find(b); }
-
- private:
-  std::vector<int32_t> parent_;
-};
-
 }  // namespace
-
-std::vector<int32_t> Dendrogram::CutAt(double threshold) const {
-  const size_t n = point_count;
-  UnionFind uf(n + merges.size());
-  // `intact[c]` marks dendrogram clusters whose internal merges were all
-  // applied; a merge is applied only when both children are intact. This is
-  // robust even if the merge list is not distance-sorted.
-  std::vector<bool> intact(n + merges.size(), true);
-  for (size_t i = 0; i < merges.size(); ++i) {
-    const MergeStep& m = merges[i];
-    const size_t new_id = n + i;
-    if (m.distance <= threshold && intact[AsIndex(m.left)] && intact[AsIndex(m.right)]) {
-      uf.Union(m.left, static_cast<int32_t>(new_id));
-      uf.Union(m.right, static_cast<int32_t>(new_id));
-    } else {
-      intact[new_id] = false;
-    }
-  }
-  // Labels considering only point entries; roots are dense cluster ids, so
-  // a flat remap table suffices.
-  std::vector<int32_t> labels(n, -1);
-  std::vector<int32_t> remap(n + merges.size(), -1);
-  int32_t next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    int32_t root = uf.Find(static_cast<int32_t>(i));
-    if (remap[AsIndex(root)] < 0) remap[AsIndex(root)] = next++;
-    labels[i] = remap[AsIndex(root)];
-  }
-  return labels;
-}
-
-Result<Dendrogram> DenseHac(const std::vector<double>& distances, size_t n,
-                            Linkage linkage) {
-  if (n == 0) return Status::InvalidArgument("empty input");
-  if (distances.size() != n * n) {
-    return Status::InvalidArgument("distance matrix size mismatch");
-  }
-  Dendrogram dendro;
-  dendro.point_count = n;
-  if (n == 1) return dendro;
-
-  // Working copy; slot i holds the current distance row of active cluster i.
-  std::vector<double> d(distances);
-  auto at = [&](size_t i, size_t j) -> double& { return d[i * n + j]; };
-
-  std::vector<bool> active(n, true);
-  std::vector<size_t> size(n, 1);
-  std::vector<int32_t> dendro_id(n);  // slot -> dendrogram cluster id
-  for (size_t i = 0; i < n; ++i) dendro_id[i] = static_cast<int32_t>(i);
-
-  // Nearest-neighbour candidate list per active slot.
-  std::vector<size_t> nn(n, SIZE_MAX);
-  std::vector<double> nn_dist(n, kInf);
-  auto recompute_nn = [&](size_t i) {
-    nn[i] = SIZE_MAX;
-    nn_dist[i] = kInf;
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i || !active[j]) continue;
-      double dij = at(i, j);
-      if (dij < nn_dist[i] || (dij == nn_dist[i] && j < nn[i])) {
-        nn_dist[i] = dij;
-        nn[i] = j;
-      }
-    }
-  };
-  for (size_t i = 0; i < n; ++i) recompute_nn(i);
-
-  for (size_t merge_round = 0; merge_round + 1 < n; ++merge_round) {
-    // Global minimum over candidate list.
-    size_t best = SIZE_MAX;
-    for (size_t i = 0; i < n; ++i) {
-      if (!active[i] || nn[i] == SIZE_MAX) continue;
-      if (best == SIZE_MAX || nn_dist[i] < nn_dist[best] ||
-          (nn_dist[i] == nn_dist[best] && i < best)) {
-        best = i;
-      }
-    }
-    if (best == SIZE_MAX) break;  // disconnected (infinite distances)
-    size_t a = best;
-    size_t b = nn[best];
-    if (a > b) std::swap(a, b);
-    const double merge_dist = at(a, b);
-    if (!std::isfinite(merge_dist)) break;
-
-    dendro.merges.push_back(
-        MergeStep{dendro_id[a], dendro_id[b], merge_dist});
-    const int32_t new_id =
-        static_cast<int32_t>(n + dendro.merges.size() - 1);
-
-    // Lance–Williams update into slot a; deactivate slot b.
-    for (size_t k = 0; k < n; ++k) {
-      if (!active[k] || k == a || k == b) continue;
-      double dak = at(a, k), dbk = at(b, k);
-      double dnew = kInf;
-      switch (linkage) {
-        case Linkage::kSingle:
-          dnew = std::min(dak, dbk);
-          break;
-        case Linkage::kComplete:
-          dnew = std::max(dak, dbk);
-          break;
-        case Linkage::kAverage:
-          dnew = (static_cast<double>(size[a]) * dak +
-                  static_cast<double>(size[b]) * dbk) /
-                 static_cast<double>(size[a] + size[b]);
-          break;
-      }
-      at(a, k) = dnew;
-      at(k, a) = dnew;
-    }
-    active[b] = false;
-    size[a] += size[b];
-    dendro_id[a] = new_id;
-
-    // Refresh candidate lists touching a or b.
-    recompute_nn(a);
-    for (size_t k = 0; k < n; ++k) {
-      if (!active[k] || k == a) continue;
-      if (nn[k] == a || nn[k] == b) {
-        recompute_nn(k);
-      } else if (at(k, a) < nn_dist[k]) {
-        nn[k] = a;
-        nn_dist[k] = at(k, a);
-      }
-    }
-  }
-  return dendro;
-}
-
-Result<Dendrogram> DenseHacGeo(const std::vector<geo::LatLon>& points,
-                               Linkage linkage) {
-  const size_t n = points.size();
-  if (n == 0) return Status::InvalidArgument("empty input");
-  // Precompute per-point cos(latitude) once: the O(n^2) matrix fill then
-  // pays two sin calls per pair instead of two sin and two cos.
-  std::vector<double> cos_lat(n);
-  for (size_t i = 0; i < n; ++i) {
-    cos_lat[i] = std::cos(geo::DegToRad(points[i].lat));
-  }
-  std::vector<double> d(n * n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      double dist = geo::HaversineMetersWithCos(points[i], points[j],
-                                                cos_lat[i], cos_lat[j]);
-      d[i * n + j] = dist;
-      d[j * n + i] = dist;
-    }
-  }
-  return DenseHac(d, n, linkage);
-}
 
 Result<std::vector<int32_t>> ThresholdCompleteLinkage(
     const std::vector<geo::LatLon>& points, double threshold_m) {

@@ -3,34 +3,9 @@
 #include <chrono>
 #include <string>
 
-#include "community/modularity.h"
-
 namespace bikegraph::community {
 
 namespace {
-
-// Label propagation and Infomap have no native modularity; their backends
-// leave it unset so the legacy wrappers (which have no field for it) don't
-// pay an O(V+E) scan they would discard. The registry routes through these
-// adapters so the unified surface still reports modularity for every
-// algorithm.
-Result<CommunityResult> LabelPropagationEntry(
-    const graphdb::WeightedGraph& graph, const CommunityOptions& options) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(
-      CommunityResult result,
-      internal::DetectLabelPropagation(graph, options));
-  result.modularity = Modularity(graph, result.partition);
-  result.quality = result.modularity;
-  return result;
-}
-
-Result<CommunityResult> InfomapEntry(const graphdb::WeightedGraph& graph,
-                                     const CommunityOptions& options) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(CommunityResult result,
-                             internal::DetectInfomap(graph, options));
-  result.modularity = Modularity(graph, result.partition);
-  return result;
-}
 
 // Registry order is AlgorithmId order; FindInfo indexes into it directly.
 constexpr AlgorithmInfo kRegistry[] = {
@@ -40,13 +15,13 @@ constexpr AlgorithmInfo kRegistry[] = {
      &internal::DetectLouvain, /*supports_warm_start=*/true},
     {AlgorithmId::kLabelPropagation, "label_propagation",
      "asynchronous weighted label propagation (Raghavan et al. 2007)",
-     &LabelPropagationEntry, /*supports_warm_start=*/true},
+     &internal::DetectLabelPropagation, /*supports_warm_start=*/true},
     {AlgorithmId::kFastGreedy, "fast_greedy",
      "Clauset-Newman-Moore greedy modularity agglomeration",
      &internal::DetectFastGreedy, /*supports_warm_start=*/false},
     {AlgorithmId::kInfomap, "infomap",
      "two-level map-equation optimisation (Rosvall & Bergstrom 2008)",
-     &InfomapEntry, /*supports_warm_start=*/false},
+     &internal::DetectInfomap, /*supports_warm_start=*/false},
 };
 
 const AlgorithmInfo* FindInfo(AlgorithmId id) {

@@ -26,13 +26,12 @@ enum class AlgorithmId : int32_t {
   kInfomap = 3,
 };
 
-/// \brief Unified options for all registered algorithms — the superset of
-/// the four legacy option structs.
+/// \brief Options for all registered algorithms.
 ///
-/// Fields held in a `std::optional` default to the consuming algorithm's
-/// legacy default when unset, so a default-constructed `CommunityOptions`
-/// reproduces every legacy `Run*` call bit-for-bit. Per-algorithm mapping
-/// (fields not listed are ignored by that algorithm):
+/// Fields held in a `std::optional` take the consuming algorithm's own
+/// default when unset (community_detector_test locks unset against the
+/// defaults written out). Per-algorithm mapping (fields not listed are
+/// ignored by that algorithm):
 ///
 ///   | field               | Louvain | LabelProp | FastGreedy | Infomap |
 ///   |---------------------|---------|-----------|------------|---------|
@@ -56,7 +55,7 @@ struct CommunityOptions {
   std::optional<int> max_sweeps_per_level;
   /// Full-pass cap for label propagation. Unset: 100.
   std::optional<int> max_iterations;
-  /// Merge cap for fast-greedy; 0 means unlimited (legacy behavior).
+  /// Merge cap for fast-greedy; 0 means unlimited.
   size_t max_merges = 0;
   /// Minimum gain to continue. Louvain: modularity gain per level (unset:
   /// 1e-9). FastGreedy: a merge requires ΔQ > min_gain (unset: 0.0).
@@ -114,7 +113,7 @@ struct CommunityResult {
   /// hitting an iteration/level/merge cap.
   bool converged = false;
   /// Wall-clock time of the run; filled by `Detect()` (zero when a backend
-  /// is invoked directly, e.g. through a legacy wrapper).
+  /// is invoked directly through `AlgorithmInfo::run`).
   double wall_time_ms = 0.0;
   /// Partition of the input nodes at each level, coarsest last (Louvain
   /// only; `level_partitions.back()` equals `partition` when non-empty).
@@ -163,20 +162,31 @@ Result<CommunityResult> Detect(const graphdb::WeightedGraph& graph,
 
 namespace internal {
 
-/// Algorithm backends, each implemented next to its legacy entry point
-/// (louvain.cc, label_propagation.cc, fast_greedy.cc, infomap.cc). The
-/// legacy `Run*` functions are thin wrappers over these, so `Detect()` and
-/// the legacy API are bit-identical by construction. Not part of the public
-/// surface — call `Detect()` instead. Note: the label-propagation and
-/// Infomap backends leave `modularity` unset (their legacy results have no
-/// such field); the registry adapters in detector.cc fill it for the
-/// unified surface.
+// The algorithm backends the registry rows point at, one per .cc file
+// (louvain.cc, label_propagation.cc, fast_greedy.cc, infomap.cc). Each
+// fills every CommunityResult field except `wall_time_ms`. Not part of
+// the public surface — call `Detect()` instead.
+
+/// Multi-level Louvain: local moving to the neighbouring community with
+/// the largest modularity gain, then aggregation of communities into
+/// supernodes (intra-community weight becomes a self-loop), repeated.
 Result<CommunityResult> DetectLouvain(const graphdb::WeightedGraph& graph,
                                       const CommunityOptions& options);
+/// Asynchronous weighted label propagation: each node adopts the label
+/// with the largest summed incident weight (ties to the smaller label,
+/// visit order shuffled by seed) until a full pass changes nothing.
 Result<CommunityResult> DetectLabelPropagation(
     const graphdb::WeightedGraph& graph, const CommunityOptions& options);
+/// Clauset–Newman–Moore agglomeration — the "fast greedy algorithm" of
+/// the Chicago BSS study the paper builds on (§II): from singletons,
+/// merge the connected pair with the largest ΔQ = 2·(e_ij − a_i·a_j)
+/// while it exceeds `min_gain`, via a lazy heap in O(E log E).
 Result<CommunityResult> DetectFastGreedy(const graphdb::WeightedGraph& graph,
                                          const CommunityOptions& options);
+/// "Infomap-lite": minimises the two-level map equation
+/// (MapEquationCodelength) with Louvain-style local moving and
+/// aggregation; full Infomap's multi-level codebooks and fine-tuning
+/// passes rarely change two-level results on graphs this small.
 Result<CommunityResult> DetectInfomap(const graphdb::WeightedGraph& graph,
                                       const CommunityOptions& options);
 

@@ -1,5 +1,3 @@
-#include "community/fast_greedy.h"
-
 #include <cmath>
 #include <queue>
 
@@ -166,20 +164,5 @@ Result<CommunityResult> DetectFastGreedy(const graphdb::WeightedGraph& graph,
 }
 
 }  // namespace internal
-
-Result<FastGreedyResult> RunFastGreedy(const graphdb::WeightedGraph& graph,
-                                       const FastGreedyOptions& options) {
-  CommunityOptions unified;
-  unified.max_merges = options.max_merges;
-  unified.min_gain = options.min_gain;
-  BIKEGRAPH_ASSIGN_OR_RETURN(CommunityResult detected,
-                             internal::DetectFastGreedy(graph, unified));
-  FastGreedyResult result;
-  result.partition = std::move(detected.partition);
-  result.modularity = detected.modularity;
-  result.merges = detected.merges;
-  result.converged = detected.converged;
-  return result;
-}
 
 }  // namespace bikegraph::community

@@ -1,11 +1,10 @@
-#include "community/infomap.h"
-
 #include <cmath>
 #include <unordered_map>
 
 #include "core/rng.h"
 #include "community/aggregate.h"
 #include "community/detector.h"
+#include "community/modularity.h"
 
 #include "core/checked_cast.h"
 
@@ -101,8 +100,8 @@ LocalMoveOutcome LocalMoving(const WeightedGraph& g, int max_sweeps,
       int32_t best_comm = cu;
       double best_delta = 0.0;
       // lint: unordered-iter-ok: visit order can break exact ΔL
-      // ties; deterministic for a fixed stdlib and locked
-      // bit-identical against the legacy backend by
+      // ties; deterministic for a fixed stdlib and locked by the
+      // partition expectations in community_test and
       // community_detector_test. Sorted-candidate iteration is a
       // behavior-changing ROADMAP item.
       for (const auto& [c, omega_to_c] : w_to_comm) {
@@ -209,28 +208,10 @@ Result<CommunityResult> DetectInfomap(const graphdb::WeightedGraph& graph,
   result.partition = cumulative;
   result.partition.Renumber();
   result.quality = MapEquationCodelength(graph, result.partition);
-  // modularity is filled by the registry adapter (detector.cc); the legacy
-  // wrapper below has no field for it.
+  result.modularity = Modularity(graph, result.partition);
   return result;
 }
 
 }  // namespace internal
-
-Result<InfomapResult> RunInfomapLite(const graphdb::WeightedGraph& graph,
-                                     const InfomapOptions& options) {
-  CommunityOptions unified;
-  unified.seed = options.seed;
-  unified.max_levels = options.max_levels;
-  unified.max_sweeps_per_level = options.max_sweeps_per_level;
-  unified.min_improvement = options.min_improvement;
-  BIKEGRAPH_ASSIGN_OR_RETURN(CommunityResult detected,
-                             internal::DetectInfomap(graph, unified));
-  InfomapResult result;
-  result.partition = std::move(detected.partition);
-  result.codelength = detected.quality;
-  result.singleton_codelength = detected.singleton_quality;
-  result.levels = detected.levels;
-  return result;
-}
 
 }  // namespace bikegraph::community

@@ -1,7 +1,6 @@
-#include "community/label_propagation.h"
-
 #include "core/rng.h"
 #include "community/detector.h"
+#include "community/modularity.h"
 
 #include "core/checked_cast.h"
 
@@ -87,28 +86,12 @@ Result<CommunityResult> DetectLabelPropagation(
     }
   }
   result.partition.Renumber();
-  // modularity/quality are filled by the registry adapter (detector.cc):
-  // label propagation has no native objective, and the legacy wrapper
-  // below would only throw the extra O(V+E) scan away.
+  // Label propagation has no objective of its own; report modularity.
+  result.modularity = Modularity(graph, result.partition);
+  result.quality = result.modularity;
   return result;
 }
 
 }  // namespace internal
-
-Result<LabelPropagationResult> RunLabelPropagation(
-    const graphdb::WeightedGraph& graph,
-    const LabelPropagationOptions& options) {
-  CommunityOptions unified;
-  unified.seed = options.seed;
-  unified.max_iterations = options.max_iterations;
-  BIKEGRAPH_ASSIGN_OR_RETURN(
-      CommunityResult detected,
-      internal::DetectLabelPropagation(graph, unified));
-  LabelPropagationResult result;
-  result.partition = std::move(detected.partition);
-  result.iterations = detected.iterations;
-  result.converged = detected.converged;
-  return result;
-}
 
 }  // namespace bikegraph::community

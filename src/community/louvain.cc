@@ -1,5 +1,3 @@
-#include "community/louvain.h"
-
 #include <cmath>
 
 #include "core/rng.h"
@@ -243,23 +241,5 @@ Result<CommunityResult> DetectLouvain(const graphdb::WeightedGraph& graph,
 }
 
 }  // namespace internal
-
-Result<LouvainResult> RunLouvain(const graphdb::WeightedGraph& graph,
-                                 const LouvainOptions& options) {
-  CommunityOptions unified;
-  unified.seed = options.seed;
-  unified.resolution = options.resolution;
-  unified.max_levels = options.max_levels;
-  unified.max_sweeps_per_level = options.max_sweeps_per_level;
-  unified.min_gain = options.min_gain;
-  BIKEGRAPH_ASSIGN_OR_RETURN(CommunityResult detected,
-                             internal::DetectLouvain(graph, unified));
-  LouvainResult result;
-  result.partition = std::move(detected.partition);
-  result.modularity = detected.modularity;
-  result.levels = detected.levels;
-  result.level_partitions = std::move(detected.level_partitions);
-  return result;
-}
 
 }  // namespace bikegraph::community

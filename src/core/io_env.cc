@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <system_error>
 
 // The one file where raw I/O syscalls are legal (the `naked-io-syscall`
 // lint pins the whole durability protocol onto this seam; see
@@ -52,6 +53,16 @@ int IoEnv::Truncate(int fd, int64_t size) {
 }
 
 int IoEnv::Close(int fd) { return ::close(fd); }
+
+int IoEnv::Mkdir(const char* path) {
+  std::error_code ec;
+  fs::create_directories(path, ec);
+  if (ec) {
+    errno = ec.value();
+    return -1;
+  }
+  return 0;
+}
 
 void IoEnv::SleepMs(int64_t ms) {
   if (ms <= 0) {
@@ -389,6 +400,26 @@ int FaultInjectingIoEnv::Truncate(int fd, int64_t size) {
 int FaultInjectingIoEnv::Close(int fd) {
   fds_.erase(fd);
   return IoEnv::Close(fd);
+}
+
+int FaultInjectingIoEnv::Mkdir(const char* path) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kMkdir)]++;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kMkdir, idx, path)) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for mkdir; pass through
+    }
+  }
+  return IoEnv::Mkdir(path);
 }
 
 void FaultInjectingIoEnv::SleepMs(int64_t ms) {

@@ -21,13 +21,15 @@ enum class IoOp : uint8_t {
   kUnlink,
   kFsyncDir,
   kTruncate,
+  kMkdir,
 };
-inline constexpr size_t kIoOpCount = 7;
+inline constexpr size_t kIoOpCount = 8;
 
 /// \brief The syscall seam under the durability protocol. Every raw
-/// `::open/::write/::fsync/::rename/::unlink` the WAL writer, checkpoint
-/// commit, and WAL repair perform goes through one of these virtual
-/// methods (enforced by the `naked-io-syscall` lint), so tests can
+/// `::open/::write/::fsync/::rename/::unlink` and directory creation the
+/// engine, WAL writer, checkpoint commit, and WAL repair perform goes
+/// through one of these virtual methods (enforced by the
+/// `naked-io-syscall` lint), so tests can
 /// substitute a FaultInjectingIoEnv and exercise ENOSPC, EINTR storms,
 /// short writes, torn renames, and lying fsyncs deterministically.
 ///
@@ -62,6 +64,9 @@ class IoEnv {
   virtual int Truncate(int fd, int64_t size);
   /// `::close(fd)`.
   virtual int Close(int fd);
+  /// `mkdir -p path` (std::filesystem::create_directories): creates
+  /// `path` and any missing parents; an existing directory is success.
+  virtual int Mkdir(const char* path);
 
   /// Blocks for `ms` milliseconds — the retry-backoff clock (see
   /// DurabilityConfig::faults). Virtual so tests can inject a clock that
@@ -79,8 +84,8 @@ class IoEnv {
 /// simulated disk capacity. Call indices count per-op across the whole
 /// environment lifetime (the 0th fsync, the 7th write, ...), so the same
 /// plan against the same workload injects the same faults — no wall
-/// clock, no global RNG (randomized plans are drawn up front from a
-/// seeded bikegraph::Rng by stream::MakeRandomFaultPlan).
+/// clock, no global RNG (the fault suites draw randomized plans up front
+/// from a seeded bikegraph::Rng; see tests/chaos_test_util.h).
 struct FaultPlan {
   enum class Kind : uint8_t {
     /// The call fails with `error` for every call in the window.
@@ -141,6 +146,9 @@ class FaultInjectingIoEnv final : public IoEnv {
   int FsyncDir(const char* path) override;
   int Truncate(int fd, int64_t size) override;
   int Close(int fd) override;
+  /// Injects kError / kEintrStorm; created directories are not part of
+  /// the crash model (SimulateCrash never removes them).
+  int Mkdir(const char* path) override;
   /// Advances the virtual clock and records the sleep; never blocks —
   /// the retry-determinism tests assert the exact schedule.
   void SleepMs(int64_t ms) override;

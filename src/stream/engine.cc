@@ -1,17 +1,42 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <system_error>
+#include <cerrno>
+#include <cstring>
 #include <thread>
 #include <utility>
 
+#include "core/io_env.h"
 #include "core/logging.h"
 #include "stream/spsc_ring.h"
 
 namespace bikegraph::stream {
 
-namespace fs = std::filesystem;
+namespace {
+
+/// InvalidArgument when a positions table is set but shorter than the
+/// station universe: no spatial index can cover it.
+Status CheckStationPositions(const StreamEngineConfig& config) {
+  if (!config.station_positions.empty() &&
+      config.station_positions.size() < config.station_count) {
+    return Status::InvalidArgument(
+        "station_positions must cover every station id");
+  }
+  return Status::OK();
+}
+
+/// Creates the durability directory and any missing parents through the
+/// IoEnv seam, so fault schedules reach it too.
+Status CreateDurabilityDirectory(IoEnv* env, const std::string& directory) {
+  if (env == nullptr) env = IoEnv::Default();
+  if (env->Mkdir(directory.c_str()) != 0) {
+    return Status::IOError("create durability directory '" + directory +
+                           "': " + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 namespace detail {
 
@@ -169,7 +194,8 @@ class EngineShard {
 StreamEngine::StreamEngine(RecoverTag, StreamEngineConfig config)
     : config_(std::move(config)),
       router_(config_.shard_count),
-      tracker_(config_.refresh) {
+      tracker_(config_.refresh),
+      positions_status_(CheckStationPositions(config_)) {
   // 0 means "no sharding", i.e. one shard (mirrors ShardRouter's clamp).
   if (config_.shard_count == 0) config_.shard_count = 1;
   shards_.reserve(config_.shard_count);
@@ -213,14 +239,9 @@ void StreamEngine::InitDurability() {
         Status::InvalidArgument("durability.directory must be set");
     return;
   }
-  std::error_code ec;
-  fs::create_directories(config_.durability.directory, ec);
-  if (ec) {
-    durability_status_ = Status::IOError(
-        "create durability directory '" + config_.durability.directory +
-        "': " + ec.message());
-    return;
-  }
+  durability_status_ = CreateDurabilityDirectory(
+      config_.durability.io_env, config_.durability.directory);
+  if (!durability_status_.ok()) return;
   if (DirectoryHasDurableState(config_.durability.directory)) {
     durability_status_ = Status::FailedPrecondition(
         "durability directory '" + config_.durability.directory +
@@ -369,11 +390,7 @@ Status StreamEngine::Ingest(const TripEvent& event) {
   }
   // Fail fast on a truncated positions table instead of hours later at
   // the first Snapshot() of a live run.
-  if (!config_.station_positions.empty() &&
-      config_.station_positions.size() < config_.station_count) {
-    return Status::InvalidArgument(
-        "station_positions must cover every station id");
-  }
+  if (!positions_status_.ok()) return positions_status_;
   // Validate endpoints at arrival: an out-of-range event parked in the
   // reorder buffer would otherwise fail a horizon later, far from the
   // caller that produced it. Rejected events are never logged — the WAL
@@ -478,11 +495,7 @@ Status StreamEngine::FlushInternal() {
 }
 
 Result<std::shared_ptr<const WindowSnapshot>> StreamEngine::Snapshot() {
-  if (!config_.station_positions.empty() &&
-      config_.station_positions.size() < config_.station_count) {
-    return Status::InvalidArgument(
-        "station_positions must cover every station id");
-  }
+  if (!positions_status_.ok()) return positions_status_;
   if (shards_.size() == 1) {
     // The reuse path changes nothing, so it is not logged; replay
     // reaches the same (dirty, published) state and skips it
@@ -502,11 +515,6 @@ Result<std::shared_ptr<const WindowSnapshot>> StreamEngine::Snapshot() {
 
 Result<std::shared_ptr<const WindowSnapshot>>
 StreamEngine::SnapshotInternal() {
-  if (!config_.station_positions.empty() &&
-      config_.station_positions.size() < config_.station_count) {
-    return Status::InvalidArgument(
-        "station_positions must cover every station id");
-  }
   if (shards_.size() > 1) {
     BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
   }
@@ -584,6 +592,7 @@ StreamEngine::SnapshotInternal() {
 }
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent() {
+  if (!positions_status_.ok()) return positions_status_;
   // The default spec is logged as a flag, not serialized: replay reads
   // it from the recovering engine's config, which the fingerprint check
   // already pins to the original.
@@ -596,6 +605,7 @@ Result<RefreshOutcome> StreamEngine::DetectCurrent() {
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent(
     const community::DetectSpec& spec) {
+  if (!positions_status_.ok()) return positions_status_;
   WalRecord record;
   record.type = WalRecordType::kDetect;
   record.default_spec = false;
@@ -903,12 +913,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
   }
   const std::string directory = config.durability.directory;
   IoEnv* const env = config.durability.io_env;
-  std::error_code ec;
-  fs::create_directories(directory, ec);
-  if (ec) {
-    return Status::IOError("create durability directory '" + directory +
-                           "': " + ec.message());
-  }
+  // A config every later call would reject must not touch the directory.
+  BIKEGRAPH_RETURN_NOT_OK(CheckStationPositions(config));
+  BIKEGRAPH_RETURN_NOT_OK(CreateDurabilityDirectory(env, directory));
   if (HasDegradedMarker(directory)) {
     // A previous run dropped to non-durable mode and kept applying ops
     // the log never saw; replaying the logged prefix and calling it the

@@ -443,6 +443,11 @@ class StreamEngine {
   /// Built once from config_.station_positions and shared by every
   /// snapshot (stations never move between windows).
   std::shared_ptr<const geo::GridIndex> station_index_;
+  /// InvalidArgument when config_.station_positions is set but shorter
+  /// than station_count. Ingest, Snapshot and DetectCurrent return it
+  /// before logging anything; Recover runs the same check before it
+  /// touches the directory.
+  Status positions_status_ = Status::OK();
   /// True when the live window changed after the last publish. With one
   /// shard it is updated eagerly per call; with several it absorbs the
   /// shard dirty flags at each barrier.

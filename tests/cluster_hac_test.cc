@@ -1,6 +1,5 @@
 #include "cluster/hac.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -8,6 +7,8 @@
 #include "geo/haversine.h"
 
 #include <gtest/gtest.h>
+
+#include "dense_hac_reference.h"
 
 namespace bikegraph::cluster {
 namespace {
@@ -26,84 +27,6 @@ std::vector<int32_t> Canonical(std::vector<int32_t> labels) {
     (void)inserted;
   }
   return labels;
-}
-
-TEST(DenseHacTest, RejectsBadInput) {
-  EXPECT_FALSE(DenseHac({}, 0, Linkage::kComplete).ok());
-  EXPECT_FALSE(DenseHac({1.0, 2.0}, 3, Linkage::kComplete).ok());
-}
-
-TEST(DenseHacTest, SinglePointTrivial) {
-  auto d = DenseHac({0.0}, 1, Linkage::kComplete);
-  ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(d->merges.empty());
-  EXPECT_EQ(d->CutAt(100.0), std::vector<int32_t>{0});
-}
-
-TEST(DenseHacTest, TwoClustersAtObviousGap) {
-  // Points at 0, 1, 10, 11 on a line (abstract distances).
-  std::vector<double> pos = {0.0, 1.0, 10.0, 11.0};
-  const size_t n = pos.size();
-  std::vector<double> d(n * n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) d[i * n + j] = std::abs(pos[i] - pos[j]);
-  }
-  for (Linkage linkage :
-       {Linkage::kSingle, Linkage::kComplete, Linkage::kAverage}) {
-    auto dendro = DenseHac(d, n, linkage);
-    ASSERT_TRUE(dendro.ok());
-    EXPECT_EQ(dendro->merges.size(), n - 1);
-    auto labels = Canonical(dendro->CutAt(2.0));
-    EXPECT_EQ(labels, (std::vector<int32_t>{0, 0, 1, 1}));
-    // Cut above the full tree height: everything together.
-    auto all = Canonical(dendro->CutAt(1000.0));
-    EXPECT_EQ(all, (std::vector<int32_t>{0, 0, 0, 0}));
-    // Cut below the smallest merge: all singletons.
-    auto none = Canonical(dendro->CutAt(0.5));
-    EXPECT_EQ(std::set<int32_t>(none.begin(), none.end()).size(), 4u);
-  }
-}
-
-TEST(DenseHacTest, CompleteLinkageRespectsDiameter) {
-  // Complete-linkage cut at t guarantees intra-cluster diameter <= t.
-  Rng rng(5);
-  std::vector<LatLon> points;
-  for (int i = 0; i < 60; ++i) {
-    points.push_back(Offset(kCenter, rng.NextUniform(0.0, 500.0),
-                            rng.NextUniform(0.0, 360.0)));
-  }
-  auto dendro = DenseHacGeo(points, Linkage::kComplete);
-  ASSERT_TRUE(dendro.ok());
-  const double threshold = 120.0;
-  auto labels = dendro->CutAt(threshold);
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t j = i + 1; j < points.size(); ++j) {
-      if (labels[i] == labels[j]) {
-        EXPECT_LE(geo::HaversineMeters(points[i], points[j]),
-                  threshold + 1e-6);
-      }
-    }
-  }
-}
-
-TEST(DenseHacTest, SingleLinkageChains) {
-  // A chain of points 40 m apart: single linkage at 50 m joins the whole
-  // chain; complete linkage cannot.
-  std::vector<LatLon> points;
-  for (int i = 0; i < 8; ++i) {
-    points.push_back(Offset(kCenter, i * 40.0, 90.0));
-  }
-  auto single = DenseHacGeo(points, Linkage::kSingle);
-  auto complete = DenseHacGeo(points, Linkage::kComplete);
-  ASSERT_TRUE(single.ok());
-  ASSERT_TRUE(complete.ok());
-  auto single_labels = Canonical(single->CutAt(50.0));
-  auto complete_labels = Canonical(complete->CutAt(50.0));
-  EXPECT_EQ(std::set<int32_t>(single_labels.begin(), single_labels.end()).size(),
-            1u);
-  EXPECT_GT(
-      std::set<int32_t>(complete_labels.begin(), complete_labels.end()).size(),
-      1u);
 }
 
 TEST(ThresholdHacTest, EmptyAndErrors) {
@@ -168,10 +91,9 @@ TEST_P(ThresholdEquivalenceTest, MatchesDenseReference) {
                             rng.NextUniform(0.0, 360.0)));
   }
   auto sparse = ThresholdCompleteLinkage(points, threshold);
-  auto dense = DenseHacGeo(points, Linkage::kComplete);
   ASSERT_TRUE(sparse.ok());
-  ASSERT_TRUE(dense.ok());
-  EXPECT_EQ(Canonical(*sparse), Canonical(dense->CutAt(threshold)));
+  EXPECT_EQ(Canonical(*sparse),
+            Canonical(DenseCompleteLinkageCut(points, threshold)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,22 +1,18 @@
-// Locks the unified detection API to the legacy entry points: every legacy
-// Run* call and its Detect() counterpart must return identical partitions
-// (and matching counters) on randomized graphs, the name round-trip must
-// hold for every registry entry, and bad names/options must surface proper
-// Status errors.
+// Locks the unified detection API: unset options must equal every
+// algorithm's defaults written out, the name round-trip must hold for
+// every registry entry, and bad names/options must surface proper Status
+// errors.
 
 #include "community/detector.h"
 
 #include "core/checked_cast.h"
 
-#include "community/fast_greedy.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
 #include "community/modularity.h"
 #include "core/rng.h"
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -59,136 +55,80 @@ WeightedGraph TwoCliques(int k) {
 }
 
 // ---------------------------------------------------------------------------
-// (a) Legacy Run* <-> Detect() equivalence on randomized graphs.
+// (a) Unset options take each algorithm's documented defaults.
 // ---------------------------------------------------------------------------
 
-TEST(DetectorEquivalenceTest, LouvainMatchesLegacyOnRandomGraphs) {
+/// `CommunityOptions` with every default of `id` written out (the mapping
+/// table in detector.h).
+CommunityOptions ExplicitDefaults(AlgorithmId id) {
+  CommunityOptions options;
+  switch (id) {
+    case AlgorithmId::kLouvain:
+      options.max_levels = 64;
+      options.max_sweeps_per_level = 128;
+      options.min_gain = 1e-9;
+      break;
+    case AlgorithmId::kLabelPropagation:
+      options.max_iterations = 100;
+      break;
+    case AlgorithmId::kFastGreedy:
+      options.max_merges = 0;
+      options.min_gain = 0.0;
+      break;
+    case AlgorithmId::kInfomap:
+      options.max_levels = 32;
+      options.max_sweeps_per_level = 64;
+      options.min_improvement = 1e-10;
+      break;
+  }
+  return options;
+}
+
+class DetectorDefaultsTest : public ::testing::TestWithParam<AlgorithmId> {};
+
+TEST_P(DetectorDefaultsTest, UnsetOptionsEqualExplicitDefaults) {
+  const AlgorithmId id = GetParam();
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     WeightedGraph g = RandomGraph(seed, 8 + static_cast<int>(seed) * 5,
                                   seed % 2 ? 0.15 : 0.4);
-    LouvainOptions legacy;
-    legacy.seed = seed * 7;
-    legacy.resolution = seed % 3 == 0 ? 0.5 : 1.0;
+    DetectSpec unset{id, {}};
+    unset.options.seed = seed * 7;
+    DetectSpec written_out{id, ExplicitDefaults(id)};
+    written_out.options.seed = seed * 7;
 
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kLouvain;
-    spec.options.seed = legacy.seed;
-    spec.options.resolution = legacy.resolution;
-
-    auto old_api = RunLouvain(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->modularity, old_api->modularity);
-    EXPECT_EQ(new_api->levels, old_api->levels);
-    ASSERT_EQ(new_api->level_partitions.size(),
-              old_api->level_partitions.size());
-    for (size_t l = 0; l < new_api->level_partitions.size(); ++l) {
-      EXPECT_EQ(new_api->level_partitions[l].assignment,
-                old_api->level_partitions[l].assignment);
+    auto a = Detect(g, unset);
+    auto b = Detect(g, written_out);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    // Every backend fills its own result: modularity always, and the
+    // algorithm's objective as quality.
+    EXPECT_EQ(a->algorithm, id);
+    EXPECT_EQ(a->modularity, Modularity(g, a->partition));
+    EXPECT_EQ(a->quality, id == AlgorithmId::kInfomap
+                              ? MapEquationCodelength(g, a->partition)
+                              : a->modularity);
+    EXPECT_EQ(a->partition.assignment, b->partition.assignment)
+        << AlgorithmName(id) << " seed " << seed;
+    EXPECT_EQ(a->modularity, b->modularity);
+    EXPECT_EQ(a->quality, b->quality);
+    EXPECT_EQ(a->singleton_quality, b->singleton_quality);
+    EXPECT_EQ(a->levels, b->levels);
+    EXPECT_EQ(a->iterations, b->iterations);
+    EXPECT_EQ(a->merges, b->merges);
+    EXPECT_EQ(a->converged, b->converged);
+    ASSERT_EQ(a->level_partitions.size(), b->level_partitions.size());
+    for (size_t l = 0; l < a->level_partitions.size(); ++l) {
+      EXPECT_EQ(a->level_partitions[l].assignment,
+                b->level_partitions[l].assignment);
     }
-    EXPECT_EQ(new_api->algorithm, AlgorithmId::kLouvain);
-    EXPECT_DOUBLE_EQ(new_api->quality, new_api->modularity);
   }
 }
 
-TEST(DetectorEquivalenceTest, LabelPropagationMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 31, 6 + static_cast<int>(seed) * 4,
-                                  0.3);
-    LabelPropagationOptions legacy;
-    legacy.seed = seed;
-    legacy.max_iterations = seed % 4 == 0 ? 3 : 100;
-
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kLabelPropagation;
-    spec.options.seed = legacy.seed;
-    spec.options.max_iterations = legacy.max_iterations;
-
-    auto old_api = RunLabelPropagation(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_EQ(new_api->iterations, old_api->iterations);
-    EXPECT_EQ(new_api->converged, old_api->converged);
-  }
-}
-
-TEST(DetectorEquivalenceTest, FastGreedyMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 101, 8 + static_cast<int>(seed) * 4,
-                                  0.25);
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kFastGreedy;
-
-    auto old_api = RunFastGreedy(g);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->modularity, old_api->modularity);
-    EXPECT_EQ(new_api->merges, old_api->merges);
-    EXPECT_EQ(new_api->converged, old_api->converged);
-  }
-}
-
-TEST(DetectorEquivalenceTest, InfomapMatchesLegacyOnRandomGraphs) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    WeightedGraph g = RandomGraph(seed * 977, 6 + static_cast<int>(seed) * 4,
-                                  0.35);
-    InfomapOptions legacy;
-    legacy.seed = seed * 3;
-
-    DetectSpec spec;
-    spec.algorithm = AlgorithmId::kInfomap;
-    spec.options.seed = legacy.seed;
-
-    auto old_api = RunInfomapLite(g, legacy);
-    auto new_api = Detect(g, spec);
-    ASSERT_TRUE(old_api.ok()) << old_api.status();
-    ASSERT_TRUE(new_api.ok()) << new_api.status();
-    EXPECT_EQ(new_api->partition.assignment, old_api->partition.assignment)
-        << "seed " << seed;
-    EXPECT_DOUBLE_EQ(new_api->quality, old_api->codelength);
-    EXPECT_DOUBLE_EQ(new_api->singleton_quality,
-                     old_api->singleton_codelength);
-    EXPECT_EQ(new_api->levels, old_api->levels);
-  }
-}
-
-TEST(DetectorEquivalenceTest, DefaultOptionsMatchLegacyDefaults) {
-  // A default-constructed CommunityOptions must reproduce every legacy
-  // default-options call exactly (the per-algorithm defaulting contract).
-  WeightedGraph g = RandomGraph(42, 40, 0.2);
-  for (AlgorithmId id : ListAlgorithms()) {
-    DetectSpec spec;
-    spec.algorithm = id;
-    auto unified = Detect(g, spec);
-    ASSERT_TRUE(unified.ok()) << AlgorithmName(id);
-    Partition legacy;
-    switch (id) {
-      case AlgorithmId::kLouvain:
-        legacy = RunLouvain(g)->partition;
-        break;
-      case AlgorithmId::kLabelPropagation:
-        legacy = RunLabelPropagation(g)->partition;
-        break;
-      case AlgorithmId::kFastGreedy:
-        legacy = RunFastGreedy(g)->partition;
-        break;
-      case AlgorithmId::kInfomap:
-        legacy = RunInfomapLite(g)->partition;
-        break;
-    }
-    EXPECT_EQ(unified->partition.assignment, legacy.assignment)
-        << AlgorithmName(id);
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    EveryAlgorithm, DetectorDefaultsTest, ::testing::ValuesIn(ListAlgorithms()),
+    [](const ::testing::TestParamInfo<AlgorithmId>& param) {
+      return std::string(AlgorithmName(param.param));
+    });
 
 // ---------------------------------------------------------------------------
 // (b) Registry and name round-trip.
@@ -309,37 +249,28 @@ TEST(DetectorErrorTest, InvalidOptionsReturnInvalidArgument) {
 }
 
 // ---------------------------------------------------------------------------
-// Unified-surface behavior: FastGreedyOptions satellite and result fields.
+// (d) Fast-greedy's merge cap and gain floor, and the result fields.
 // ---------------------------------------------------------------------------
 
 TEST(FastGreedyOptionsTest, MergeCapStopsEarlyAndClearsConverged) {
   WeightedGraph g = TwoCliques(8);  // full run needs 14 merges
-  auto full = RunFastGreedy(g);
+  DetectSpec spec;
+  spec.algorithm = AlgorithmId::kFastGreedy;
+  auto full = Detect(g, spec);
   ASSERT_TRUE(full.ok());
   EXPECT_TRUE(full->converged);
   ASSERT_GT(full->merges, 3u);
 
-  FastGreedyOptions capped;
-  capped.max_merges = 3;
-  auto partial = RunFastGreedy(g, capped);
+  spec.options.max_merges = 3;
+  auto partial = Detect(g, spec);
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(partial->merges, 3u);
   EXPECT_FALSE(partial->converged);
   EXPECT_EQ(partial->partition.CommunityCount(), g.node_count() - 3);
 
-  // The same cap through the unified surface.
-  DetectSpec spec;
-  spec.algorithm = AlgorithmId::kFastGreedy;
-  spec.options.max_merges = 3;
-  auto unified = Detect(g, spec);
-  ASSERT_TRUE(unified.ok());
-  EXPECT_EQ(unified->partition.assignment, partial->partition.assignment);
-  EXPECT_FALSE(unified->converged);
-
   // A cap equal to the natural merge count forgoes nothing: still converged.
-  FastGreedyOptions exact;
-  exact.max_merges = full->merges;
-  auto at_cap = RunFastGreedy(g, exact);
+  spec.options.max_merges = full->merges;
+  auto at_cap = Detect(g, spec);
   ASSERT_TRUE(at_cap.ok());
   EXPECT_EQ(at_cap->merges, full->merges);
   EXPECT_TRUE(at_cap->converged);
@@ -348,9 +279,10 @@ TEST(FastGreedyOptionsTest, MergeCapStopsEarlyAndClearsConverged) {
 
 TEST(FastGreedyOptionsTest, HighMinGainStopsMergingEntirely) {
   WeightedGraph g = TwoCliques(6);
-  FastGreedyOptions opts;
-  opts.min_gain = 1.0;  // no pair can beat ΔQ > 1
-  auto r = RunFastGreedy(g, opts);
+  DetectSpec spec;
+  spec.algorithm = AlgorithmId::kFastGreedy;
+  spec.options.min_gain = 1.0;  // no pair can beat ΔQ > 1
+  auto r = Detect(g, spec);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->merges, 0u);
   EXPECT_TRUE(r->converged);

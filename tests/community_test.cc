@@ -1,10 +1,7 @@
 #include <cmath>
 
 #include "community/aggregate.h"
-#include "community/fast_greedy.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
+#include "community/detector.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 #include "core/rng.h"
@@ -166,7 +163,7 @@ TEST(ComposeTest, TwoLevelComposition) {
 
 TEST(LouvainTest, RecoversTwoCliques) {
   WeightedGraph g = TwoCliques(8);
-  auto result = RunLouvain(g);
+  auto result = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 2u);
   EXPECT_GT(result->modularity, 0.45);
@@ -180,7 +177,7 @@ TEST(LouvainTest, RecoversTwoCliques) {
 
 TEST(LouvainTest, RecoversCliqueRing) {
   WeightedGraph g = CliqueRing(6, 6);
-  auto result = RunLouvain(g);
+  auto result = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 6u);
   EXPECT_GT(result->modularity, 0.6);
@@ -188,10 +185,10 @@ TEST(LouvainTest, RecoversCliqueRing) {
 
 TEST(LouvainTest, DeterministicForSeed) {
   WeightedGraph g = CliqueRing(5, 5);
-  LouvainOptions opts;
+  CommunityOptions opts;
   opts.seed = 33;
-  auto a = RunLouvain(g, opts);
-  auto b = RunLouvain(g, opts);
+  auto a = Detect(g, {AlgorithmId::kLouvain, opts});
+  auto b = Detect(g, {AlgorithmId::kLouvain, opts});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->partition.assignment, b->partition.assignment);
@@ -200,31 +197,31 @@ TEST(LouvainTest, DeterministicForSeed) {
 
 TEST(LouvainTest, EmptyAndSingletonGraphs) {
   WeightedGraphBuilder b0(0);
-  auto empty = RunLouvain(b0.Build());
+  auto empty = Detect(b0.Build(), {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->partition.node_count(), 0u);
 
   WeightedGraphBuilder b1(3);  // no edges
-  auto isolated = RunLouvain(b1.Build());
+  auto isolated = Detect(b1.Build(), {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(isolated.ok());
   EXPECT_EQ(isolated->partition.CommunityCount(), 3u);
 }
 
 TEST(LouvainTest, ModularityMatchesReportedPartition) {
   WeightedGraph g = CliqueRing(4, 6);
-  auto result = RunLouvain(g);
+  auto result = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->modularity, Modularity(g, result->partition), 1e-12);
 }
 
 TEST(LouvainTest, HighResolutionFragmentsMore) {
   WeightedGraph g = CliqueRing(6, 6);
-  LouvainOptions coarse_opts;
+  CommunityOptions coarse_opts;
   coarse_opts.resolution = 0.1;
-  LouvainOptions fine_opts;
+  CommunityOptions fine_opts;
   fine_opts.resolution = 3.0;
-  auto coarse = RunLouvain(g, coarse_opts);
-  auto fine = RunLouvain(g, fine_opts);
+  auto coarse = Detect(g, {AlgorithmId::kLouvain, coarse_opts});
+  auto fine = Detect(g, {AlgorithmId::kLouvain, fine_opts});
   ASSERT_TRUE(coarse.ok());
   ASSERT_TRUE(fine.ok());
   EXPECT_LE(coarse->partition.CommunityCount(),
@@ -233,9 +230,9 @@ TEST(LouvainTest, HighResolutionFragmentsMore) {
 
 TEST(LouvainTest, RejectsBadResolution) {
   WeightedGraph g = TwoCliques(3);
-  LouvainOptions opts;
+  CommunityOptions opts;
   opts.resolution = 0.0;
-  EXPECT_FALSE(RunLouvain(g, opts).ok());
+  EXPECT_FALSE(Detect(g, {AlgorithmId::kLouvain, opts}).ok());
 }
 
 TEST(LouvainTest, WeightedEdgesShiftCommunities) {
@@ -245,7 +242,7 @@ TEST(LouvainTest, WeightedEdgesShiftCommunities) {
   (void)b.AddEdge(0, 1, 10.0);
   (void)b.AddEdge(2, 3, 10.0);
   (void)b.AddEdge(1, 2, 0.1);
-  auto result = RunLouvain(b.Build());
+  auto result = Detect(b.Build(), {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.assignment[0], result->partition.assignment[1]);
   EXPECT_EQ(result->partition.assignment[2], result->partition.assignment[3]);
@@ -255,7 +252,7 @@ TEST(LouvainTest, WeightedEdgesShiftCommunities) {
 
 TEST(LabelPropagationTest, RecoversTwoCliques) {
   WeightedGraph g = TwoCliques(8);
-  auto result = RunLabelPropagation(g);
+  auto result = Detect(g, {AlgorithmId::kLabelPropagation, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);
   EXPECT_EQ(result->partition.CommunityCount(), 2u);
@@ -263,24 +260,25 @@ TEST(LabelPropagationTest, RecoversTwoCliques) {
 
 TEST(LabelPropagationTest, DeterministicForSeed) {
   WeightedGraph g = CliqueRing(4, 5);
-  LabelPropagationOptions opts;
+  CommunityOptions opts;
   opts.seed = 7;
-  auto a = RunLabelPropagation(g, opts);
-  auto b = RunLabelPropagation(g, opts);
+  auto a = Detect(g, {AlgorithmId::kLabelPropagation, opts});
+  auto b = Detect(g, {AlgorithmId::kLabelPropagation, opts});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->partition.assignment, b->partition.assignment);
 }
 
 TEST(LabelPropagationTest, RejectsBadOptions) {
-  LabelPropagationOptions opts;
+  CommunityOptions opts;
   opts.max_iterations = 0;
-  EXPECT_FALSE(RunLabelPropagation(TwoCliques(3), opts).ok());
+  EXPECT_FALSE(
+      Detect(TwoCliques(3), {AlgorithmId::kLabelPropagation, opts}).ok());
 }
 
 TEST(FastGreedyTest, RecoversTwoCliques) {
   WeightedGraph g = TwoCliques(8);
-  auto result = RunFastGreedy(g);
+  auto result = Detect(g, {AlgorithmId::kFastGreedy, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 2u);
   EXPECT_GT(result->modularity, 0.45);
@@ -292,7 +290,7 @@ TEST(FastGreedyTest, StopsAtNonPositiveGain) {
   WeightedGraphBuilder b(4);
   (void)b.AddEdge(0, 1, 1.0);
   (void)b.AddEdge(2, 3, 1.0);
-  auto result = RunFastGreedy(b.Build());
+  auto result = Detect(b.Build(), {AlgorithmId::kFastGreedy, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 2u);
   EXPECT_EQ(result->partition.assignment[0], result->partition.assignment[1]);
@@ -301,8 +299,8 @@ TEST(FastGreedyTest, StopsAtNonPositiveGain) {
 
 TEST(FastGreedyTest, ComparableModularityToLouvain) {
   WeightedGraph g = CliqueRing(5, 6);
-  auto greedy = RunFastGreedy(g);
-  auto louvain = RunLouvain(g);
+  auto greedy = Detect(g, {AlgorithmId::kFastGreedy, {}});
+  auto louvain = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(greedy.ok());
   ASSERT_TRUE(louvain.ok());
   EXPECT_GT(greedy->modularity, louvain->modularity * 0.8);
@@ -332,24 +330,24 @@ TEST(InfomapTest, PlantedPartitionShortensCodelength) {
 
 TEST(InfomapTest, RecoversTwoCliques) {
   WeightedGraph g = TwoCliques(8);
-  auto result = RunInfomapLite(g);
+  auto result = Detect(g, {AlgorithmId::kInfomap, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 2u);
-  EXPECT_LT(result->codelength, result->singleton_codelength);
+  EXPECT_LT(result->quality, result->singleton_quality);
 }
 
 TEST(InfomapTest, RecoversCliqueRing) {
   WeightedGraph g = CliqueRing(6, 6);
-  auto result = RunInfomapLite(g);
+  auto result = Detect(g, {AlgorithmId::kInfomap, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->partition.CommunityCount(), 6u);
 }
 
 TEST(InfomapTest, CodelengthMatchesReportedPartition) {
   WeightedGraph g = CliqueRing(4, 5);
-  auto result = RunInfomapLite(g);
+  auto result = Detect(g, {AlgorithmId::kInfomap, {}});
   ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->codelength,
+  EXPECT_NEAR(result->quality,
               MapEquationCodelength(g, result->partition), 1e-9);
 }
 
@@ -368,19 +366,19 @@ TEST_P(AlgorithmComparisonTest, AllAlgorithmsFindStructure) {
   }
   const double planted_q = Modularity(g, planted);
 
-  auto louvain = RunLouvain(g);
+  auto louvain = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(louvain.ok());
   EXPECT_GE(louvain->modularity, planted_q - 1e-9);
 
-  auto greedy = RunFastGreedy(g);
+  auto greedy = Detect(g, {AlgorithmId::kFastGreedy, {}});
   ASSERT_TRUE(greedy.ok());
   EXPECT_GT(greedy->modularity, 0.5 * planted_q);
 
-  auto lpa = RunLabelPropagation(g);
+  auto lpa = Detect(g, {AlgorithmId::kLabelPropagation, {}});
   ASSERT_TRUE(lpa.ok());
   EXPECT_GT(Modularity(g, lpa->partition), 0.5 * planted_q);
 
-  auto infomap = RunInfomapLite(g);
+  auto infomap = Detect(g, {AlgorithmId::kInfomap, {}});
   ASSERT_TRUE(infomap.ok());
   EXPECT_GT(Modularity(g, infomap->partition), 0.5 * planted_q);
 }

@@ -15,7 +15,7 @@
 #include "cluster/geo_cluster.h"
 #include "cluster/hac.h"
 #include "community/aggregate.h"
-#include "community/louvain.h"
+#include "community/detector.h"
 #include "community/modularity.h"
 #include "community/partition.h"
 #include "core/rng.h"
@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dense_hac_reference.h"
+
 #include "core/checked_cast.h"
 
 using bikegraph::AsIndex;
@@ -35,16 +37,15 @@ namespace bikegraph {
 namespace {
 
 using cluster::ClusterLocations;
-using cluster::DenseHacGeo;
 using cluster::GeoClusterParams;
-using cluster::Linkage;
 using cluster::ThresholdCompleteLinkage;
 using community::AggregateByPartition;
+using community::AlgorithmId;
+using community::CommunityResult;
 using community::ComposePartitions;
-using community::LouvainOptions;
+using community::Detect;
 using community::Modularity;
 using community::Partition;
-using community::RunLouvain;
 using geo::LatLon;
 using graphdb::WeightedGraph;
 using graphdb::WeightedGraphBuilder;
@@ -292,15 +293,21 @@ TEST(SortedCsrWriterTest, RejectsEachViolatedPrecondition) {
 // Reference Louvain: same algorithm, std::map scratch instead of the flat
 // vectors. The selection rule (exact argmax of (gain, -label) among
 // strictly-better-than-staying candidates) is order independent, so the two
-// implementations must agree exactly.
+// implementations must agree exactly. The reference runs Louvain's default
+// options: resolution 1, at most 64 levels and 128 sweeps per level, and a
+// minimum level gain of 1e-9.
 // ---------------------------------------------------------------------------
+constexpr double kRefResolution = 1.0;
+constexpr int kRefMaxLevels = 64;
+constexpr int kRefMaxSweeps = 128;
+constexpr double kRefMinGain = 1e-9;
+
 struct RefLocalMoveOutcome {
   Partition partition;
   bool improved = false;
 };
 
-RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
-                                   const LouvainOptions& options, Rng* rng) {
+RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g, Rng* rng) {
   const size_t n = g.node_count();
   const double m = g.total_weight();
   RefLocalMoveOutcome out;
@@ -317,7 +324,7 @@ RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
 
   std::deque<int32_t> queue(order.begin(), order.end());
   std::vector<char> in_queue(n, 1);
-  size_t budget = static_cast<size_t>(options.max_sweeps_per_level) * n;
+  size_t budget = static_cast<size_t>(kRefMaxSweeps) * n;
   bool any_move = false;
   while (!queue.empty() && budget > 0) {
     --budget;
@@ -332,7 +339,7 @@ RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
     for (const auto& nb : g.neighbors(u)) w_to_comm[comm[AsIndex(nb.node)]] += nb.weight;
 
     sigma_tot[AsIndex(cu)] -= k_u;
-    const double ku_res = options.resolution * k_u * inv_two_m;
+    const double ku_res = kRefResolution * k_u * inv_two_m;
     const double stay_gain = w_to_comm[cu] - ku_res * sigma_tot[AsIndex(cu)];
     int32_t best_comm = cu;
     double best_gain = stay_gain;
@@ -362,25 +369,24 @@ RefLocalMoveOutcome RefLocalMoving(const WeightedGraph& g,
   return out;
 }
 
-community::LouvainResult RefLouvain(const WeightedGraph& graph,
-                                    const LouvainOptions& options) {
-  community::LouvainResult result;
+CommunityResult RefLouvain(const WeightedGraph& graph, uint64_t seed) {
+  CommunityResult result;
   const size_t n = graph.node_count();
   result.partition = Partition::Singletons(n);
   if (n == 0) return result;
-  Rng rng(options.seed);
+  Rng rng(seed);
   const WeightedGraph* level_graph = &graph;
   WeightedGraph owned;
   Partition cumulative = Partition::Singletons(n);
-  double best_q = Modularity(graph, cumulative, options.resolution);
-  for (int level = 0; level < options.max_levels; ++level) {
-    RefLocalMoveOutcome outcome = RefLocalMoving(*level_graph, options, &rng);
+  double best_q = Modularity(graph, cumulative, kRefResolution);
+  for (int level = 0; level < kRefMaxLevels; ++level) {
+    RefLocalMoveOutcome outcome = RefLocalMoving(*level_graph, &rng);
     if (!outcome.improved) break;
     Partition candidate = ComposePartitions(cumulative, outcome.partition);
     candidate.Renumber();
     const double q =
-        Modularity(*level_graph, outcome.partition, options.resolution);
-    if (q <= best_q + options.min_gain) break;
+        Modularity(*level_graph, outcome.partition, kRefResolution);
+    if (q <= best_q + kRefMinGain) break;
     best_q = q;
     cumulative = candidate;
     result.level_partitions.push_back(candidate);
@@ -391,7 +397,7 @@ community::LouvainResult RefLouvain(const WeightedGraph& graph,
   }
   result.partition = cumulative;
   result.partition.Renumber();
-  result.modularity = Modularity(graph, result.partition, options.resolution);
+  result.modularity = Modularity(graph, result.partition, kRefResolution);
   return result;
 }
 
@@ -410,11 +416,11 @@ WeightedGraph RandomGraph(size_t n, double edge_rate, uint64_t seed) {
 TEST(FlatLouvainTest, MatchesMapReferenceOnRandomGraphs) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     WeightedGraph g = RandomGraph(40 + 15 * seed, 3.0, seed * 77);
-    LouvainOptions opts;
-    opts.seed = seed;
-    auto flat = RunLouvain(g, opts);
+    community::DetectSpec spec;
+    spec.options.seed = seed;
+    auto flat = Detect(g, spec);
     ASSERT_TRUE(flat.ok());
-    auto ref = RefLouvain(g, opts);
+    auto ref = RefLouvain(g, seed);
     EXPECT_EQ(flat->partition.assignment, ref.partition.assignment)
         << "partition diverged for seed " << seed;
     EXPECT_EQ(flat->modularity, ref.modularity);
@@ -434,9 +440,9 @@ TEST(FlatLouvainTest, MatchesMapReferenceOnCliqueRing) {
     (void)b.AddEdge(q * 8, ((q + 1) % 10) * 8 + 1, 0.5);
   }
   WeightedGraph g = b.Build();
-  auto flat = RunLouvain(g);
+  auto flat = Detect(g, {AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(flat.ok());
-  auto ref = RefLouvain(g, LouvainOptions{});
+  auto ref = RefLouvain(g, /*seed=*/1);
   EXPECT_EQ(flat->partition.assignment, ref.partition.assignment);
   EXPECT_EQ(flat->modularity, ref.modularity);
 }
@@ -487,9 +493,7 @@ TEST(ThresholdHacEquivalenceTest, MatchesDenseCutOnRandomInputs) {
     for (double threshold : {40.0, 100.0, 250.0}) {
       auto sparse = ThresholdCompleteLinkage(points, threshold);
       ASSERT_TRUE(sparse.ok());
-      auto dense = DenseHacGeo(points, Linkage::kComplete);
-      ASSERT_TRUE(dense.ok());
-      ExpectSamePartition(*sparse, dense->CutAt(threshold));
+      ExpectSamePartition(*sparse, DenseCompleteLinkageCut(points, threshold));
     }
   }
 }

@@ -4,12 +4,9 @@
 #include <cmath>
 #include <set>
 
-#include "community/fast_greedy.h"
-#include "community/infomap.h"
-#include "community/label_propagation.h"
-#include "community/louvain.h"
-#include "community/modularity.h"
 #include "community/aggregate.h"
+#include "community/detector.h"
+#include "community/modularity.h"
 #include "core/rng.h"
 #include "data/cleaning.h"
 #include "data/synthetic.h"
@@ -59,7 +56,7 @@ TEST_P(GraphSeedTest, ModularityWithinTheoreticalBounds) {
 
 TEST_P(GraphSeedTest, LouvainNeverWorseThanSingletonsOrTrivial) {
   auto g = RandomGraph(GetParam(), 60, 300);
-  auto result = community::RunLouvain(g);
+  auto result = community::Detect(g, {community::AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->modularity,
             community::Modularity(g, community::Partition::Trivial(
@@ -83,15 +80,14 @@ TEST_P(GraphSeedTest, AllAlgorithmsReturnValidPartitions) {
       EXPECT_LT(static_cast<size_t>(c), k);
     }
   };
-  check(community::RunLouvain(g)->partition);
-  check(community::RunLabelPropagation(g)->partition);
-  check(community::RunFastGreedy(g)->partition);
-  check(community::RunInfomapLite(g)->partition);
+  for (community::AlgorithmId id : community::ListAlgorithms()) {
+    check(community::Detect(g, {id, {}})->partition);
+  }
 }
 
 TEST_P(GraphSeedTest, AggregationPreservesModularity) {
   auto g = RandomGraph(GetParam(), 40, 160);
-  auto louvain = community::RunLouvain(g);
+  auto louvain = community::Detect(g, {community::AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(louvain.ok());
   const auto& p = louvain->partition;
   auto coarse = community::AggregateByPartition(g, p);
@@ -104,11 +100,11 @@ TEST_P(GraphSeedTest, AggregationPreservesModularity) {
 
 TEST_P(GraphSeedTest, MapEquationNonNegativeAndConsistent) {
   auto g = RandomGraph(GetParam(), 40, 160);
-  auto infomap = community::RunInfomapLite(g);
+  auto infomap = community::Detect(g, {community::AlgorithmId::kInfomap, {}});
   ASSERT_TRUE(infomap.ok());
-  EXPECT_GE(infomap->codelength, 0.0);
+  EXPECT_GE(infomap->quality, 0.0);
   // The optimiser never returns something worse than all-singletons.
-  EXPECT_LE(infomap->codelength, infomap->singleton_codelength + 1e-9);
+  EXPECT_LE(infomap->quality, infomap->singleton_quality + 1e-9);
 }
 
 TEST_P(GraphSeedTest, PageRankIsAProbabilityVector) {

@@ -15,11 +15,12 @@
 
 #include "core/civil_time.h"
 #include "core/rng.h"
-#include "stream/chaos.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 
 #include <gtest/gtest.h>
+
+#include "chaos_test_util.h"
 
 namespace bikegraph::stream {
 namespace {

@@ -3,6 +3,7 @@
 // bit for bit; sliding windows with warm-start refresh must track the
 // full re-detect closely; snapshots are immutable and epoch-stamped.
 
+#include <filesystem>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,8 @@
 
 namespace bikegraph::stream {
 namespace {
+
+namespace fs = std::filesystem;
 
 void ExpectGraphsIdentical(const graphdb::WeightedGraph& a,
                            const graphdb::WeightedGraph& b) {
@@ -455,11 +458,40 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
   ASSERT_NE((*snap)->station_index, nullptr);
   EXPECT_EQ((*snap)->station_index->size(), 2u);
 
-  // Too few positions is an error, not a silent partial index.
+  // Too few positions is an error, not a silent partial index, and a
+  // durable engine logs none of the calls it rejects: a replay would
+  // only reject them again.
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "bg_engine_short_positions";
+  fs::remove_all(dir);
+  for (const bool durable : {false, true}) {
+    StreamEngineConfig bad = config;
+    bad.station_positions.resize(1);
+    bad.durability.enabled = durable;
+    bad.durability.directory = dir.string();
+    StreamEngine bad_engine(bad);
+    const CivilTime t0 = CivilTime::FromCalendar(2020, 5, 4, 9).ValueOrDie();
+    TripEvent event;
+    event.from_station = 0;
+    event.to_station = 1;
+    event.start_time = t0;
+    event.end_time = t0.AddSeconds(300);
+    EXPECT_EQ(bad_engine.Ingest(event).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad_engine.Snapshot().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad_engine.DetectCurrent().status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(bad_engine.wal_seq(), 0u) << "durable=" << durable;
+  }
+  fs::remove_all(dir);
+  // Recover refuses the same config before touching the directory.
   StreamEngineConfig bad = config;
   bad.station_positions.resize(1);
-  StreamEngine bad_engine(bad);
-  EXPECT_FALSE(bad_engine.Snapshot().ok());
+  bad.durability.enabled = true;
+  bad.durability.directory = dir.string();
+  EXPECT_EQ(StreamEngine::Recover(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "core/civil_time.h"
 #include "core/io_env.h"
 #include "core/rng.h"
-#include "stream/chaos.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
 #include "stream/replay.h"
@@ -27,6 +26,8 @@
 #include <fcntl.h>
 
 #include <gtest/gtest.h>
+
+#include "chaos_test_util.h"
 
 namespace bikegraph::stream {
 namespace {
@@ -618,6 +619,40 @@ TEST(RecoveryFaultTest, FailedSegmentResetFailsRecoverAndRetrySucceeds) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(stats.recovered_seq, 10u);
   fs::remove_all(dir);
+}
+
+// Creating the durability directory goes through the seam as well: a
+// failed mkdir parks in a fresh engine's durability status, surfaces at
+// its first durable call, and fails Recover outright.
+
+TEST(RecoveryFaultTest, FailedDirectoryCreationIsAnIOError) {
+  const fs::path parent = FreshDir("mkdir");
+  const fs::path dir = parent / "nested";
+  FaultPlan plan;
+  {
+    FaultPlan::Rule rule;
+    rule.op = IoOp::kMkdir;
+    rule.kind = FaultPlan::Kind::kError;
+    rule.count = 2;  // the fresh engine's mkdir, then Recover's
+    rule.error = EACCES;
+    plan.rules.push_back(rule);
+  }
+  FaultInjectingIoEnv env(plan);
+  const StreamEngineConfig config = SmallEngineConfig(dir, &env);
+  {
+    StreamEngine engine(config);
+    const Status status =
+        engine.Ingest(MakeEvent(1, 0, 3, 1'600'000'000));
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << status.ToString();
+    EXPECT_EQ(engine.wal_seq(), 0u);
+  }
+  auto recovered = StreamEngine::Recover(config);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(env.op_count(IoOp::kMkdir), 2u);
+  EXPECT_EQ(env.faults_injected(), 2u);
+  EXPECT_FALSE(fs::exists(dir));
+  fs::remove_all(parent);
 }
 
 // ---------------------------------------------------------------------

@@ -29,7 +29,8 @@ TEST(UmbrellaHeaderTest, GraphAndCommunityReachable) {
   ASSERT_TRUE(b.AddEdge(0, 1, 1.0).ok());
   ASSERT_TRUE(b.AddEdge(1, 2, 1.0).ok());
   auto g = b.Build();
-  auto louvain = bikegraph::community::RunLouvain(g);
+  auto louvain = bikegraph::community::Detect(
+      g, {bikegraph::community::AlgorithmId::kLouvain, {}});
   ASSERT_TRUE(louvain.ok());
   EXPECT_EQ(louvain->partition.node_count(), 3u);
 }

@@ -32,10 +32,13 @@
 # overflow chains, ready FIFO and duplicate-id expiry heap are exactly
 # where lifetime bugs would live),
 # warm-start, grid and HAC suites (cluster_hac_test and
-# perf_equivalence_test: the slot-indexed merge loop) and the paper
+# perf_equivalence_test: the slot-indexed merge loop), the paper
 # pipeline suites (graphdb, analysis, expansion, metrics, viz and
 # integration_paper: every projection and counter indexes per-station
-# arrays by the trip table's rows) run by default.
+# arrays by the trip table's rows) and the community suites
+# (community_test, community_detector_test, property_invariants_test
+# and umbrella_header_test: every algorithm through Detect(), on flat
+# label-indexed scratch) run by default.
 #
 #   tools/ci.sh --sanitize-matrix                   # default subset
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
@@ -238,7 +241,7 @@ if [ "$MATRIX" = 1 ]; then
   else
     # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
     # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence|graphdb|analysis|expansion|metrics|viz|integration_paper')
+    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence|graphdb|analysis|expansion|metrics|viz|integration_paper|community|property_invariants|umbrella_header')
   fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"

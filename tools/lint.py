@@ -27,7 +27,10 @@ Checks
                         seam. Everything else routes I/O through IoEnv so
                         the fault injector sees every operation; a direct
                         syscall is invisible to fault schedules and
-                        unprotected by the retry policy.
+                        unprotected by the retry policy. Under src/ the
+                        std::filesystem mutators (create_directory[ies],
+                        remove[_all], rename, resize_file) count too;
+                        tests, benches and examples manage temp dirs.
   unseeded-rng          no rand()/srand()/std::random_device outside
                         src/core/rng — all randomness must flow through the
                         seeded deterministic RNG so every run is replayable.
@@ -273,22 +276,32 @@ IO_SYSCALL = re.compile(
     r"\b(?:fsync|fdatasync|rename|renameat)\s*\("
     r"|(?<![\w])::\s*(?:open|write|unlink)\s*\(")
 
+# std::filesystem calls that change the disk, through the usual `fs`
+# alias or spelled out. Library code only: tests, benches and examples
+# create and delete their temp directories legitimately.
+FS_MUTATOR = re.compile(
+    r"\b(?:fs|std\s*::\s*filesystem)\s*::\s*"
+    r"(?:create_directory|create_directories|remove|remove_all|rename|"
+    r"resize_file)\s*\(")
+
 
 def check_naked_io_syscall(root, files):
     violations = []
     for rel in files:
         if rel in IO_ENV_FILES:
             continue
+        library = rel.startswith("src/")
         with open(os.path.join(root, rel), encoding="utf-8") as f:
             lines = f.read().splitlines()
         for i, line in enumerate(lines):
             code = strip_comments(line)
-            if IO_SYSCALL.search(code):
+            if IO_SYSCALL.search(code) or (library and FS_MUTATOR.search(code)):
                 violations.append(Violation(
                     "naked-io-syscall", rel, i + 1,
-                    "raw I/O syscall outside src/core/io_env.cc — route it "
-                    "through IoEnv so fault injection sees it and the "
-                    "retry/degrade policy protects it"))
+                    "raw I/O syscall or std::filesystem mutator outside "
+                    "src/core/io_env.cc — route it through IoEnv so fault "
+                    "injection sees it and the retry/degrade policy "
+                    "protects it"))
     return violations
 
 
@@ -574,6 +587,15 @@ def run_selftest(root):
     expect("naked-io-syscall", check_naked_io_syscall,
            {"src/core/io_env.cc": _golden(root, "bad_naked_syscall.cc")},
            False, "raw syscalls inside io_env.cc are the seam")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"src/stream/engine.cc": _golden(root, "bad_naked_fs_mutator.cc")},
+           True, "bad_naked_fs_mutator.cc")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"tests/fs_test.cc": _golden(root, "bad_naked_fs_mutator.cc")},
+           False, "tests manage their temp directories")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"src/core/io_env.cc": _golden(root, "bad_naked_fs_mutator.cc")},
+           False, "std::filesystem mutators inside io_env.cc are the seam")
 
     expect("unseeded-rng", check_unseeded_rng,
            {"src/bad.cc": _golden(root, "bad_unseeded_rng.cc")},
