@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "community/detector.h"
+#include "core/rng.h"
 #include "stream/engine.h"
 #include "stream/incremental_community.h"
 #include "stream/reorder_buffer.h"
@@ -122,6 +124,91 @@ void BM_StreamIngestWithWal(benchmark::State& state) {
   StreamEngineIngest(state, /*durable=*/true);
 }
 BENCHMARK(BM_StreamIngestWithWal)->Arg(64)->Arg(256);
+
+// Recovery cost against the length of the logged history. The log comes
+// from a serve-like durable run: 272 stations, 23 trips per 15-minute
+// epoch, a Snapshot per epoch and a Checkpoint every 12 event-hours,
+// under the default DurabilityConfig; Arg is the event-days logged (2,400
+// records each). Only Recover() is timed. Checkpoints rotate the WAL and
+// Recover never opens a segment the newest checkpoint covers, so the
+// rows should stay flat from 7 to 168 days (docs/DURABILITY.md).
+StreamEngineConfig ServeLikeDurableConfig(const std::string& directory) {
+  StreamEngineConfig config;
+  config.station_count = 272;
+  config.window_seconds = 7 * 86400;
+  config.max_lateness_seconds = 900;
+  config.late_policy = LateEventPolicy::kDrop;
+  config.durability.enabled = true;
+  config.durability.directory = directory;
+  return config;
+}
+
+/// Writes the serve-like log for `days` once per process and removes it
+/// at exit.
+const std::string& ServeLikeWal(int days) {
+  struct Logs {
+    std::map<int, std::string> dirs;
+    ~Logs() {
+      std::error_code ec;
+      for (const auto& entry : dirs) {
+        std::filesystem::remove_all(entry.second, ec);
+      }
+    }
+  };
+  static Logs logs;
+  auto [it, fresh] = logs.dirs.emplace(days, std::string());
+  if (!fresh) return it->second;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("bikegraph_bench_recover_" + std::to_string(days));
+  std::filesystem::remove_all(dir);
+  it->second = dir.string();
+  StreamEngine engine(ServeLikeDurableConfig(it->second));
+  Rng rng(static_cast<uint64_t>(days));
+  const CivilTime origin = CivilTime::FromCalendar(2020, 3, 2).ValueOrDie();
+  int64_t rental_id = 0;
+  for (int epoch = 0; epoch < days * 96; ++epoch) {
+    const CivilTime epoch_start = origin.AddSeconds(int64_t{900} * epoch);
+    for (int i = 0; i < 23; ++i) {
+      TripEvent event;
+      event.rental_id = rental_id++;
+      event.from_station = static_cast<int32_t>(rng.NextBounded(272));
+      event.to_station = static_cast<int32_t>(rng.NextBounded(272));
+      event.start_time =
+          epoch_start.AddSeconds(static_cast<int64_t>(rng.NextBounded(900)));
+      event.end_time = event.start_time.AddSeconds(600);
+      (void)engine.Ingest(event);
+    }
+    (void)engine.Advance(epoch_start.AddSeconds(900));
+    (void)engine.Snapshot();
+    if ((epoch + 1) % 48 == 0) (void)engine.Checkpoint();
+  }
+  return it->second;
+}
+
+void BM_StreamRecover(benchmark::State& state) {
+  const StreamEngineConfig config =
+      ServeLikeDurableConfig(ServeLikeWal(static_cast<int>(state.range(0))));
+  StreamEngine::RecoveryStats stats;
+  for (auto _ : state) {
+    auto recovered = StreamEngine::Recover(config, &stats);
+    if (!recovered.ok()) {
+      state.SkipWithError(recovered.status().ToString().c_str());
+      break;
+    }
+    state.PauseTiming();
+    recovered->reset();
+    state.ResumeTiming();
+  }
+  state.counters["recovered_seq"] = static_cast<double>(stats.recovered_seq);
+  state.counters["replayed"] = static_cast<double>(stats.replayed_records);
+}
+BENCHMARK(BM_StreamRecover)
+    ->Arg(7)
+    ->Arg(28)
+    ->Arg(84)
+    ->Arg(168)
+    ->Unit(benchmark::kMillisecond);
 
 // The shard-scaling curve: full-engine ingestion (ingest thread routing
 // events into per-shard SPSC rings, one worker per shard, merge barrier

@@ -442,9 +442,8 @@ Result<CheckpointLoadResult> LoadNewestCheckpoint(
 }
 
 Status PruneCheckpoints(const std::string& directory, size_t keep,
-                        uint64_t* oldest_kept_seq, IoEnv* env) {
+                        IoEnv* env) {
   env = ResolveEnv(env);
-  if (oldest_kept_seq != nullptr) *oldest_kept_seq = 0;
   if (keep == 0) keep = 1;  // never delete the checkpoint just written
   std::vector<std::pair<uint64_t, std::string>> candidates;
   std::error_code ec;
@@ -461,9 +460,6 @@ Status PruneCheckpoints(const std::string& directory, size_t keep,
     if (env->Unlink(candidates[i].second.c_str()) != 0) {
       return IOError("remove checkpoint", candidates[i].second);
     }
-  }
-  if (oldest_kept_seq != nullptr && drop < candidates.size()) {
-    *oldest_kept_seq = candidates[drop].first;
   }
   return Status::OK();
 }

@@ -115,14 +115,9 @@ struct CheckpointLoadResult {
 [[nodiscard]] Result<CheckpointLoadResult> LoadNewestCheckpoint(
     const std::string& directory, IoEnv* env = nullptr);
 
-/// \brief Deletes all but the newest `keep` checkpoint files.
-/// `oldest_kept_seq` (optional) receives the `wal_seq` of the oldest
-/// surviving checkpoint (0 when none) — the prune-through bound for
-/// PruneWalSegments, so the WAL always retains every record any kept
-/// checkpoint might need.
+/// \brief Deletes all but the newest `keep` checkpoint files. The WAL is
+/// left alone: WalPruneBound gives the bound to prune it through.
 [[nodiscard]] Status PruneCheckpoints(const std::string& directory,
-                                      size_t keep,
-                                      uint64_t* oldest_kept_seq = nullptr,
-                                      IoEnv* env = nullptr);
+                                      size_t keep, IoEnv* env = nullptr);
 
 }  // namespace bikegraph::stream

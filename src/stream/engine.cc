@@ -234,6 +234,13 @@ void StreamEngine::StopShardWorkers() {
 
 void StreamEngine::InitDurability() {
   if (!config_.durability.enabled) return;
+  // A config every later call would reject must not touch the directory
+  // (Recover runs the same check first): an engine that can never log a
+  // record leaves no log behind to refuse its corrected successor.
+  if (!positions_status_.ok()) {
+    durability_status_ = positions_status_;
+    return;
+  }
   if (config_.durability.directory.empty()) {
     durability_status_ =
         Status::InvalidArgument("durability.directory must be set");
@@ -793,15 +800,18 @@ Status StreamEngine::Checkpoint() {
   if (shards_.size() > 1) {
     BIKEGRAPH_RETURN_NOT_OK(BarrierQuiesce());
   }
-  // Sync first: a checkpoint claiming wal_seq N with record N still in
-  // the write buffer would, after a crash, restore to a state the log
-  // cannot re-derive.
-  const Status synced = wal_->Sync();
-  if (!synced.ok()) {
+  // Rotate, which syncs before it closes the segment: a checkpoint
+  // claiming wal_seq N with record N still in the write buffer would,
+  // after a crash, restore to a state the log cannot re-derive. Record
+  // N + 1 then opens a segment of its own, so every older segment is
+  // wholly covered by this checkpoint: Recover skips them unread and
+  // PruneWalSegments drops them once this is the oldest checkpoint kept.
+  const Status logged = wal_->Rotate();
+  if (!logged.ok()) {
     if (config_.durability.faults.degrade_on_exhausted) {
-      EnterDegradedMode(synced);
+      EnterDegradedMode(logged);
     }
-    return synced;
+    return logged;
   }
   IoEnv* const env = config_.durability.io_env;
   // A commit failure is NOT a poison: WriteCheckpoint cleaned up its
@@ -810,11 +820,10 @@ Status StreamEngine::Checkpoint() {
   // later Checkpoint() simply tries again.
   BIKEGRAPH_RETURN_NOT_OK(
       WriteCheckpoint(config_.durability.directory, CaptureState(), env));
-  uint64_t oldest_kept = 0;
-  BIKEGRAPH_RETURN_NOT_OK(PruneCheckpoints(config_.durability.directory,
-                                           config_.durability.checkpoints_kept,
-                                           &oldest_kept, env));
-  return PruneWalSegments(config_.durability.directory, oldest_kept,
+  const std::string& directory = config_.durability.directory;
+  const size_t kept = config_.durability.checkpoints_kept;
+  BIKEGRAPH_RETURN_NOT_OK(PruneCheckpoints(directory, kept, env));
+  return PruneWalSegments(directory, WalPruneBound(directory, kept),
                           /*pruned=*/nullptr, env);
 }
 
@@ -932,8 +941,6 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
   }
   BIKEGRAPH_ASSIGN_OR_RETURN(CheckpointLoadResult loaded,
                              LoadNewestCheckpoint(directory, env));
-  BIKEGRAPH_ASSIGN_OR_RETURN(
-      WalReadResult wal, ReadWal(directory, /*repair_torn_tail=*/true, env));
 
   auto engine = std::unique_ptr<StreamEngine>(
       new StreamEngine(RecoverTag{}, std::move(config)));
@@ -956,24 +963,19 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
     BIKEGRAPH_RETURN_NOT_OK(engine->RestoreFromCheckpoint(c));
     base_seq = c.wal_seq;
   }
-  // Records below the checkpoint are already folded into it; records
-  // above it must start exactly at base_seq + 1 or the log has a hole
-  // no replay can bridge.
-  if (!wal.records.empty() && wal.first_seq > base_seq + 1) {
-    return Status::DataLoss(
-        "WAL records missing between checkpoint and first surviving "
-        "segment");
-  }
+  // Replay the records past the checkpoint as they are read. Segments it
+  // covers are never opened, and ReadWal refuses a log that does not
+  // continue from base_seq + 1: a hole no replay can bridge.
   uint64_t replayed = 0;
   uint64_t replay_errors = 0;
-  uint64_t seq = wal.first_seq;
-  for (const WalRecord& record : wal.records) {
-    if (seq > base_seq) {
-      if (!engine->ApplyWalRecord(record).ok()) ++replay_errors;
-      ++replayed;
-    }
-    ++seq;
-  }
+  BIKEGRAPH_ASSIGN_OR_RETURN(
+      WalReadResult wal,
+      ReadWal(directory, /*repair_torn_tail=*/true, base_seq,
+              [&](const WalRecord& record) {
+                if (!engine->ApplyWalRecord(record).ok()) ++replay_errors;
+                ++replayed;
+              },
+              env));
   const uint64_t resume_seq = std::max(base_seq, wal.last_seq);
   engine->wal_seq_ = resume_seq;
 
@@ -986,9 +988,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
         WalWriter::Open(engine->config_.durability, resume_seq + 1,
                         wal.tail_segment_path, wal.tail_segment_bytes));
   } else {
-    // Every surviving record (if any) is at or below the checkpoint —
-    // appending to the tail would tear its sequence. The checkpoint
-    // carries all their state, so drop the segments and start fresh.
+    // Every surviving record (if any) is below the checkpoint — appending
+    // to the tail would tear its sequence. The checkpoint carries all
+    // their state, so drop the segments and start fresh.
     BIKEGRAPH_RETURN_NOT_OK(RemoveWalSegments(directory, env));
     BIKEGRAPH_ASSIGN_OR_RETURN(
         engine->wal_,

@@ -142,7 +142,9 @@ class StreamEngine {
   /// WAL directory and refuses (FailedPrecondition, surfaced on the
   /// first durable call) a directory that already holds durable state —
   /// resuming an existing directory is `Recover()`'s job, and silently
-  /// logging a fresh run over an old one would orphan its records.
+  /// logging a fresh run over an old one would orphan its records. A
+  /// config with too few `station_positions` touches no file: its
+  /// durable calls return the same InvalidArgument as every other call.
   explicit StreamEngine(StreamEngineConfig config);
 
   /// Joins the shard workers (no-op for shard_count == 1). Commands
@@ -173,18 +175,20 @@ class StreamEngine {
   };
 
   /// Rebuilds an engine from `config.durability.directory`: loads the
-  /// newest valid checkpoint, replays the WAL records past it, repairs a
-  /// torn tail, and reattaches the writer so the run continues where the
-  /// crashed one stopped. The recovered engine is bit-identical to the
-  /// uninterrupted run at the same point — window contents, published
-  /// snapshot, tracker seed and counters (locked by
+  /// newest valid checkpoint, replays the WAL records past it one by one
+  /// as they are read (segments the checkpoint covers are never opened,
+  /// so time and memory follow one checkpoint interval, not the log's
+  /// history), repairs a torn tail, and reattaches the writer so the run
+  /// continues where the crashed one stopped. The recovered engine is
+  /// bit-identical to the uninterrupted run at the same point — window
+  /// contents, published snapshot, tracker seed and counters (locked by
   /// tests/stream_durability_test.cc at randomized kill points). An
   /// empty or missing directory recovers to a fresh engine. Fails with
   /// FailedPrecondition when the checkpoint's config fingerprint
   /// (station count, window, lateness, policies, shard count) disagrees
-  /// with `config`, and DataLoss when WAL records are missing or corrupt
-  /// anywhere but the tail. Replay is single-threaded regardless of
-  /// shard count (the router re-partitions the merged log
+  /// with `config`, and DataLoss when WAL records past the checkpoint are
+  /// missing, or corrupt anywhere but the tail. Replay is single-threaded
+  /// regardless of shard count (the router re-partitions the merged log
   /// deterministically); shard workers start once replay completes.
   [[nodiscard]] static Result<std::unique_ptr<StreamEngine>> Recover(
       StreamEngineConfig config, RecoveryStats* stats = nullptr);
@@ -253,11 +257,16 @@ class StreamEngine {
   /// No-op when durability is disabled.
   [[nodiscard]] Status SyncWal();
 
-  /// Durability only: syncs the WAL, writes a crash-consistent checkpoint
-  /// of the complete engine state, prunes old checkpoints down to
-  /// `checkpoints_kept`, and prunes WAL segments no kept checkpoint
-  /// needs. FailedPrecondition when durability is disabled. Sharded: a
-  /// barrier point (the checkpoint must capture quiescent shards).
+  /// Durability only: syncs the WAL and rotates it to a new segment,
+  /// writes a crash-consistent checkpoint of the complete engine state,
+  /// prunes old checkpoints down to `checkpoints_kept`, and deletes the
+  /// WAL segments the oldest kept checkpoint covers (WalPruneBound: none
+  /// until `checkpoints_kept` checkpoints exist) — so the directory
+  /// holds about `checkpoints_kept` checkpoint intervals of log. A failed
+  /// sync or rotation fails the log like a failed append (poison or
+  /// degrade, per FaultPolicy). FailedPrecondition when durability is
+  /// disabled. Sharded: a barrier point (the checkpoint must capture
+  /// quiescent shards).
   [[nodiscard]] Status Checkpoint();
 
   /// Copies out the complete logical state (what `Checkpoint()` writes),

@@ -30,6 +30,12 @@ constexpr uint32_t kMaxPayloadBytes = 1u << 16;
 /// User-space write-through threshold.
 constexpr size_t kWriteBufferBytes = 64u << 10;
 
+/// Little-endian u32 store into bytes already in place (a frame header
+/// patched after its payload was encoded behind it).
+void StoreU32(char* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
 std::string SegmentName(uint64_t first_seq) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "wal-%020" PRIu64 ".log", first_seq);
@@ -78,7 +84,7 @@ bool IsTransientErrno(int err) {
 }
 
 /// Parses "ckpt-<seq20>.ckpt" (the checkpoint codec's naming, duplicated
-/// here so the WAL's ENOSPC self-heal needs no checkpoint dependency).
+/// here so WalPruneBound needs no checkpoint dependency).
 bool ParseCheckpointFileName(const std::string& name, uint64_t* seq_out) {
   if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
       name.compare(25, 5, ".ckpt") != 0) {
@@ -323,10 +329,11 @@ bool WalWriter::GrantDelayedRetry(uint32_t* delayed_left,
 
 void WalWriter::TryEnospcSelfHeal() {
   ++enospc_prune_count_;
-  // Prune what the oldest retained checkpoint already covers. Errors are
-  // deliberately swallowed: the retried write reports the truth either
-  // way, and a prune that freed nothing just means the retry fails too.
-  const uint64_t through = OldestCheckpointSeq(config_.directory);
+  // Prune what Checkpoint() would. Errors are deliberately swallowed:
+  // the retried write reports the truth either way, and a prune that
+  // freed nothing just means the retry fails too.
+  const uint64_t through =
+      WalPruneBound(config_.directory, config_.checkpoints_kept);
   uint64_t pruned = 0;
   (void)PruneWalSegments(config_.directory, through, &pruned, env_);
 }
@@ -359,17 +366,23 @@ Status WalWriter::OpenSegment(uint64_t first_seq) {
       continue;
     }
     errno = err;
-    return IOError("create segment", path);
+    poisoned_ = IOError("create segment", path);
+    return poisoned_;
   }
   if (had_transient) ++transient_recovered_count_;
-  buffer_ = EncodeSegmentHeader(first_seq);
+  // Appended, not assigned: the buffer keeps the capacity it grew to, so
+  // a rotation costs no regrowth.
+  buffer_.clear();
+  buffer_ += EncodeSegmentHeader(first_seq);
   segment_bytes_ = buffer_.size();
   segment_empty_ = true;
   ++segments_opened_;
   BIKEGRAPH_RETURN_NOT_OK(WriteBuffer());
   // The new name must itself survive a crash before any record in it is
-  // considered durable.
-  return FsyncDirectory(env_, config_.directory);
+  // considered durable; until it does, the log tail is suspect.
+  const Status named = FsyncDirectory(env_, config_.directory);
+  if (!named.ok()) poisoned_ = named;
+  return named;
 }
 
 Status WalWriter::WriteBuffer() {
@@ -420,21 +433,21 @@ Status WalWriter::Append(const WalRecord& record) {
   if (!poisoned_.ok()) return poisoned_;  // no Status copy on the hot path
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
   // Rotate *before* the record so a segment's name (its first record's
-  // sequence number) stays truthful. An empty segment never rotates —
-  // its successor would carry the same first sequence (and name), and a
-  // segment under the size limit holding one oversized record is fine.
-  if (!segment_empty_ && segment_bytes_ >= config_.segment_bytes) {
-    BIKEGRAPH_RETURN_NOT_OK(Sync());
-    env_->Close(fd_);
-    fd_ = -1;
-    BIKEGRAPH_RETURN_NOT_OK(OpenSegment(next_seq_));
+  // sequence number) stays truthful. A segment under the size limit
+  // holding one oversized record is fine.
+  if (segment_bytes_ >= config_.segment_bytes) {
+    BIKEGRAPH_RETURN_NOT_OK(Rotate());
   }
-  std::string payload;
-  EncodePayload(record, &payload);
-  wire::PutU32(&buffer_, static_cast<uint32_t>(payload.size()));
-  wire::PutU32(&buffer_, Crc32c(payload.data(), payload.size()));
-  buffer_.append(payload);
-  segment_bytes_ += kFrameHeaderBytes + payload.size();
+  // Encode straight into the write buffer behind a reserved frame
+  // header, then patch the header in place: no per-record allocation.
+  const size_t frame = buffer_.size();
+  buffer_.append(kFrameHeaderBytes, '\0');
+  EncodePayload(record, &buffer_);
+  const size_t payload_bytes = buffer_.size() - frame - kFrameHeaderBytes;
+  char* header = buffer_.data() + frame;
+  StoreU32(header, static_cast<uint32_t>(payload_bytes));
+  StoreU32(header + 4, Crc32c(header + kFrameHeaderBytes, payload_bytes));
+  segment_bytes_ += kFrameHeaderBytes + payload_bytes;
   segment_empty_ = false;
   ++next_seq_;
   ++records_since_sync_;
@@ -446,6 +459,16 @@ Status WalWriter::Append(const WalRecord& record) {
     return Sync();
   }
   return Status::OK();
+}
+
+Status WalWriter::Rotate() {
+  if (!poisoned_.ok()) return poisoned_;
+  if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
+  if (segment_empty_) return Status::OK();
+  BIKEGRAPH_RETURN_NOT_OK(Sync());
+  env_->Close(fd_);
+  fd_ = -1;
+  return OpenSegment(next_seq_);
 }
 
 Status WalWriter::Sync() {
@@ -473,7 +496,8 @@ Status WalWriter::Sync() {
 }
 
 Result<WalReadResult> ReadWal(const std::string& directory,
-                              bool repair_torn_tail, IoEnv* env) {
+                              bool repair_torn_tail, uint64_t after_seq,
+                              const WalVisitor& visit, IoEnv* env) {
   env = ResolveEnv(env);
   WalReadResult result;
   std::error_code ec;
@@ -482,13 +506,15 @@ Result<WalReadResult> ReadWal(const std::string& directory,
 
   // A crash during rotation can leave a final segment whose header never
   // hit the disk; it holds no valid record, so drop it and resume on the
-  // previous segment.
+  // previous segment. The surviving tail's bytes are kept for the pass
+  // below, so no segment is read twice.
+  std::string tail_bytes;
   while (!segments.empty()) {
     const std::string& path = segments.back().second;
-    BIKEGRAPH_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(env, path));
+    BIKEGRAPH_ASSIGN_OR_RETURN(tail_bytes, ReadWholeFile(env, path));
     uint64_t header_seq = 0;
-    if (DecodeSegmentHeader(bytes, &header_seq)) break;
-    result.truncated_bytes += bytes.size();
+    if (DecodeSegmentHeader(tail_bytes, &header_seq)) break;
+    result.truncated_bytes += tail_bytes.size();
     if (repair_torn_tail) {
       if (env->Unlink(path.c_str()) != 0) {
         return IOError("remove header-torn WAL segment", path);
@@ -497,11 +523,32 @@ Result<WalReadResult> ReadWal(const std::string& directory,
     segments.pop_back();
   }
 
+  // Segment i holds sequence numbers [first_i, first_{i+1}); once its
+  // successor starts at or below after_seq + 1 the caller already holds
+  // all of them, so it is never opened.
+  size_t first = 0;
+  while (first + 1 < segments.size() &&
+         segments[first + 1].first <= after_seq + 1) {
+    ++first;
+  }
+  if (first < segments.size() && segments[first].first > after_seq + 1) {
+    return Status::DataLoss(
+        "WAL segment '" + segments[first].second + "' starts at seq " +
+        std::to_string(segments[first].first) + " but the log must continue "
+        "from seq " + std::to_string(after_seq + 1) +
+        " — the records between are missing");
+  }
+
   uint64_t expected_seq = 0;  // 0 = not yet anchored
-  for (size_t i = 0; i < segments.size(); ++i) {
+  for (size_t i = first; i < segments.size(); ++i) {
     const bool is_tail = i + 1 == segments.size();
     const std::string& path = segments[i].second;
-    BIKEGRAPH_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(env, path));
+    std::string bytes;
+    if (is_tail) {
+      bytes = std::move(tail_bytes);
+    } else {
+      BIKEGRAPH_ASSIGN_OR_RETURN(bytes, ReadWholeFile(env, path));
+    }
     uint64_t header_seq = 0;
     if (!DecodeSegmentHeader(bytes, &header_seq)) {
       // Only the tail may be header-torn, and those were peeled off
@@ -567,9 +614,7 @@ Result<WalReadResult> ReadWal(const std::string& directory,
         }
         break;
       }
-      if (result.records.empty()) result.first_seq = seq;
-      result.records.push_back(std::move(record));
-      result.last_seq = seq;
+      if (seq > after_seq) visit(record);
       ++seq;
       offset += kFrameHeaderBytes + len;
     }
@@ -580,6 +625,7 @@ Result<WalReadResult> ReadWal(const std::string& directory,
     // way `valid_end` is the segment's valid byte length.
     result.tail_segment_bytes = static_cast<uint64_t>(valid_end);
   }
+  result.last_seq = expected_seq == 0 ? 0 : expected_seq - 1;
   return result;
 }
 
@@ -611,16 +657,19 @@ Status RemoveWalSegments(const std::string& directory, IoEnv* env) {
   return Status::OK();
 }
 
-uint64_t OldestCheckpointSeq(const std::string& directory) {
+uint64_t WalPruneBound(const std::string& directory,
+                       size_t checkpoints_kept) {
   uint64_t oldest = 0;
+  size_t count = 0;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t seq = 0;
     if (ParseCheckpointFileName(entry.path().filename().string(), &seq)) {
-      if (oldest == 0 || seq < oldest) oldest = seq;
+      if (count == 0 || seq < oldest) oldest = seq;
+      ++count;
     }
   }
-  return oldest;
+  return count >= std::max<size_t>(checkpoints_kept, 1) ? oldest : 0;
 }
 
 bool DirectoryHasDurableState(const std::string& directory) {

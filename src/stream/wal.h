@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/io_env.h"
 #include "core/result.h"
@@ -65,6 +65,7 @@ struct DurabilityConfig {
   /// state — use StreamEngine::Recover() for those.
   std::string directory;
   /// Rotate to a new segment once the current one reaches this size.
+  /// StreamEngine::Checkpoint() also rotates, whatever the size.
   uint64_t segment_bytes = uint64_t{64} << 20;
   /// Group fsync: the log is fsynced after every N appended records
   /// (and always by Checkpoint()/SyncWal()). 0 disables interval syncs
@@ -119,7 +120,9 @@ struct WalRecord {
 /// \brief Append side of the log: length-prefixed, CRC32C-framed records
 /// buffered in user space, written through on a 64 KiB high-water mark,
 /// and fsynced in groups of `sync_interval_records`. Rotates to a new
-/// segment at `segment_bytes`. Not thread-safe (the engine serializes).
+/// segment at `segment_bytes` and whenever the owner calls Rotate() (the
+/// engine does at every checkpoint). Not thread-safe (the engine
+/// serializes).
 class WalWriter {
  public:
   /// Opens a writer that will append record `next_seq` first. With an
@@ -145,6 +148,13 @@ class WalWriter {
   /// record survives a crash. No-op when nothing is pending.
   [[nodiscard]] Status Sync();
 
+  /// Syncs and closes the current segment and starts a new one named for
+  /// `next_seq()`, so every record appended so far lies in older
+  /// segments. No-op while the current segment holds no record: its
+  /// successor would carry the same first sequence number, and name. A
+  /// failure poisons the writer like a failed Append.
+  [[nodiscard]] Status Rotate();
+
   /// Sequence number the next Append will get (1-based).
   uint64_t next_seq() const { return next_seq_; }
   /// fsync calls issued (group syncs + explicit Sync).
@@ -165,14 +175,16 @@ class WalWriter {
 
  private:
   explicit WalWriter(const DurabilityConfig& config) : config_(config) {}
+  /// Creates segment `first_seq` and makes its name durable; a failure
+  /// poisons the writer.
   Status OpenSegment(uint64_t first_seq);
   Status WriteBuffer();
   /// One-per-call retry budget: decides whether a transient failure gets
   /// another attempt, sleeping the capped-exponential backoff through
   /// the environment clock when it does.
   bool GrantDelayedRetry(uint32_t* delayed_left, int64_t* backoff_ms);
-  /// First-ENOSPC self-heal: prune WAL segments already covered by the
-  /// oldest on-disk checkpoint, hoping to free enough space to retry.
+  /// First-ENOSPC self-heal: prune the WAL segments Checkpoint() would
+  /// (through WalPruneBound), hoping to free enough space to retry.
   void TryEnospcSelfHeal();
 
   DurabilityConfig config_;
@@ -191,17 +203,21 @@ class WalWriter {
   uint64_t enospc_prune_count_ = 0;
 };
 
-/// \brief Everything ReadWal recovered from a log directory.
+/// \brief What ReadWal found in a log directory. The records themselves
+/// go to the caller's visitor as they are decoded, so a read holds at
+/// most two segments in memory (the one it reads and the tail), never
+/// the log.
 struct WalReadResult {
-  /// All valid records in sequence order; record i has sequence number
-  /// `first_seq + i`. Empty for an empty (or fully pruned) log.
-  std::vector<WalRecord> records;
-  uint64_t first_seq = 0;  ///< 0 when `records` is empty
-  uint64_t last_seq = 0;   ///< 0 when `records` is empty
+  /// Sequence number of the log's last valid record: the tail segment's
+  /// first sequence number plus its valid records, minus one. 0 for an
+  /// empty log.
+  uint64_t last_seq = 0;
   /// Bytes dropped from a torn tail (a crash mid-append or mid-sync
   /// leaves a partial or CRC-failing final frame; everything before it
   /// is kept, everything from it on is discarded).
   uint64_t truncated_bytes = 0;
+  /// Segments opened and read. Segments skipped as covered are not
+  /// counted: they are never opened.
   uint64_t segment_count = 0;
   /// The last surviving segment (append target for resumption); empty
   /// when the directory holds no segments.
@@ -211,20 +227,37 @@ struct WalReadResult {
   uint64_t tail_segment_bytes = 0;
 };
 
-/// \brief Reads every record under `directory` in sequence order. A torn
-/// *tail* (partial frame, bad CRC, or a header-less final segment from a
-/// crash mid-rotation) is truncated away and counted — with
+/// \brief Receives each record ReadWal decodes, in sequence order.
+using WalVisitor = std::function<void(const WalRecord& record)>;
+
+/// \brief Reads the log under `directory` and hands every valid record
+/// numbered above `after_seq` to `visit`, in sequence order.
+///
+/// `after_seq` is the last sequence number the caller already holds (a
+/// checkpoint's `wal_seq`; 0 = none). A segment whose successor starts
+/// at or below `after_seq + 1` holds only such records, so it is never
+/// opened — neither read nor checked. The first segment read must start
+/// at or below `after_seq + 1`; a later start is a hole no replay can
+/// bridge and returns DataLoss.
+///
+/// A torn *tail* (partial frame, bad CRC, or a header-less final segment
+/// from a crash mid-rotation) is truncated away and counted — with
 /// `repair_torn_tail` the file is physically truncated too, making the
 /// directory clean for a resumed writer. Corruption anywhere *before*
-/// the tail, or a sequence gap between segments, is unrecoverable and
-/// returns DataLoss naming the segment.
+/// the tail of a segment read, or a sequence gap between segments,
+/// is unrecoverable and returns DataLoss naming the segment.
 [[nodiscard]] Result<WalReadResult> ReadWal(const std::string& directory,
                                             bool repair_torn_tail,
+                                            uint64_t after_seq,
+                                            const WalVisitor& visit,
                                             IoEnv* env = nullptr);
 
 /// \brief Deletes WAL segments every record of which has sequence number
-/// <= `through_seq` (their state is covered by a checkpoint). The last
-/// segment is always kept — it is the append target. `pruned` (optional)
+/// <= `through_seq` (their state is covered by a checkpoint): those whose
+/// successor starts at or below `through_seq + 1`, the same rule by which
+/// ReadWal skips them. Checkpoint() rotates, so a segment boundary sits
+/// right after every checkpoint's `wal_seq`. The last segment is always
+/// kept — it is the append target. `pruned` (optional)
 /// receives the number of files removed. Removal goes through `env`
 /// (nullptr = IoEnv::Default()) so a simulated full disk gets its bytes
 /// credited back.
@@ -241,12 +274,15 @@ struct WalReadResult {
 [[nodiscard]] Status RemoveWalSegments(const std::string& directory,
                                        IoEnv* env = nullptr);
 
-/// \brief The smallest `wal_seq` among the `ckpt-*.ckpt` files under
-/// `directory`, or 0 when there are none. This is the safe
-/// PruneWalSegments bound the ENOSPC self-heal uses without consulting
-/// the engine: segments at or below the oldest retained checkpoint are
-/// re-derivable from it (0 prunes nothing).
-[[nodiscard]] uint64_t OldestCheckpointSeq(const std::string& directory);
+/// \brief The PruneWalSegments bound for `directory`, the one rule both
+/// Checkpoint() and the ENOSPC self-heal prune by: the smallest
+/// `wal_seq` among the `ckpt-*.ckpt` files once at least
+/// `checkpoints_kept` (min 1) of them exist, and 0 (prune nothing)
+/// before — until then the log from its first record stands in for the
+/// fallback checkpoints not yet written. Segments at or below the bound
+/// are re-derivable from every checkpoint on disk.
+[[nodiscard]] uint64_t WalPruneBound(const std::string& directory,
+                                     size_t checkpoints_kept);
 
 /// \brief True when `directory` holds WAL segments or checkpoints — the
 /// fresh-engine constructor refuses such a directory so a misconfigured

@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/civil_time.h"
+#include "core/io_env.h"
 #include "core/rng.h"
 #include "stream/checkpoint.h"
 #include "stream/engine.h"
@@ -57,6 +59,16 @@ void FlipByteAt(const fs::path& path, int64_t offset_from_end) {
   byte = static_cast<char>(byte ^ 0x5A);
   file.seekp(size - offset_from_end);
   file.write(&byte, 1);
+}
+
+/// Reads the log past `after_seq`, collecting the visited records.
+Result<WalReadResult> ReadRecords(const fs::path& dir, bool repair_torn_tail,
+                                  std::vector<WalRecord>* records,
+                                  uint64_t after_seq = 0) {
+  return ReadWal(dir.string(), repair_torn_tail, after_seq,
+                 [records](const WalRecord& record) {
+                   records->push_back(record);
+                 });
 }
 
 // ---------------------------------------------------------------------
@@ -119,25 +131,25 @@ TEST(WalTest, RoundTripsEveryRecordType) {
     EXPECT_EQ((*writer)->next_seq(), 7u);
   }
 
-  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/false);
+  std::vector<WalRecord> records;
+  auto read = ReadRecords(dir, /*repair_torn_tail=*/false, &records);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  ASSERT_EQ(read->records.size(), 6u);
-  EXPECT_EQ(read->first_seq, 1u);
+  ASSERT_EQ(records.size(), 6u);
   EXPECT_EQ(read->last_seq, 6u);
   EXPECT_EQ(read->truncated_bytes, 0u);
-  const WalRecord& r0 = read->records[0];
+  const WalRecord& r0 = records[0];
   EXPECT_EQ(r0.type, WalRecordType::kEvent);
   EXPECT_EQ(r0.event.rental_id, event.rental_id);
   EXPECT_EQ(r0.event.from_station, event.from_station);
   EXPECT_EQ(r0.event.to_station, event.to_station);
   EXPECT_EQ(r0.event.start_time, event.start_time);
   EXPECT_EQ(r0.event.end_time, event.end_time);
-  EXPECT_EQ(read->records[1].type, WalRecordType::kAdvance);
-  EXPECT_EQ(read->records[1].watermark_seconds, 1'600'003'600);
-  EXPECT_EQ(read->records[2].type, WalRecordType::kSnapshot);
-  EXPECT_EQ(read->records[3].type, WalRecordType::kDetect);
-  EXPECT_TRUE(read->records[3].default_spec);
-  const WalRecord& r4 = read->records[4];
+  EXPECT_EQ(records[1].type, WalRecordType::kAdvance);
+  EXPECT_EQ(records[1].watermark_seconds, 1'600'003'600);
+  EXPECT_EQ(records[2].type, WalRecordType::kSnapshot);
+  EXPECT_EQ(records[3].type, WalRecordType::kDetect);
+  EXPECT_TRUE(records[3].default_spec);
+  const WalRecord& r4 = records[4];
   EXPECT_EQ(r4.type, WalRecordType::kDetect);
   EXPECT_FALSE(r4.default_spec);
   EXPECT_EQ(r4.spec.algorithm, spec.algorithm);
@@ -145,7 +157,44 @@ TEST(WalTest, RoundTripsEveryRecordType) {
   EXPECT_EQ(r4.spec.options.resolution, spec.options.resolution);
   EXPECT_EQ(r4.spec.options.max_levels, spec.options.max_levels);
   EXPECT_EQ(r4.spec.options.min_gain, spec.options.min_gain);
-  EXPECT_EQ(read->records[5].type, WalRecordType::kFlush);
+  EXPECT_EQ(records[5].type, WalRecordType::kFlush);
+  fs::remove_all(dir);
+}
+
+// The frame encoding is an on-disk format: one event record's segment,
+// byte for byte (20-byte segment header, then length 33, CRC32C and the
+// little-endian payload: type, rental id, endpoints, start and end).
+TEST(WalTest, EventFrameBytesArePinned) {
+  const fs::path dir = FreshDir("frame_bytes");
+  DurabilityConfig config;
+  config.enabled = true;
+  config.directory = dir.string();
+  {
+    auto writer = WalWriter::Open(config, /*next_seq=*/1);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalRecord record;
+    record.type = WalRecordType::kEvent;
+    record.event.rental_id = 77;
+    record.event.from_station = 3;
+    record.event.to_station = 9;
+    record.event.start_time = CivilTime(1'600'000'123);
+    record.event.end_time = CivilTime(1'600'000'999);
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+  }
+  const std::vector<unsigned char> want = {
+      0x42, 0x47, 0x57, 0x41, 0x4c, 0x31, 0x0a, 0x00, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x6b, 0x05, 0xda, 0x17, 0x21, 0x00, 0x00, 0x00,
+      0x16, 0x25, 0x56, 0xda, 0x01, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x03, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x7b, 0x10, 0x5e,
+      0x5f, 0x00, 0x00, 0x00, 0x00, 0xe7, 0x13, 0x5e, 0x5f, 0x00, 0x00, 0x00,
+      0x00};
+  const auto segments = SortedFiles(dir, ".log");
+  ASSERT_EQ(segments.size(), 1u);
+  std::ifstream in(segments[0], std::ios::binary);
+  const std::vector<unsigned char> got((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>());
+  EXPECT_EQ(got, want);
   fs::remove_all(dir);
 }
 
@@ -169,16 +218,18 @@ TEST(WalTest, TornTailIsTruncatedNotFatal) {
   // Tear three bytes off the tail — a crash mid-append.
   fs::resize_file(segments[0], fs::file_size(segments[0]) - 3);
 
-  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/true);
+  std::vector<WalRecord> records;
+  auto read = ReadRecords(dir, /*repair_torn_tail=*/true, &records);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read->records.size(), 4u);
+  EXPECT_EQ(records.size(), 4u);
   EXPECT_EQ(read->last_seq, 4u);
   EXPECT_GT(read->truncated_bytes, 0u);
 
   // The repair ftruncated the torn bytes away: a second read is clean.
-  auto again = ReadWal(dir.string(), /*repair_torn_tail=*/false);
+  records.clear();
+  auto again = ReadRecords(dir, /*repair_torn_tail=*/false, &records);
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->records.size(), 4u);
+  EXPECT_EQ(records.size(), 4u);
   EXPECT_EQ(again->truncated_bytes, 0u);
   fs::remove_all(dir);
 }
@@ -203,7 +254,8 @@ TEST(WalTest, CorruptionAwayFromTailIsDataLoss) {
   auto segments = SortedFiles(dir, ".log");
   ASSERT_EQ(segments.size(), 4u);
   FlipByteAt(segments[1], 1);  // corrupt a non-tail segment's payload
-  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/true);
+  std::vector<WalRecord> records;
+  auto read = ReadRecords(dir, /*repair_torn_tail=*/true, &records);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
   fs::remove_all(dir);
@@ -226,20 +278,39 @@ TEST(WalTest, RotationKeepsSequenceAndPruneRespectsBound) {
     }
   }
   ASSERT_EQ(SortedFiles(dir, ".log").size(), 6u);
-  auto read = ReadWal(dir.string(), false);
+  std::vector<WalRecord> records;
+  auto read = ReadRecords(dir, false, &records);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->first_seq, 1u);
   EXPECT_EQ(read->last_seq, 6u);
   EXPECT_EQ(read->segment_count, 6u);
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_EQ(records[0].watermark_seconds, 0);
+
+  // A reader that already holds seqs 1-3 opens only the segments past
+  // them and is handed only records 4-6.
+  records.clear();
+  auto past = ReadRecords(dir, false, &records, /*after_seq=*/3);
+  ASSERT_TRUE(past.ok()) << past.status().ToString();
+  EXPECT_EQ(past->last_seq, 6u);
+  EXPECT_EQ(past->segment_count, 3u);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].watermark_seconds, 3);
 
   // Pruning through seq 3 keeps every segment a replay from 4 needs.
   uint64_t pruned = 0;
   ASSERT_TRUE(PruneWalSegments(dir.string(), 3, &pruned).ok());
   EXPECT_EQ(pruned, 3u);
-  auto tail = ReadWal(dir.string(), false);
+  records.clear();
+  auto tail = ReadRecords(dir, false, &records, /*after_seq=*/3);
   ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(tail->first_seq, 4u);
   EXPECT_EQ(tail->last_seq, 6u);
+  EXPECT_EQ(tail->segment_count, 3u);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].watermark_seconds, 3);
+  // A reader that holds nothing cannot continue from seq 4: a hole.
+  auto hole = ReadRecords(dir, false, &records);
+  ASSERT_FALSE(hole.ok());
+  EXPECT_EQ(hole.status().code(), StatusCode::kDataLoss);
   fs::remove_all(dir);
 }
 
@@ -343,11 +414,15 @@ TEST(CheckpointTest, NewestCorruptFallsBackToOlderAndTmpIsSwept) {
   EXPECT_EQ(loaded->skipped, 1u);
   EXPECT_FALSE(fs::exists(dir / "ckpt-junk.ckpt.tmp"));
 
+  // The WAL prune bound waits for `checkpoints_kept` checkpoints, then
+  // follows the oldest.
+  EXPECT_EQ(WalPruneBound(dir.string(), 2), 5u);
+  EXPECT_EQ(WalPruneBound(dir.string(), 3), 0u);
   // Prune keeps the newest (corrupt or not — pruning is by name).
-  uint64_t oldest_kept = 0;
-  ASSERT_TRUE(PruneCheckpoints(dir.string(), 1, &oldest_kept).ok());
-  EXPECT_EQ(oldest_kept, 9u);
+  ASSERT_TRUE(PruneCheckpoints(dir.string(), 1).ok());
   EXPECT_EQ(SortedFiles(dir, ".ckpt").size(), 1u);
+  EXPECT_EQ(WalPruneBound(dir.string(), 1), 9u);
+  EXPECT_EQ(WalPruneBound(dir.string(), 2), 0u);
   fs::remove_all(dir);
 }
 
@@ -665,9 +740,7 @@ void RunKillPointLock(int64_t window_seconds, uint64_t seed,
       }
     }
     // Maybe bit-rot the newest checkpoint — only when an older one
-    // survives to fall back to (with one checkpoint, rotting it can
-    // legitimately strand pruned WAL history; that is real data loss,
-    // not a recovery bug).
+    // survives to fall back to, the case this lock pins.
     if (checkpoints >= 2 && rng.NextDouble() < 0.5) {
       auto files = SortedFiles(dir, ".ckpt");
       if (files.size() >= 2) FlipByteAt(files.back(), 6);
@@ -840,6 +913,167 @@ TEST(StreamDurabilityLockTest, ShardedKillPointRecoveryConvergesSliding) {
 TEST(StreamDurabilityLockTest, ShardedKillPointRecoveryConvergesLandmark) {
   RunShardedKillPointLock(/*window_seconds=*/0, /*shard_count=*/3,
                           /*seed=*/14, "kill_sharded_landmark");
+}
+
+// ---------------------------------------------------------------------
+// Bounded recovery. Checkpoint() rotates the WAL, so every segment older
+// than the newest checkpoint's boundary holds only records it covers:
+// Recover never opens those segments, and Checkpoint() deletes them once
+// the oldest kept checkpoint covers them too.
+
+/// The sequence number in a "wal-<seq20>.log" or "ckpt-<seq20>.ckpt"
+/// name.
+uint64_t SeqOf(const fs::path& file) {
+  const std::string name = file.filename().string();
+  return std::stoull(name.substr(name.find('-') + 1, 20));
+}
+
+/// A durable run stopped after 1000 ops of the lock script, with a
+/// checkpoint every 300 ops and small segments.
+struct CoveredLog {
+  StreamEngineConfig config;
+  /// ComparableState of an uninterrupted run over the same ops.
+  std::string reference_state;
+  /// Segments the newest checkpoint (seq 900) covers.
+  std::vector<fs::path> covered;
+};
+
+void BuildCoveredLog(const fs::path& dir, CoveredLog* log) {
+  const std::vector<Op> ops = BuildOpScript(/*lateness=*/900, /*seed=*/21);
+  const size_t run = 1000;
+  ASSERT_GT(ops.size(), run);
+  StreamEngineConfig base;
+  base.station_count = 24;
+  base.window_seconds = 86400;
+  base.max_lateness_seconds = 900;
+  base.suppress_duplicate_rentals = true;
+  base.detection.options.seed = 7;
+  log->config = base;
+  log->config.durability.enabled = true;
+  log->config.durability.directory = dir.string();
+  log->config.durability.segment_bytes = 1 << 12;  // several per interval
+  log->config.durability.sync_interval_records = 64;
+
+  StreamEngine reference(base);
+  {
+    StreamEngine engine(log->config);
+    for (size_t i = 0; i < run; ++i) {
+      ApplyOp(engine, ops[i]);
+      ApplyOp(reference, ops[i]);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      if ((i + 1) % 300 == 0) {
+        ASSERT_TRUE(engine.Checkpoint().ok());
+      }
+    }
+  }
+  log->reference_state = ComparableState(reference);
+  const auto checkpoints = SortedFiles(dir, ".ckpt");
+  ASSERT_EQ(checkpoints.size(), 2u);
+  const uint64_t newest = SeqOf(checkpoints.back());
+  ASSERT_EQ(newest, 900u);
+  const auto segments = SortedFiles(dir, ".log");
+  for (size_t i = 0; i + 1 < segments.size(); ++i) {
+    if (SeqOf(segments[i + 1]) <= newest + 1) {
+      log->covered.push_back(segments[i]);
+    }
+  }
+  ASSERT_FALSE(log->covered.empty());
+}
+
+TEST(BoundedRecoveryTest, CoveredSegmentsAreNeverOpened) {
+  const fs::path dir = FreshDir("bounded_open");
+  CoveredLog log;
+  BuildCoveredLog(dir, &log);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // Opening any covered segment fails.
+  FaultPlan plan;
+  for (const fs::path& segment : log.covered) {
+    FaultPlan::Rule rule;
+    rule.op = IoOp::kOpen;
+    rule.kind = FaultPlan::Kind::kError;
+    rule.count = uint64_t{1} << 40;
+    rule.error = EIO;
+    rule.path_substr = segment.filename().string();
+    plan.rules.push_back(rule);
+  }
+  FaultInjectingIoEnv env(plan);
+  StreamEngineConfig config = log.config;
+  config.durability.io_env = &env;
+  StreamEngine::RecoveryStats stats;
+  auto recovered = StreamEngine::Recover(config, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(env.faults_injected(), 0u) << "a covered segment was opened";
+  EXPECT_EQ(stats.checkpoint_seq, 900u);
+  EXPECT_EQ(stats.replayed_records, 100u);
+  EXPECT_EQ(ComparableState(**recovered), log.reference_state);
+  recovered->reset();
+  fs::remove_all(dir);
+}
+
+// The trade of never reading covered segments: corruption inside one is
+// no longer reported. Nothing needs those records; the checkpoint holds
+// their effect.
+TEST(BoundedRecoveryTest, CorruptCoveredSegmentIsNotRead) {
+  const fs::path dir = FreshDir("bounded_corrupt");
+  CoveredLog log;
+  BuildCoveredLog(dir, &log);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  for (const fs::path& segment : log.covered) FlipByteAt(segment, 5);
+  StreamEngine::RecoveryStats stats;
+  auto recovered = StreamEngine::Recover(log.config, &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(stats.checkpoint_seq, 900u);
+  EXPECT_EQ(ComparableState(**recovered), log.reference_state);
+  fs::remove_all(dir);
+}
+
+TEST(BoundedRecoveryTest, WalHoldsAboutTwoCheckpointIntervals) {
+  const fs::path dir = FreshDir("bounded_bytes");
+  StreamEngineConfig config;
+  config.station_count = 8;
+  config.durability.enabled = true;  // default segment size and retention
+  config.durability.directory = dir.string();
+  const auto wal_bytes = [&dir] {
+    uint64_t total = 0;
+    for (const fs::path& segment : SortedFiles(dir, ".log")) {
+      total += fs::file_size(segment);
+    }
+    return total;
+  };
+  StreamEngine engine(config);
+  const uint64_t header = wal_bytes();
+  ASSERT_GT(header, 0u);
+  const int kIntervals = 20;
+  const int kEventsPerInterval = 200;
+  uint64_t interval_bytes = 0;
+  uint64_t peak = 0;
+  int64_t id = 0;
+  for (int interval = 0; interval < kIntervals; ++interval) {
+    for (int i = 0; i < kEventsPerInterval; ++i, ++id) {
+      TripEvent event;
+      event.rental_id = id;
+      event.from_station = static_cast<int32_t>(id % 8);
+      event.to_station = static_cast<int32_t>((id + 3) % 8);
+      event.start_time = CivilTime(1'600'000'000 + id * 60);
+      event.end_time = event.start_time.AddSeconds(600);
+      ASSERT_TRUE(engine.Ingest(event).ok());
+    }
+    ASSERT_TRUE(engine.SyncWal().ok());
+    const uint64_t bytes = wal_bytes();
+    if (interval == 0) interval_bytes = bytes - header;
+    peak = std::max(peak, bytes);
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    // Alone on disk, the first checkpoint's fallback is the log from
+    // seq 1; the second checkpoint takes over that role.
+    EXPECT_EQ(fs::exists(dir / "wal-00000000000000000001.log"), interval == 0)
+        << "after checkpoint " << interval;
+  }
+  // Just before each checkpoint the directory holds the interval the
+  // oldest kept checkpoint still needs and the current one, each in its
+  // own segment — not the 20 intervals logged.
+  EXPECT_LE(peak, 2 * (interval_bytes + header));
+  EXPECT_LE(SortedFiles(dir, ".log").size(), 2u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -483,6 +483,24 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
               StatusCode::kInvalidArgument);
     EXPECT_EQ(bad_engine.wal_seq(), 0u) << "durable=" << durable;
   }
+  // The rejected durable engine left nothing behind, so a fresh engine
+  // with the corrected config may start on the same directory.
+  EXPECT_FALSE(fs::exists(dir));
+  {
+    StreamEngineConfig fixed = config;
+    fixed.durability.enabled = true;
+    fixed.durability.directory = dir.string();
+    StreamEngine fixed_engine(fixed);
+    const CivilTime t0 = CivilTime::FromCalendar(2020, 5, 4, 9).ValueOrDie();
+    TripEvent event;
+    event.from_station = 0;
+    event.to_station = 1;
+    event.start_time = t0;
+    event.end_time = t0.AddSeconds(300);
+    const Status ingested = fixed_engine.Ingest(event);
+    EXPECT_TRUE(ingested.ok()) << ingested.ToString();
+    EXPECT_EQ(fixed_engine.wal_seq(), 1u);
+  }
   fs::remove_all(dir);
   // Recover refuses the same config before touching the directory.
   StreamEngineConfig bad = config;

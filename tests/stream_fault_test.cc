@@ -332,6 +332,22 @@ TEST(FaultPlanTest, TransientOnlyPlansDrawOnlyAbsorbableFaults) {
 // ---------------------------------------------------------------------
 // Satellite 1: ENOSPC self-healing via WAL pruning.
 
+std::vector<fs::path> SortedFiles(const fs::path& dir,
+                                  const std::string& extension) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == extension) files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// First sequence number of a WAL segment, from its name
+/// ("wal-<seq20>.log").
+uint64_t SegmentSeq(const fs::path& segment) {
+  return std::stoull(segment.filename().string().substr(4, 20));
+}
+
 WalRecord AdvanceRecord(int64_t watermark) {
   WalRecord record;
   record.type = WalRecordType::kAdvance;
@@ -339,28 +355,40 @@ WalRecord AdvanceRecord(int64_t watermark) {
   return record;
 }
 
+/// Writer config for the ENOSPC self-heal cases: 256-byte segments
+/// (rotate every ~14 records), an fsync per record, two retries.
+DurabilityConfig EnospcConfig(const fs::path& dir, IoEnv* env) {
+  DurabilityConfig config;
+  config.enabled = true;
+  config.directory = dir.string();
+  config.segment_bytes = 256;
+  config.sync_interval_records = 1;
+  config.faults.max_retries = 2;
+  config.faults.backoff_initial_ms = 1;
+  config.io_env = env;
+  return config;
+}
+
+/// An empty checkpoint file named for `wal_seq`: only the *name* matters
+/// to WalPruneBound.
+void TouchCheckpoint(const fs::path& dir, int wal_seq) {
+  const std::string digits = std::to_string(wal_seq);
+  std::ofstream marker(
+      dir / ("ckpt-" + std::string(20 - digits.size(), '0') + digits +
+             ".ckpt"));
+}
+
 TEST(WalFaultTest, EnospcSelfHealsByPruningCoveredSegments) {
   const fs::path dir = FreshDir("enospc_heal");
-  // A checkpoint covering sequence 500 makes every full segment below it
-  // prunable. Only the *name* matters to OldestCheckpointSeq.
-  {
-    std::ofstream marker(dir /
-                         ("ckpt-" + std::string(17, '0') + "500.ckpt"));
-  }
+  // checkpoints_kept (2) checkpoints, the older covering sequence 400,
+  // make every full segment below it prunable.
+  TouchCheckpoint(dir, 400);
+  TouchCheckpoint(dir, 500);
   FaultPlan plan;
   plan.disk_capacity_bytes = 600;  // ~2 full segments
   FaultInjectingIoEnv env(plan);
 
-  DurabilityConfig config;
-  config.enabled = true;
-  config.directory = dir.string();
-  config.segment_bytes = 256;  // rotate every ~14 records
-  config.sync_interval_records = 1;
-  config.faults.max_retries = 2;
-  config.faults.backoff_initial_ms = 1;
-  config.io_env = &env;
-
-  auto writer = WalWriter::Open(config, /*next_seq=*/1);
+  auto writer = WalWriter::Open(EnospcConfig(dir, &env), /*next_seq=*/1);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   for (int i = 0; i < 120; ++i) {
     const Status status = (*writer)->Append(AdvanceRecord(1000 + i));
@@ -374,11 +402,51 @@ TEST(WalFaultTest, EnospcSelfHealsByPruningCoveredSegments) {
   EXPECT_LE(env.disk_used_bytes(), 600u);
   writer->reset();
 
-  // The surviving tail still reads back cleanly.
-  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/false);
+  // Every surviving segment, written through the ENOSPC retries, still
+  // reads back whole and in sequence, from the oldest to the tail.
+  const std::vector<fs::path> segments = SortedFiles(dir, ".log");
+  ASSERT_FALSE(segments.empty());
+  const uint64_t first = SegmentSeq(segments.front());
+  uint64_t seq = first;
+  bool in_order = true;
+  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/false, first - 1,
+                      [&](const WalRecord& record) {
+                        in_order &= record.watermark_seconds ==
+                                    static_cast<int64_t>(1000 + seq - 1);
+                        ++seq;
+                      });
   ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->segment_count, segments.size());
   EXPECT_EQ(read->last_seq, 120u);
-  EXPECT_GT(read->first_seq, 1u) << "self-heal must have pruned";
+  EXPECT_EQ(seq, 121u);
+  EXPECT_TRUE(in_order);
+  EXPECT_FALSE(fs::exists(dir / "wal-00000000000000000001.log"))
+      << "self-heal must have pruned";
+  fs::remove_all(dir);
+}
+
+TEST(WalFaultTest, EnospcSelfHealKeepsTheLogUntilCheckpointsKeptExist) {
+  const fs::path dir = FreshDir("enospc_first_ckpt");
+  // One checkpoint of the two kept: the log from seq 1 is the fallback
+  // for the one not yet written, so the self-heal prunes by the rule
+  // Checkpoint() does and frees nothing.
+  TouchCheckpoint(dir, 500);
+  FaultPlan plan;
+  plan.disk_capacity_bytes = 600;
+  FaultInjectingIoEnv env(plan);
+
+  auto writer = WalWriter::Open(EnospcConfig(dir, &env), /*next_seq=*/1);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  Status failed = Status::OK();
+  for (int i = 0; i < 120 && failed.ok(); ++i) {
+    failed = (*writer)->Append(AdvanceRecord(1000 + i));
+  }
+  ASSERT_FALSE(failed.ok()) << "600 bytes cannot hold 120 records";
+  EXPECT_EQ(failed.code(), StatusCode::kIOError);
+  EXPECT_GE((*writer)->enospc_prune_count(), 1u);
+  EXPECT_TRUE(fs::exists(dir / "wal-00000000000000000001.log"))
+      << "the self-heal pruned the log a missing fallback needs";
+  writer->reset();
   fs::remove_all(dir);
 }
 
@@ -501,10 +569,12 @@ TEST(CheckpointFaultTest, CrashBetweenRenameAndDirSyncFallsBackToPrevious) {
 
     // The directory fsync after checkpoint B's rename fails: B is
     // renamed into place but the directory entry is never committed.
+    // (B's first directory fsync commits its WAL rotation; the rename's
+    // is the second.)
     FaultPlan::Rule rule;
     rule.op = IoOp::kFsyncDir;
     rule.kind = FaultPlan::Kind::kError;
-    rule.after = env.op_count(IoOp::kFsyncDir);
+    rule.after = env.op_count(IoOp::kFsyncDir) + 1;
     rule.count = 1;
     rule.error = EIO;
     env.AddRule(rule);
@@ -515,6 +585,7 @@ TEST(CheckpointFaultTest, CrashBetweenRenameAndDirSyncFallsBackToPrevious) {
     const Status failed = engine.Checkpoint();
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kIOError);
+    EXPECT_EQ(CountByExtension(dir, ".ckpt"), 2u) << "B renamed into place";
   }
   // The crash undoes the uncommitted rename (and with it the temp file
   // that never survived either): only checkpoint A remains.
@@ -588,23 +659,26 @@ TEST(RecoveryFaultTest, FailedSegmentResetFailsRecoverAndRetrySucceeds) {
     ASSERT_EQ(engine.wal_seq(), 10u);
   }
   // The crash keeps WAL records 1-5 only, all covered by the checkpoint
-  // at seq 10, so Recover must delete the segment and start afresh.
+  // at seq 10, so Recover must delete the segment and start afresh. (The
+  // segment the checkpoint rotated to lost its unsynced header; Recover
+  // first drops it as a torn tail, the unlink before the reset's.)
   env.SimulateCrash();
   {
     FaultPlan::Rule rule;
     rule.op = IoOp::kUnlink;
     rule.kind = FaultPlan::Kind::kError;
-    rule.after = env.op_count(IoOp::kUnlink);
+    rule.after = env.op_count(IoOp::kUnlink) + 1;
     rule.count = 1;
     rule.error = EIO;
-    rule.path_substr = "wal-";
+    rule.path_substr = "wal-00000000000000000001.log";
     env.AddRule(rule);
   }
   const uint64_t unlinks_before = env.op_count(IoOp::kUnlink);
   auto failed = StreamEngine::Recover(config);
   ASSERT_FALSE(failed.ok()) << "the failed segment delete was ignored";
   EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
-  EXPECT_EQ(env.op_count(IoOp::kUnlink), unlinks_before + 1);
+  EXPECT_EQ(env.op_count(IoOp::kUnlink), unlinks_before + 2);
+  EXPECT_TRUE(fs::exists(dir / "wal-00000000000000000001.log"));
 
   // The fault has passed: a retry recovers from the checkpoint...
   StreamEngine::RecoveryStats stats;
@@ -899,17 +973,22 @@ std::string ComparableState(const StreamEngine& engine) {
   return SerializeCheckpoint(c);
 }
 
-void RunFaultScheduleGate(bool transient_only, uint64_t seed_base,
-                          const std::string& tag) {
-  const int64_t lateness = 900;
-  const std::vector<Op> ops = BuildOpScript(lateness, 5);
-
+/// The engine the gate and the kill-point cases run the op script on.
+StreamEngineConfig ScriptEngineConfig(int64_t lateness) {
   StreamEngineConfig base;
   base.station_count = 16;
   base.window_seconds = 86400;
   base.max_lateness_seconds = lateness;
   base.suppress_duplicate_rentals = true;
   base.detection.options.seed = 7;
+  return base;
+}
+
+void RunFaultScheduleGate(bool transient_only, uint64_t seed_base,
+                          const std::string& tag) {
+  const int64_t lateness = 900;
+  const std::vector<Op> ops = BuildOpScript(lateness, 5);
+  const StreamEngineConfig base = ScriptEngineConfig(lateness);
 
   // The uninterrupted reference run, no durability.
   StreamEngine reference(base);
@@ -1023,6 +1102,267 @@ TEST(FaultScheduleGateTest, HostileSchedulesRecoverBitIdenticalOrLoud) {
 TEST(FaultScheduleGateTest, TransientSchedulesCompleteWithoutPoisoning) {
   RunFaultScheduleGate(/*transient_only=*/true, /*seed_base=*/200,
                        "gate_transient");
+}
+
+// ---------------------------------------------------------------------
+// Kill points inside Checkpoint() and Recover(): the process dies right
+// after its n-th I/O op, for every n the call issues. A second Recover()
+// must still match the uninterrupted run bit for bit.
+
+/// Lets `ops_allowed` I/O ops through to a FaultInjectingIoEnv, then fails
+/// every later one with EIO without touching the disk, as if the process
+/// had stopped there; SimulateCrash() on the inner environment then drops
+/// what the dead process had not made durable.
+class CrashAfterOpsEnv final : public IoEnv {
+ public:
+  CrashAfterOpsEnv(FaultInjectingIoEnv* disk, uint64_t ops_allowed)
+      : disk_(disk), left_(ops_allowed) {}
+
+  int Open(const char* path, int flags, unsigned int mode) override {
+    return Alive() ? disk_->Open(path, flags, mode) : Dead();
+  }
+  int64_t Write(int fd, const void* data, size_t size) override {
+    return Alive() ? disk_->Write(fd, data, size) : Dead();
+  }
+  int Fsync(int fd) override { return Alive() ? disk_->Fsync(fd) : Dead(); }
+  int Rename(const char* from, const char* to) override {
+    return Alive() ? disk_->Rename(from, to) : Dead();
+  }
+  int Unlink(const char* path) override {
+    return Alive() ? disk_->Unlink(path) : Dead();
+  }
+  int FsyncDir(const char* path) override {
+    return Alive() ? disk_->FsyncDir(path) : Dead();
+  }
+  int Truncate(int fd, int64_t size) override {
+    return Alive() ? disk_->Truncate(fd, size) : Dead();
+  }
+  int Mkdir(const char* path) override {
+    return Alive() ? disk_->Mkdir(path) : Dead();
+  }
+  // Not protocol ops: a dead process's descriptors close all the same.
+  int Close(int fd) override { return disk_->Close(fd); }
+  void SleepMs(int64_t ms) override { disk_->SleepMs(ms); }
+
+  /// Ops that reached the disk.
+  uint64_t ops() const { return ops_; }
+
+ private:
+  bool Alive() {
+    if (left_ == 0) return false;
+    --left_;
+    ++ops_;
+    return true;
+  }
+  static int Dead() {
+    errno = EIO;
+    return -1;
+  }
+
+  FaultInjectingIoEnv* disk_;
+  uint64_t left_;
+  uint64_t ops_ = 0;
+};
+
+constexpr uint64_t kNoCrash = ~uint64_t{0};
+
+StreamEngineConfig KillPointConfig(const fs::path& dir, IoEnv* env) {
+  StreamEngineConfig config = ScriptEngineConfig(/*lateness=*/900);
+  config.durability.enabled = true;
+  config.durability.directory = dir.string();
+  config.durability.segment_bytes = 1 << 11;  // several per interval
+  config.durability.sync_interval_records = 16;
+  config.durability.io_env = env;
+  return config;
+}
+
+/// Recovers `dir` in a clean environment, finishes the script and
+/// compares with the uninterrupted run.
+void ExpectRecoversToReference(const fs::path& dir, const std::vector<Op>& ops,
+                               const std::string& want) {
+  StreamEngine::RecoveryStats stats;
+  auto recovered = StreamEngine::Recover(KillPointConfig(dir, nullptr), &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(stats.replay_errors, 0u);
+  for (size_t i = stats.recovered_seq; i < ops.size(); ++i) {
+    const Status status = TryApplyOp(**recovered, ops[i]);
+    ASSERT_TRUE(status.ok()) << "resume op " << i << ": " << status.ToString();
+  }
+  EXPECT_EQ(ComparableState(**recovered), want)
+      << "recovered state diverged from the uninterrupted run";
+}
+
+std::string UninterruptedState(const std::vector<Op>& ops) {
+  StreamEngine reference(ScriptEngineConfig(/*lateness=*/900));
+  for (const Op& op : ops) {
+    const Status status = TryApplyOp(reference, op);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  return ComparableState(reference);
+}
+
+constexpr size_t kKillCheckpointEvery = 100;
+
+/// Runs ops [0, count) into a durable engine on `dir`, checkpointing every
+/// kKillCheckpointEvery ops; returns the I/O ops issued through `env`
+/// before and after the final checkpoint (at op `count`), which is the
+/// call a crash interrupts.
+void RunToCheckpoint(const std::vector<Op>& ops, size_t count,
+                     const fs::path& dir, uint64_t ops_allowed,
+                     uint64_t* before, uint64_t* after) {
+  FaultInjectingIoEnv disk(FaultPlan{});
+  CrashAfterOpsEnv env(&disk, ops_allowed);
+  {
+    StreamEngine engine(KillPointConfig(dir, &env));
+    for (size_t i = 0; i < count; ++i) {
+      const Status status = TryApplyOp(engine, ops[i]);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if ((i + 1) % kKillCheckpointEvery == 0 && i + 1 < count) {
+        ASSERT_TRUE(engine.Checkpoint().ok());
+      }
+    }
+    *before = env.ops();
+    (void)engine.Checkpoint();  // dies inside when ops_allowed runs out
+    *after = env.ops();
+  }
+  disk.SimulateCrash();
+}
+
+TEST(KillPointTest, CrashAfterEachIoOpOfCheckpoint) {
+  const std::vector<Op> ops = BuildOpScript(/*lateness=*/900, 5);
+  const std::string want = UninterruptedState(ops);
+  // The third checkpoint rotates the WAL, drops the first checkpoint and
+  // deletes the segments only that one still needed.
+  const size_t count = 3 * kKillCheckpointEvery;
+  ASSERT_LT(count, ops.size());
+  uint64_t first_op = 0;
+  uint64_t end_op = 0;
+  const fs::path probe = FreshDir("kill_ckpt_probe");
+  RunToCheckpoint(ops, count, probe, kNoCrash, &first_op, &end_op);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // The call rotated at seq 301 and pruned down to the checkpoints at 200
+  // and 300 and the log past 200.
+  EXPECT_EQ(SortedFiles(probe, ".ckpt").size(), 2u);
+  const std::vector<fs::path> segments = SortedFiles(probe, ".log");
+  ASSERT_FALSE(segments.empty());
+  EXPECT_EQ(segments.front().filename(), "wal-00000000000000000201.log");
+  EXPECT_EQ(segments.back().filename(), "wal-00000000000000000301.log");
+  fs::remove_all(probe);
+  EXPECT_GE(end_op - first_op, 10u);
+  for (uint64_t allowed = first_op; allowed <= end_op; ++allowed) {
+    SCOPED_TRACE("crash after I/O op " + std::to_string(allowed));
+    const fs::path dir = FreshDir("kill_ckpt");
+    uint64_t before = 0;
+    uint64_t after = 0;
+    RunToCheckpoint(ops, count, dir, allowed, &before, &after);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_EQ(after, allowed);
+    ExpectRecoversToReference(dir, ops, want);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    fs::remove_all(dir);
+  }
+}
+
+/// Crashes a Recover() of a copy of `tmpl` after each of its I/O ops, then
+/// recovers again and compares with the uninterrupted run. `stats`
+/// receives what an uninterrupted Recover() of the template did.
+void RunRecoverKillPoints(const fs::path& tmpl, const std::vector<Op>& ops,
+                          const std::string& want, const std::string& tag,
+                          StreamEngine::RecoveryStats* stats) {
+  const fs::path dir = fs::path(::testing::TempDir()) / ("bg_fault_" + tag);
+  const auto copy_template = [&] {
+    fs::remove_all(dir);
+    fs::copy(tmpl, dir, fs::copy_options::recursive);
+  };
+  uint64_t total = 0;
+  {
+    copy_template();
+    FaultInjectingIoEnv disk(FaultPlan{});
+    CrashAfterOpsEnv env(&disk, kNoCrash);
+    auto recovered = StreamEngine::Recover(KillPointConfig(dir, &env), stats);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    total = env.ops();
+  }
+  for (uint64_t allowed = 0; allowed <= total; ++allowed) {
+    SCOPED_TRACE(tag + ": crash after I/O op " + std::to_string(allowed));
+    copy_template();
+    FaultInjectingIoEnv disk(FaultPlan{});
+    CrashAfterOpsEnv env(&disk, allowed);
+    // The result, and any engine in it, is gone before the power cut.
+    (void)StreamEngine::Recover(KillPointConfig(dir, &env));
+    disk.SimulateCrash();
+    ExpectRecoversToReference(dir, ops, want);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  }
+  fs::remove_all(dir);
+}
+
+TEST(KillPointTest, CrashAfterEachIoOpOfRecoverRepairAndReattach) {
+  const std::vector<Op> ops = BuildOpScript(/*lateness=*/900, 5);
+  const std::string want = UninterruptedState(ops);
+  // A run stopped 50 ops past its second checkpoint.
+  const fs::path tmpl = FreshDir("kill_recover_template");
+  {
+    StreamEngine engine(KillPointConfig(tmpl, nullptr));
+    for (size_t i = 0; i < 250; ++i) {
+      const Status status = TryApplyOp(engine, ops[i]);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      if ((i + 1) % kKillCheckpointEvery == 0) {
+        ASSERT_TRUE(engine.Checkpoint().ok());
+      }
+    }
+  }
+  StreamEngine::RecoveryStats stats;
+
+  // A crash mid-rotation: the next segment never got its header.
+  const fs::path header_torn = tmpl / "wal-00000000000000000251.log";
+  { std::ofstream(header_torn, std::ios::binary) << "BGWAL"; }
+  RunRecoverKillPoints(tmpl, ops, want, "kill_recover_header", &stats);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(stats.truncated_bytes, 5u);
+  EXPECT_EQ(stats.recovered_seq, 250u);
+
+  // A crash mid-append: the tail's last frame is torn.
+  fs::remove(header_torn);
+  const std::vector<fs::path> segments = SortedFiles(tmpl, ".log");
+  fs::resize_file(segments.back(), fs::file_size(segments.back()) - 3);
+  RunRecoverKillPoints(tmpl, ops, want, "kill_recover_frame", &stats);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_GT(stats.truncated_bytes, 0u);
+  EXPECT_EQ(stats.recovered_seq, 249u);
+  fs::remove_all(tmpl);
+}
+
+TEST(KillPointTest, CrashAfterEachIoOpOfRecoverReset) {
+  const std::vector<Op> ops = BuildOpScript(/*lateness=*/900, 5);
+  const std::string want = UninterruptedState(ops);
+  // The checkpoint covers seq 100 but the log kept records 1-60 only, as
+  // a lying fsync leaves it: Recover deletes the segments and starts a
+  // fresh one.
+  const fs::path tmpl = FreshDir("kill_reset_template");
+  {
+    StreamEngine engine(KillPointConfig(tmpl, nullptr));
+    for (size_t i = 0; i < 60; ++i) {
+      const Status status = TryApplyOp(engine, ops[i]);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+    }
+  }
+  StreamEngine reference(ScriptEngineConfig(/*lateness=*/900));
+  for (size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(TryApplyOp(reference, ops[i]).ok());
+  }
+  EngineCheckpoint checkpoint = reference.CaptureState();
+  checkpoint.wal_seq = 100;
+  ASSERT_TRUE(WriteCheckpoint(tmpl.string(), checkpoint).ok());
+  ASSERT_GE(SortedFiles(tmpl, ".log").size(), 2u);
+
+  StreamEngine::RecoveryStats stats;
+  RunRecoverKillPoints(tmpl, ops, want, "kill_recover_reset", &stats);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(stats.checkpoint_seq, 100u);
+  EXPECT_EQ(stats.replayed_records, 0u);
+  EXPECT_EQ(stats.recovered_seq, 100u);
+  fs::remove_all(tmpl);
 }
 
 }  // namespace
