@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "analysis/experiment.h"
-#include "metrics/centrality.h"
 #include "viz/ascii_table.h"
 
 #include "core/checked_cast.h"

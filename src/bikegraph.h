@@ -55,8 +55,7 @@
 #include "community/modularity.h"
 #include "community/partition.h"
 
-// Network metrics.
-#include "metrics/centrality.h"
+// Network metrics: the paper's Table II trip-graph counters.
 #include "metrics/graph_stats.h"
 
 // Streaming ingestion: sliding-window graphs, immutable snapshots,

@@ -52,14 +52,6 @@ std::vector<size_t> Partition::CommunitySizes() const {
   return sizes;
 }
 
-std::vector<std::vector<int32_t>> Partition::CommunityMembers() const {
-  std::vector<std::vector<int32_t>> members(CommunityCount());
-  for (size_t u = 0; u < assignment.size(); ++u) {
-    members[AsIndex(assignment[u])].push_back(static_cast<int32_t>(u));
-  }
-  return members;
-}
-
 Partition Partition::Trivial(size_t n) {
   Partition p;
   p.assignment.assign(n, 0);

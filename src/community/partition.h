@@ -25,9 +25,6 @@ struct Partition {
   /// Node count per community (dense labels required).
   std::vector<size_t> CommunitySizes() const;
 
-  /// Members of each community, in node order.
-  std::vector<std::vector<int32_t>> CommunityMembers() const;
-
   /// Everyone-in-one-community partition.
   static Partition Trivial(size_t n);
   /// Every-node-alone partition.

@@ -42,12 +42,6 @@ void CivilFromDays(int64_t z, int* year, int* month, int* day) {
   *day = static_cast<int>(d);
 }
 
-const char* WeekdayName(Weekday day) {
-  static const char* kNames[] = {"Mon", "Tue", "Wed", "Thu",
-                                 "Fri", "Sat", "Sun"};
-  return kNames[static_cast<int>(day)];
-}
-
 Result<CivilTime> CivilTime::FromCalendar(int year, int month, int day,
                                           int hour, int minute, int second) {
   if (month < 1 || month > 12) {

@@ -19,9 +19,6 @@ enum class Weekday {
   kSunday = 6,
 };
 
-/// \brief Short English name ("Mon".."Sun").
-const char* WeekdayName(Weekday day);
-
 /// True for Saturday/Sunday.
 inline bool IsWeekend(Weekday day) {
   return day == Weekday::kSaturday || day == Weekday::kSunday;

@@ -37,31 +37,6 @@ std::string_view Trim(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
-std::string ToLower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 Result<int64_t> ParseInt(std::string_view text) {
   const std::string_view t = Trim(text);
   if (t.empty()) return Status::DataLoss("empty integer field");

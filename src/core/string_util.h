@@ -14,17 +14,6 @@ std::vector<std::string> Split(std::string_view text, char delim);
 /// \brief Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
-/// \brief Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep);
-
-/// \brief Case-sensitive prefix/suffix checks.
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-
-/// \brief ASCII lower-casing.
-std::string ToLower(std::string_view text);
-
 /// \brief Strict numeric parsing: the whole (trimmed) string must parse.
 Result<int64_t> ParseInt(std::string_view text);
 Result<double> ParseDouble(std::string_view text);

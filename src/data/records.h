@@ -54,11 +54,6 @@ struct RentalRecord {
     return rental_location_id != kInvalidId &&
            return_location_id != kInvalidId;
   }
-
-  /// Trip duration in seconds (may be 0 for degenerate records).
-  int64_t DurationSeconds() const {
-    return end_time.seconds_since_epoch() - start_time.seconds_since_epoch();
-  }
 };
 
 }  // namespace bikegraph::data

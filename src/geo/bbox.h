@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "geo/latlon.h"
 
 namespace bikegraph::geo {
@@ -17,9 +15,6 @@ class BBox {
   BBox();
   BBox(const LatLon& min_corner, const LatLon& max_corner);
 
-  /// Builds the tight box around `points` (empty input yields empty box).
-  static BBox Around(const std::vector<LatLon>& points);
-
   bool IsEmpty() const;
 
   /// Grows the box to include `p`.
@@ -28,18 +23,8 @@ class BBox {
   /// True iff `p` lies inside or on the boundary.
   bool Contains(const LatLon& p) const;
 
-  /// Returns a copy expanded by `meters` on all sides (latitude-correct).
-  BBox ExpandedBy(double meters) const;
-
   const LatLon& min_corner() const { return min_; }
   const LatLon& max_corner() const { return max_; }
-
-  /// Centre of the box.
-  LatLon Center() const;
-
-  /// Height/width in metres (Haversine along the mid-lines).
-  double HeightMeters() const;
-  double WidthMeters() const;
 
  private:
   LatLon min_;

@@ -105,20 +105,6 @@ void GeoJsonWriter::AddLineString(const std::vector<LatLon>& points,
   features_.push_back(Feature(geom.str(), props));
 }
 
-void GeoJsonWriter::AddPolygon(const Polygon& polygon,
-                               const Properties& props) {
-  std::ostringstream geom;
-  geom << "{\"type\":\"Polygon\",\"coordinates\":[[";
-  const auto& ring = polygon.ring();
-  for (size_t i = 0; i < ring.size(); ++i) {
-    if (i > 0) geom << ",";
-    geom << CoordPair(ring[i]);
-  }
-  if (!ring.empty()) geom << "," << CoordPair(ring.front());  // close ring
-  geom << "]]}";
-  features_.push_back(Feature(geom.str(), props));
-}
-
 std::string GeoJsonWriter::ToString() const {
   std::ostringstream os;
   os << "{\"type\":\"FeatureCollection\",\"features\":[";

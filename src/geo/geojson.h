@@ -6,7 +6,6 @@
 
 #include "core/status.h"
 #include "geo/latlon.h"
-#include "geo/polygon.h"
 
 namespace bikegraph::geo {
 
@@ -37,9 +36,6 @@ class GeoJsonWriter {
   /// Adds a multi-vertex LineString.
   void AddLineString(const std::vector<LatLon>& points,
                      const Properties& props = {});
-
-  /// Adds a Polygon feature from a ring.
-  void AddPolygon(const Polygon& polygon, const Properties& props = {});
 
   /// Number of features added so far.
   size_t feature_count() const { return features_.size(); }

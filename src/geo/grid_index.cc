@@ -109,13 +109,6 @@ std::vector<int64_t> GridIndex::WithinRadius(const LatLon& center,
   return out;
 }
 
-size_t GridIndex::CountWithinRadius(const LatLon& center,
-                                    double radius_m) const {
-  size_t count = 0;
-  ForEachWithinRadius(center, radius_m, [&](int64_t, double) { ++count; });
-  return count;
-}
-
 GridIndex::Neighbor GridIndex::Nearest(const LatLon& query,
                                        int64_t exclude_id) const {
   Neighbor best;

@@ -178,10 +178,6 @@ class GridIndex {
   /// ForEachWithinRadius in hot loops — this materialises a vector.
   std::vector<int64_t> WithinRadius(const LatLon& center, double radius_m) const;
 
-  /// Number of points within `radius_m` of `center` (cheaper than
-  /// materialising the id list).
-  size_t CountWithinRadius(const LatLon& center, double radius_m) const;
-
   /// Id and distance of the nearest point to `query`, or {-1, inf} when the
   /// index is empty. `exclude_id` (if >= 0) is skipped — useful when the
   /// query point itself is in the index.

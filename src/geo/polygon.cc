@@ -25,16 +25,6 @@ bool Polygon::Contains(const LatLon& p) const {
   return inside;
 }
 
-double Polygon::SignedAreaDeg2() const {
-  if (empty()) return 0.0;
-  double acc = 0.0;
-  const size_t n = ring_.size();
-  for (size_t i = 0, j = n - 1; i < n; j = i++) {
-    acc += (ring_[j].lon * ring_[i].lat) - (ring_[i].lon * ring_[j].lat);
-  }
-  return acc / 2.0;
-}
-
 bool Region::Contains(const LatLon& p) const {
   if (!boundary_.Contains(p)) return false;
   for (const auto& hole : holes_) {

@@ -33,10 +33,6 @@ class Polygon {
   /// Tight bounding box of the ring.
   const BBox& bounds() const { return bounds_; }
 
-  /// Signed planar area in squared degrees (positive if counter-clockwise).
-  /// Only the sign is meaningful to callers.
-  double SignedAreaDeg2() const;
-
  private:
   std::vector<LatLon> ring_;
   BBox bounds_;

@@ -336,89 +336,4 @@ Result<WeightedGraph> WeightedGraphPatcher::Apply(
   return g;
 }
 
-DigraphBuilder::DigraphBuilder(size_t node_count) : node_count_(node_count) {}
-
-Digraph DigraphBuilder::Build() const {
-  const size_t n = node_count_;
-  Digraph g;
-  g.out_offsets_.assign(n + 1, 0);
-  g.in_offsets_.assign(n + 1, 0);
-  g.out_strength_.assign(n, 0.0);
-  g.in_strength_.assign(n, 0.0);
-
-  // Counting sort by `from`, then the same fused in-place sort/merge/compact
-  // as the undirected builder; the in-adjacency is derived from the merged
-  // out-rows afterwards.
-  std::vector<uint32_t> start(n + 1, 0);
-  for (const EdgeTriple& e : edges_) ++start[AsIndex(e.from + 1)];
-  for (size_t u = 0; u < n; ++u) start[u + 1] += start[u];
-  g.out_adj_.resize(edges_.size());
-  Digraph::Neighbor* adj = g.out_adj_.data();
-  for (const EdgeTriple& e : edges_) {
-    adj[start[AsIndex(e.from)]++] = Digraph::Neighbor(e.to, e.w);
-  }
-  size_t out = 0;
-  for (size_t u = 0; u < n; ++u) {
-    const uint32_t beg = u == 0 ? 0 : start[u - 1], end = start[u];
-    uint32_t merged_end = beg;
-    if (end - beg > 64) {
-      std::stable_sort(adj + beg, adj + end,
-                       [](const Digraph::Neighbor& a,
-                          const Digraph::Neighbor& b) {
-                         return a.node < b.node;
-                       });
-      for (uint32_t i = beg; i < end;) {
-        const int32_t v = adj[i].node;
-        double w = adj[i].weight;
-        ++i;
-        while (i < end && adj[i].node == v) {
-          w += adj[i].weight;
-          ++i;
-        }
-        adj[merged_end++] = Digraph::Neighbor(v, w);
-      }
-    } else {
-      for (uint32_t i = beg; i < end; ++i) {
-        const int32_t v = adj[i].node;
-        const double w = adj[i].weight;
-        uint32_t j = merged_end;
-        while (j > beg && adj[j - 1].node > v) --j;
-        if (j > beg && adj[j - 1].node == v) {
-          adj[j - 1].weight += w;
-          continue;
-        }
-        for (uint32_t k = merged_end; k > j; --k) adj[k] = adj[k - 1];
-        adj[j] = Digraph::Neighbor(v, w);
-        ++merged_end;
-      }
-    }
-    double strength = 0.0;
-    const uint32_t len = merged_end - beg;
-    for (uint32_t i = 0; i < len; ++i) {
-      const Digraph::Neighbor nb = adj[beg + i];
-      adj[out + i] = nb;
-      strength += nb.weight;
-      ++g.in_offsets_[AsIndex(nb.node + 1)];  // in-degree count over merged edges
-    }
-    out += len;
-    g.out_strength_[u] = strength;
-    g.out_offsets_[u + 1] = out;
-  }
-  g.out_adj_.resize(out);
-
-  for (size_t u = 0; u < n; ++u) g.in_offsets_[u + 1] += g.in_offsets_[u];
-  g.in_adj_.resize(out);
-  std::vector<size_t> in_cursor(g.in_offsets_.begin(),
-                                g.in_offsets_.end() - 1);
-  for (size_t u = 0; u < n; ++u) {
-    for (size_t i = g.out_offsets_[u]; i < g.out_offsets_[u + 1]; ++i) {
-      const Digraph::Neighbor& nb = g.out_adj_[i];
-      g.in_adj_[in_cursor[AsIndex(nb.node)]++] =
-          Digraph::Neighbor(static_cast<int32_t>(u), nb.weight);
-      g.in_strength_[AsIndex(nb.node)] += nb.weight;
-    }
-  }
-  return g;
-}
-
 }  // namespace bikegraph::graphdb

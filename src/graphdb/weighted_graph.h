@@ -12,8 +12,9 @@
 
 namespace bikegraph::graphdb {
 
-/// \brief An immutable undirected weighted simple graph in CSR form — the
-/// input format of all community-detection and metric algorithms.
+/// \brief An immutable undirected weighted simple graph in CSR form: the
+/// temporal projections and the stream snapshots build it, and community
+/// detection reads it.
 ///
 /// Parallel edges are merged by weight accumulation at build time.
 /// Self-loops are stored separately from the adjacency lists. Weight
@@ -169,69 +170,6 @@ class WeightedGraphPatcher {
   /// removing an absent edge is a no-op.
   static Result<WeightedGraph> Apply(const WeightedGraph& base,
                                      std::vector<EdgeUpdate> updates);
-};
-
-/// \brief A small immutable directed graph in CSR form (out- and in-
-/// adjacency), used by PageRank and the directed summary statistics.
-class Digraph {
- public:
-  struct Neighbor {
-    Neighbor() {}  // no init: Build() fills adjacency without a memset pass
-    Neighbor(int32_t n, double w) : node(n), weight(w) {}
-    int32_t node;
-    double weight;
-  };
-
-  size_t node_count() const { return out_offsets_.size() - 1; }
-  size_t edge_count() const { return out_adj_.size(); }
-
-  std::span<const Neighbor> out_neighbors(int32_t u) const {
-    return {out_adj_.data() + out_offsets_[AsIndex(u)],
-            out_offsets_[AsIndex(u + 1)] - out_offsets_[AsIndex(u)]};
-  }
-  std::span<const Neighbor> in_neighbors(int32_t u) const {
-    return {in_adj_.data() + in_offsets_[AsIndex(u)],
-            in_offsets_[AsIndex(u + 1)] - in_offsets_[AsIndex(u)]};
-  }
-  double out_strength(int32_t u) const { return out_strength_[AsIndex(u)]; }
-  double in_strength(int32_t u) const { return in_strength_[AsIndex(u)]; }
-
- private:
-  friend class DigraphBuilder;
-  std::vector<size_t> out_offsets_, in_offsets_;
-  std::vector<Neighbor> out_adj_, in_adj_;
-  std::vector<double> out_strength_, in_strength_;
-};
-
-/// \brief Accumulating builder for Digraph (parallel edges merged at
-/// Build() by stable sort + scan, like WeightedGraphBuilder).
-class DigraphBuilder {
- public:
-  explicit DigraphBuilder(size_t node_count);
-  Status AddEdge(int32_t from, int32_t to, double weight = 1.0) {
-    if (from < 0 || to < 0 || static_cast<size_t>(from) >= node_count_ ||
-        static_cast<size_t>(to) >= node_count_) {
-      return Status::InvalidArgument("edge endpoint out of range");
-    }
-    if (!std::isfinite(weight) || weight < 0.0) {
-      return Status::InvalidArgument("edge weight must be finite and >= 0");
-    }
-    if (edges_.size() == edges_.capacity()) {
-      edges_.reserve(edges_.capacity() < 256 ? 1024 : 4 * edges_.capacity());
-    }
-    edges_.push_back(EdgeTriple{from, to, weight});
-    return Status::OK();
-  }
-  void Reserve(size_t edge_count) { edges_.reserve(edge_count); }
-  Digraph Build() const;
-
- private:
-  struct EdgeTriple {
-    int32_t from, to;
-    double w;
-  };
-  size_t node_count_;
-  std::vector<EdgeTriple> edges_;
 };
 
 }  // namespace bikegraph::graphdb

@@ -51,28 +51,4 @@ GraphCounts CountGraph(const graphdb::TripGraph& graph) {
   return counts;
 }
 
-WeightedGraphSummary Summarize(const graphdb::WeightedGraph& graph) {
-  WeightedGraphSummary s;
-  s.nodes = graph.node_count();
-  s.edges = graph.edge_count();
-  s.total_weight = graph.total_weight();
-  if (s.nodes == 0) return s;
-  double strength_sum = 0.0;
-  size_t degree_sum = 0;
-  for (size_t u = 0; u < s.nodes; ++u) {
-    const double st = graph.strength(static_cast<int32_t>(u));
-    strength_sum += st;
-    s.max_strength = std::max(s.max_strength, st);
-    degree_sum += graph.degree(static_cast<int32_t>(u));
-  }
-  s.mean_degree = static_cast<double>(degree_sum) / static_cast<double>(s.nodes);
-  s.mean_strength = strength_sum / static_cast<double>(s.nodes);
-  if (s.nodes > 1) {
-    s.density = static_cast<double>(s.edges) /
-                (static_cast<double>(s.nodes) *
-                 static_cast<double>(s.nodes - 1) / 2.0);
-  }
-  return s;
-}
-
 }  // namespace bikegraph::metrics

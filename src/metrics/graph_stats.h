@@ -3,7 +3,6 @@
 #include <string>
 
 #include "graphdb/trip_graph.h"
-#include "graphdb/weighted_graph.h"
 
 namespace bikegraph::metrics {
 
@@ -22,18 +21,5 @@ struct GraphCounts {
 
 /// \brief Computes Table-II style counters from a trip multigraph.
 GraphCounts CountGraph(const graphdb::TripGraph& graph);
-
-/// \brief Simple scalar summaries of a weighted graph.
-struct WeightedGraphSummary {
-  size_t nodes = 0;
-  size_t edges = 0;
-  double total_weight = 0.0;
-  double mean_degree = 0.0;
-  double mean_strength = 0.0;
-  double max_strength = 0.0;
-  double density = 0.0;  ///< edges / (n choose 2)
-};
-
-WeightedGraphSummary Summarize(const graphdb::WeightedGraph& graph);
 
 }  // namespace bikegraph::metrics

@@ -1,17 +1,16 @@
 #include "stream/checkpoint.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
 #include <vector>
+
+#include "stream/durable_file.h"
 
 namespace bikegraph::stream {
 
@@ -19,46 +18,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using internal::FsyncDirectory;
+using internal::IOError;
+using internal::kCheckpointFile;
+using internal::OpenRetryingEintr;
+using internal::ReadWholeFile;
+using internal::ResolveEnv;
+
 constexpr char kCheckpointMagic[8] = {'B', 'G', 'C', 'K', 'P', 'T', '1', '\n'};
 /// File layout: magic(8) + u64 payload size + u32 CRC32C(payload) +
 /// payload.
 constexpr size_t kFileHeaderBytes = 20;
-
-std::string CheckpointName(uint64_t wal_seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "ckpt-%020" PRIu64 ".ckpt", wal_seq);
-  return buf;
-}
-
-bool ParseCheckpointName(const std::string& name, uint64_t* wal_seq) {
-  if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-      name.compare(25, 5, ".ckpt") != 0) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *wal_seq = seq;
-  return true;
-}
-
-Status IOError(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
-}
-
-IoEnv* ResolveEnv(IoEnv* env) {
-  return env != nullptr ? env : IoEnv::Default();
-}
-
-Status FsyncDirectory(IoEnv* env, const std::string& directory) {
-  if (env->FsyncDir(directory.c_str()) != 0) {
-    return IOError("fsync directory", directory);
-  }
-  return Status::OK();
-}
 
 void PutEvent(std::string* out, const TripEvent& event) {
   wire::PutI64(out, event.rental_id);
@@ -326,17 +296,15 @@ Status WriteCheckpoint(const std::string& directory,
   file.append(payload);
 
   const std::string final_path =
-      (fs::path(directory) / CheckpointName(checkpoint.wal_seq)).string();
+      (fs::path(directory) / kCheckpointFile.Format(checkpoint.wal_seq))
+          .string();
   const std::string tmp_path = final_path + ".tmp";
   // A failed commit must leave the directory as it found it: every error
   // path below removes the temp (best-effort) so the previous checkpoint
   // set — still intact, never touched until the atomic rename — remains
   // the newest loadable state and the engine can simply retry later.
-  int fd = -1;
-  for (;;) {
-    fd = env->Open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0 || errno != EINTR) break;
-  }
+  const int fd =
+      OpenRetryingEintr(env, tmp_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IOError("create checkpoint", tmp_path);
   const char* p = file.data();
   size_t left = file.size();
@@ -380,7 +348,7 @@ Result<CheckpointLoadResult> LoadNewestCheckpoint(
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseCheckpointName(name, &seq)) {
+    if (kCheckpointFile.Parse(name, &seq)) {
       candidates.emplace_back(seq, entry.path().string());
     } else if (name.size() > 4 &&
                name.compare(name.size() - 4, 4, ".tmp") == 0 &&
@@ -392,30 +360,9 @@ Result<CheckpointLoadResult> LoadNewestCheckpoint(
     }
   }
   std::sort(candidates.rbegin(), candidates.rend());
+  std::string bytes;
   for (const auto& [seq, path] : candidates) {
-    std::string bytes;
-    {
-      int fd = -1;
-      for (;;) {
-        fd = env->Open(path.c_str(), O_RDONLY, 0);
-        if (fd >= 0 || errno != EINTR) break;
-      }
-      if (fd < 0) return IOError("open checkpoint", path);
-      char buf[1u << 16];
-      bool read_error = false;
-      for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          read_error = true;
-          break;
-        }
-        if (n == 0) break;
-        bytes.append(buf, static_cast<size_t>(n));
-      }
-      env->Close(fd);
-      if (read_error) return IOError("read checkpoint", path);
-    }
+    BIKEGRAPH_ASSIGN_OR_RETURN(bytes, ReadWholeFile(env, path, "checkpoint"));
     bool valid = bytes.size() >= kFileHeaderBytes &&
                  std::memcmp(bytes.data(), kCheckpointMagic,
                              sizeof(kCheckpointMagic)) == 0;
@@ -449,7 +396,7 @@ Status PruneCheckpoints(const std::string& directory, size_t keep,
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t seq = 0;
-    if (ParseCheckpointName(entry.path().filename().string(), &seq)) {
+    if (kCheckpointFile.Parse(entry.path().filename().string(), &seq)) {
       candidates.emplace_back(seq, entry.path().string());
     }
   }

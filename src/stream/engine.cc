@@ -1,13 +1,12 @@
 #include "stream/engine.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <thread>
 #include <utility>
 
 #include "core/io_env.h"
 #include "core/logging.h"
+#include "stream/durable_file.h"
 #include "stream/spsc_ring.h"
 
 namespace bikegraph::stream {
@@ -28,10 +27,8 @@ Status CheckStationPositions(const StreamEngineConfig& config) {
 /// Creates the durability directory and any missing parents through the
 /// IoEnv seam, so fault schedules reach it too.
 Status CreateDurabilityDirectory(IoEnv* env, const std::string& directory) {
-  if (env == nullptr) env = IoEnv::Default();
-  if (env->Mkdir(directory.c_str()) != 0) {
-    return Status::IOError("create durability directory '" + directory +
-                           "': " + std::strerror(errno));
+  if (internal::ResolveEnv(env)->Mkdir(directory.c_str()) != 0) {
+    return internal::IOError("create durability directory", directory);
   }
   return Status::OK();
 }

@@ -84,11 +84,6 @@ class ReplaySource {
   bool Done() const { return cursor_ >= events_.size(); }
   size_t remaining() const { return events_.size() - cursor_; }
 
-  /// Next event without consuming it; nullptr when exhausted.
-  const TripEvent* Peek() const {
-    return Done() ? nullptr : &events_[cursor_];
-  }
-
   /// Consumes and returns the next event. With a positive replay speed,
   /// sleeps so consecutive events are spaced (arrival-time delta)/speed
   /// apart in wall time — arrival time is the jittered report time when

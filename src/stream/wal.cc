@@ -1,22 +1,29 @@
 #include "stream/wal.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
+
+#include "stream/durable_file.h"
 
 namespace bikegraph::stream {
 
 namespace {
 
 namespace fs = std::filesystem;
+
+using internal::FsyncDirectory;
+using internal::IOError;
+using internal::kCheckpointFile;
+using internal::kSegmentFile;
+using internal::OpenRetryingEintr;
+using internal::ReadWholeFile;
+using internal::ResolveEnv;
 
 /// Frame header: u32 payload length + u32 CRC32C(payload).
 constexpr size_t kFrameHeaderBytes = 8;
@@ -36,43 +43,6 @@ void StoreU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-std::string SegmentName(uint64_t first_seq) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%020" PRIu64 ".log", first_seq);
-  return buf;
-}
-
-/// Parses "wal-<seq20>.log"; false for any other name.
-bool ParseSegmentName(const std::string& name, uint64_t* first_seq) {
-  if (name.size() != 28 || name.rfind("wal-", 0) != 0 ||
-      name.compare(24, 4, ".log") != 0) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (size_t i = 4; i < 24; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *first_seq = seq;
-  return true;
-}
-
-Status IOError(const std::string& what, const std::string& path) {
-  return Status::IOError(what + " '" + path + "': " + std::strerror(errno));
-}
-
-IoEnv* ResolveEnv(IoEnv* env) {
-  return env != nullptr ? env : IoEnv::Default();
-}
-
-Status FsyncDirectory(IoEnv* env, const std::string& directory) {
-  if (env->FsyncDir(directory.c_str()) != 0) {
-    return IOError("fsync directory", directory);
-  }
-  return Status::OK();
-}
-
 /// EAGAIN/EWOULDBLOCK and ENOSPC earn backed-off retries (FaultPolicy);
 /// EINTR is handled separately (free), everything else is permanent.
 bool IsTransientErrno(int err) {
@@ -81,23 +51,6 @@ bool IsTransientErrno(int err) {
   if (err == EWOULDBLOCK) return true;
 #endif
   return false;
-}
-
-/// Parses "ckpt-<seq20>.ckpt" (the checkpoint codec's naming, duplicated
-/// here so WalPruneBound needs no checkpoint dependency).
-bool ParseCheckpointFileName(const std::string& name, uint64_t* seq_out) {
-  if (name.size() != 30 || name.rfind("ckpt-", 0) != 0 ||
-      name.compare(25, 5, ".ckpt") != 0) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (size_t i = 5; i < 25; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    seq = seq * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *seq_out = seq;
-  return true;
 }
 
 void EncodeSpec(const community::DetectSpec& spec, std::string* out) {
@@ -217,29 +170,6 @@ bool DecodeSegmentHeader(const std::string& bytes, uint64_t* first_seq) {
   return true;
 }
 
-Result<std::string> ReadWholeFile(IoEnv* env, const std::string& path) {
-  int fd = -1;
-  for (;;) {
-    fd = env->Open(path.c_str(), O_RDONLY, 0);
-    if (fd >= 0 || errno != EINTR) break;
-  }
-  if (fd < 0) return IOError("open", path);
-  std::string out;
-  char buf[1u << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      env->Close(fd);
-      return IOError("read", path);
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  env->Close(fd);
-  return out;
-}
-
 /// Sorted (by first_seq) list of the WAL segments under `directory`.
 std::vector<std::pair<uint64_t, std::string>> ListSegments(
     const std::string& directory) {
@@ -247,7 +177,7 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t first_seq = 0;
-    if (ParseSegmentName(entry.path().filename().string(), &first_seq)) {
+    if (kSegmentFile.Parse(entry.path().filename().string(), &first_seq)) {
       segments.emplace_back(first_seq, entry.path().string());
     }
   }
@@ -293,12 +223,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
   if (tail_segment_path.empty()) {
     BIKEGRAPH_RETURN_NOT_OK(writer->OpenSegment(next_seq));
   } else {
-    for (;;) {
-      writer->fd_ =
-          writer->env_->Open(tail_segment_path.c_str(), O_WRONLY | O_APPEND, 0);
-      if (writer->fd_ >= 0 || errno != EINTR) break;
-    }
-    if (writer->fd_ < 0) return IOError("open", tail_segment_path);
+    writer->fd_ = OpenRetryingEintr(writer->env_, tail_segment_path,
+                                    O_WRONLY | O_APPEND);
+    if (writer->fd_ < 0) return IOError("open WAL segment", tail_segment_path);
     writer->segment_bytes_ = tail_segment_bytes;
     writer->segment_empty_ = tail_segment_bytes <= kSegmentHeaderBytes;
   }
@@ -340,7 +267,7 @@ void WalWriter::TryEnospcSelfHeal() {
 
 Status WalWriter::OpenSegment(uint64_t first_seq) {
   const std::string path =
-      (fs::path(config_.directory) / SegmentName(first_seq)).string();
+      (fs::path(config_.directory) / kSegmentFile.Format(first_seq)).string();
   uint32_t delayed_left = config_.faults.max_retries;
   int64_t backoff_ms =
       std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
@@ -511,7 +438,8 @@ Result<WalReadResult> ReadWal(const std::string& directory,
   std::string tail_bytes;
   while (!segments.empty()) {
     const std::string& path = segments.back().second;
-    BIKEGRAPH_ASSIGN_OR_RETURN(tail_bytes, ReadWholeFile(env, path));
+    BIKEGRAPH_ASSIGN_OR_RETURN(tail_bytes,
+                               ReadWholeFile(env, path, "WAL segment"));
     uint64_t header_seq = 0;
     if (DecodeSegmentHeader(tail_bytes, &header_seq)) break;
     result.truncated_bytes += tail_bytes.size();
@@ -547,7 +475,8 @@ Result<WalReadResult> ReadWal(const std::string& directory,
     if (is_tail) {
       bytes = std::move(tail_bytes);
     } else {
-      BIKEGRAPH_ASSIGN_OR_RETURN(bytes, ReadWholeFile(env, path));
+      BIKEGRAPH_ASSIGN_OR_RETURN(bytes,
+                                 ReadWholeFile(env, path, "WAL segment"));
     }
     uint64_t header_seq = 0;
     if (!DecodeSegmentHeader(bytes, &header_seq)) {
@@ -601,11 +530,7 @@ Result<WalReadResult> ReadWal(const std::string& directory,
         // Torn tail: keep the valid prefix, discard the rest.
         result.truncated_bytes += bytes.size() - offset;
         if (repair_torn_tail) {
-          int fd = -1;
-          for (;;) {
-            fd = env->Open(path.c_str(), O_WRONLY, 0);
-            if (fd >= 0 || errno != EINTR) break;
-          }
+          const int fd = OpenRetryingEintr(env, path, O_WRONLY);
           if (fd < 0) return IOError("open for repair", path);
           const int rc = env->Truncate(fd, static_cast<int64_t>(offset));
           const int sc = rc == 0 ? env->Fsync(fd) : 0;
@@ -664,7 +589,7 @@ uint64_t WalPruneBound(const std::string& directory,
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     uint64_t seq = 0;
-    if (ParseCheckpointFileName(entry.path().filename().string(), &seq)) {
+    if (kCheckpointFile.Parse(entry.path().filename().string(), &seq)) {
       if (count == 0 || seq < oldest) oldest = seq;
       ++count;
     }
@@ -677,8 +602,8 @@ bool DirectoryHasDurableState(const std::string& directory) {
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseSegmentName(name, &seq)) return true;
-    if (ParseCheckpointFileName(name, &seq)) return true;
+    if (kSegmentFile.Parse(name, &seq)) return true;
+    if (kCheckpointFile.Parse(name, &seq)) return true;
     if (name == kDegradedMarkerName) return true;
   }
   return false;
@@ -689,11 +614,8 @@ void WriteDegradedMarker(const DurabilityConfig& config,
   IoEnv* env = ResolveEnv(config.io_env);
   const std::string path =
       (fs::path(config.directory) / kDegradedMarkerName).string();
-  int fd = -1;
-  for (;;) {
-    fd = env->Open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0 || errno != EINTR) break;
-  }
+  const int fd =
+      OpenRetryingEintr(env, path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
   const std::string body = reason.ToString() + "\n";
   const char* p = body.data();

@@ -52,9 +52,6 @@ TEST(PartitionTest, RenumberAndCounts) {
   EXPECT_EQ(p.assignment, (std::vector<int32_t>{0, 1, 0, 2, 1}));
   EXPECT_EQ(p.CommunityCount(), 3u);
   EXPECT_EQ(p.CommunitySizes(), (std::vector<size_t>{2, 2, 1}));
-  auto members = p.CommunityMembers();
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0], (std::vector<int32_t>{0, 2}));
 }
 
 TEST(PartitionTest, TrivialAndSingletons) {

@@ -181,11 +181,6 @@ TEST(CivilTimeTest, IsWeekendHelper) {
   EXPECT_FALSE(IsWeekend(Weekday::kFriday));
 }
 
-TEST(CivilTimeTest, WeekdayNames) {
-  EXPECT_STREQ(WeekdayName(Weekday::kMonday), "Mon");
-  EXPECT_STREQ(WeekdayName(Weekday::kSunday), "Sun");
-}
-
 // Property sweep: DaysFromCivil and CivilFromDays are inverse over a wide
 // range of dates.
 class DaysRoundTripTest : public ::testing::TestWithParam<int64_t> {};

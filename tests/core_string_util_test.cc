@@ -37,24 +37,6 @@ TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("no-trim"), "no-trim");
 }
 
-TEST(JoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
-TEST(AffixTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foobar", "bar"));
-  EXPECT_TRUE(EndsWith("foobar", "bar"));
-  EXPECT_FALSE(EndsWith("foobar", "foo"));
-  EXPECT_TRUE(StartsWith("x", ""));
-}
-
-TEST(ToLowerTest, AsciiLowercasing) {
-  EXPECT_EQ(ToLower("MiXeD 123"), "mixed 123");
-}
-
 TEST(ParseIntTest, ParsesValidIntegers) {
   EXPECT_EQ(*ParseInt("42"), 42);
   EXPECT_EQ(*ParseInt("-17"), -17);

@@ -132,13 +132,6 @@ TEST(DatasetTest, WriteCsvToDiskAndBack) {
   std::remove(rpath.c_str());
 }
 
-TEST(RecordTest, DurationSeconds) {
-  RentalRecord r;
-  r.start_time = At(8);
-  r.end_time = At(9);
-  EXPECT_EQ(r.DurationSeconds(), 3600);
-}
-
 TEST(RecordTest, HasCoordinatesChecksNan) {
   LocationRecord loc;
   EXPECT_FALSE(loc.has_coordinates());

@@ -96,20 +96,6 @@ TEST(GridIndexTest, PointOfReturnsStoredCoordinate) {
   EXPECT_TRUE(std::isnan(index.PointOf(99).lat));
 }
 
-TEST(GridIndexTest, CountMatchesList) {
-  GridIndex index(75.0);
-  LatLon center(53.35, -6.26);
-  Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    index.Add(i, Offset(center, rng.NextUniform(0.0, 400.0),
-                        rng.NextUniform(0.0, 360.0)));
-  }
-  for (double radius : {50.0, 150.0, 399.0}) {
-    EXPECT_EQ(index.CountWithinRadius(center, radius),
-              index.WithinRadius(center, radius).size());
-  }
-}
-
 // Property test: grid results match a brute-force scan for random points
 // and radii (various cell sizes).
 class GridIndexPropertyTest : public ::testing::TestWithParam<double> {};
@@ -190,8 +176,6 @@ TEST(GridIndexFreezeTest, FrozenQueriesMatchUnfrozen) {
                       rng.NextUniform(0.0, 360.0));
     const double radius = rng.NextUniform(20.0, 600.0);
     EXPECT_EQ(frozen.WithinRadius(q, radius), lazy.WithinRadius(q, radius));
-    EXPECT_EQ(frozen.CountWithinRadius(q, radius),
-              lazy.CountWithinRadius(q, radius));
     auto nf = frozen.Nearest(q);
     auto nl = lazy.Nearest(q);
     EXPECT_EQ(nf.id, nl.id);
@@ -218,12 +202,12 @@ TEST(GridIndexFreezeTest, AddAfterFreezeThaws) {
   index.Add(1, Offset(center, 120.0, 90.0));
   index.Freeze();
   ASSERT_TRUE(index.frozen());
-  EXPECT_EQ(index.CountWithinRadius(center, 50.0), 1u);
+  EXPECT_EQ(index.WithinRadius(center, 50.0).size(), 1u);
 
   // Adding thaws; queries see old and new points.
   EXPECT_TRUE(index.Add(2, Offset(center, 30.0, 0.0)));
   EXPECT_FALSE(index.frozen());
-  EXPECT_EQ(index.CountWithinRadius(center, 50.0), 2u);
+  EXPECT_EQ(index.WithinRadius(center, 50.0).size(), 2u);
   EXPECT_EQ(index.WithinRadius(center, 200.0),
             (std::vector<int64_t>{0, 1, 2}));
 

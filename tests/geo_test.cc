@@ -107,30 +107,6 @@ TEST(BBoxTest, ExtendAndContain) {
   EXPECT_FALSE(box.Contains({53.35, -6.31}));
 }
 
-TEST(BBoxTest, AroundPoints) {
-  BBox box = BBox::Around({{53.1, -6.5}, {53.2, -6.1}, {53.5, -6.3}});
-  // lint: float-eq-ok: Around() copies the input literal through
-  // min/max untouched — exact propagation, no arithmetic.
-  EXPECT_EQ(box.min_corner().lat, 53.1);
-  // lint: float-eq-ok: same literal pass-through as above.
-  EXPECT_EQ(box.max_corner().lon, -6.1);
-}
-
-TEST(BBoxTest, ExpandedByMeters) {
-  BBox box({53.30, -6.30}, {53.40, -6.20});
-  BBox big = box.ExpandedBy(1000.0);
-  EXPECT_TRUE(big.Contains({53.2995, -6.30}));   // ~55 m south of edge
-  EXPECT_FALSE(box.Contains({53.2995, -6.30}));
-  EXPECT_NEAR(big.HeightMeters() - box.HeightMeters(), 2000.0, 10.0);
-}
-
-TEST(BBoxTest, DimensionsRoughlyMatchHaversine) {
-  BBox box({53.30, -6.30}, {53.40, -6.20});
-  EXPECT_NEAR(box.HeightMeters(), 11120.0, 100.0);
-  EXPECT_GT(box.WidthMeters(), 6000.0);
-  EXPECT_LT(box.WidthMeters(), 7000.0);
-}
-
 TEST(PolygonTest, SquareContains) {
   Polygon square({{0.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}, {1.0, 0.0}});
   EXPECT_TRUE(square.Contains({0.5, 0.5}));
@@ -156,15 +132,6 @@ TEST(PolygonTest, ConcavePolygon) {
   EXPECT_TRUE(c.Contains({0.5, 1.5}));   // spine of the C
   EXPECT_FALSE(c.Contains({2.0, 1.5}));  // inside the notch
   EXPECT_TRUE(c.Contains({2.0, 2.5}));   // top arm
-}
-
-TEST(PolygonTest, SignedAreaSign) {
-  // Reversed orientation flips the sign; magnitude is preserved.
-  Polygon ccw({{0, 0}, {1, 1}, {0, 2}});  // (lat, lon) vertices
-  Polygon cw({{0, 0}, {0, 2}, {1, 1}});
-  EXPECT_LT(ccw.SignedAreaDeg2() * cw.SignedAreaDeg2(), 0.0);
-  EXPECT_DOUBLE_EQ(std::abs(ccw.SignedAreaDeg2()),
-                   std::abs(cw.SignedAreaDeg2()));
 }
 
 TEST(RegionTest, HolesAreExcluded) {

@@ -105,28 +105,5 @@ TEST(WeightedGraphTest, NeighborsAreSymmetric) {
   EXPECT_TRUE(found);
 }
 
-TEST(DigraphTest, BuildsCsrBothDirections) {
-  DigraphBuilder b(3);
-  ASSERT_TRUE(b.AddEdge(0, 1, 2.0).ok());
-  ASSERT_TRUE(b.AddEdge(0, 1, 1.0).ok());  // merged
-  ASSERT_TRUE(b.AddEdge(1, 2, 4.0).ok());
-  Digraph g = b.Build();
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.edge_count(), 2u);
-  EXPECT_DOUBLE_EQ(g.out_strength(0), 3.0);
-  EXPECT_DOUBLE_EQ(g.in_strength(1), 3.0);
-  EXPECT_DOUBLE_EQ(g.in_strength(2), 4.0);
-  ASSERT_EQ(g.out_neighbors(0).size(), 1u);
-  EXPECT_EQ(g.out_neighbors(0)[0].node, 1);
-  ASSERT_EQ(g.in_neighbors(2).size(), 1u);
-  EXPECT_EQ(g.in_neighbors(2)[0].node, 1);
-}
-
-TEST(DigraphTest, RejectsBadInput) {
-  DigraphBuilder b(1);
-  EXPECT_FALSE(b.AddEdge(0, 1).ok());
-  EXPECT_FALSE(b.AddEdge(0, 0, -2.0).ok());
-}
-
 }  // namespace
 }  // namespace bikegraph::graphdb

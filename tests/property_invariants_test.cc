@@ -12,7 +12,6 @@
 #include "data/synthetic.h"
 #include "geo/dublin.h"
 #include "graphdb/weighted_graph.h"
-#include "metrics/centrality.h"
 
 #include <gtest/gtest.h>
 
@@ -105,42 +104,6 @@ TEST_P(GraphSeedTest, MapEquationNonNegativeAndConsistent) {
   EXPECT_GE(infomap->quality, 0.0);
   // The optimiser never returns something worse than all-singletons.
   EXPECT_LE(infomap->quality, infomap->singleton_quality + 1e-9);
-}
-
-TEST_P(GraphSeedTest, PageRankIsAProbabilityVector) {
-  Rng rng(GetParam());
-  graphdb::DigraphBuilder b(40);
-  for (int e = 0; e < 200; ++e) {
-    (void)b.AddEdge(static_cast<int32_t>(rng.NextBounded(40)),
-                    static_cast<int32_t>(rng.NextBounded(40)),
-                    0.5 + rng.NextDouble());
-  }
-  auto pr = metrics::PageRank(b.Build());
-  ASSERT_TRUE(pr.ok());
-  double sum = 0.0;
-  for (double v : *pr) {
-    EXPECT_GE(v, 0.0);
-    sum += v;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-}
-
-TEST_P(GraphSeedTest, BetweennessNonNegativeAndEndpointsExcluded) {
-  auto g = RandomGraph(GetParam(), 30, 90);
-  auto bc = metrics::Betweenness(g);
-  ASSERT_TRUE(bc.ok());
-  for (double v : *bc) EXPECT_GE(v, -1e-9);
-}
-
-TEST_P(GraphSeedTest, ClusteringCoefficientsInUnitInterval) {
-  auto g = RandomGraph(GetParam(), 30, 120);
-  for (double v : metrics::LocalClusteringCoefficients(g)) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-  }
-  const double global = metrics::GlobalClusteringCoefficient(g);
-  EXPECT_GE(global, 0.0);
-  EXPECT_LE(global, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphSeedTest,

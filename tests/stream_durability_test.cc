@@ -1076,5 +1076,90 @@ TEST(BoundedRecoveryTest, WalHoldsAboutTwoCheckpointIntervals) {
   fs::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------
+// Foreign files. The durable code owns the names "wal-<seq20>.log" and
+// "ckpt-<seq20>.ckpt", the degraded marker and the "ckpt-*.tmp" temps a
+// crashed checkpoint leaves; any other name, near misses included, is
+// someone else's file and is never read, counted or deleted.
+
+TEST(ForeignFilesTest, NearMissNamesAreNeverTouched) {
+  const std::vector<std::string> foreign = {
+      "wal-1.log",
+      "wal-0000000000000000000x.log",
+      "wal-00000000000000000001.log.bak",
+      "ckpt-abc.ckpt",
+      "ckpt-00000000000000000001.ckpt.bak",
+      "notes.txt"};
+  const auto is_foreign = [&foreign](const fs::path& file) {
+    return std::find(foreign.begin(), foreign.end(),
+                     file.filename().string()) != foreign.end();
+  };
+  // Recovers `dir`, checks the state, checkpoints once more and lists
+  // the durable files left.
+  const auto recover_and_checkpoint = [&](const fs::path& dir,
+                                          const CoveredLog& log,
+                                          std::vector<std::string>* names) {
+    auto recovered = StreamEngine::Recover(log.config);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(ComparableState(**recovered), log.reference_state);
+    ASSERT_TRUE((*recovered)->Checkpoint().ok());
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (!is_foreign(entry.path())) {
+        names->push_back(entry.path().filename().string());
+      }
+    }
+    std::sort(names->begin(), names->end());
+  };
+
+  const fs::path control_dir = FreshDir("foreign_control");
+  CoveredLog control;
+  BuildCoveredLog(control_dir, &control);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  std::vector<std::string> control_names;
+  recover_and_checkpoint(control_dir, control, &control_names);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  const fs::path dir = FreshDir("foreign");
+  CoveredLog log;
+  BuildCoveredLog(dir, &log);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  for (const std::string& name : foreign) {
+    std::ofstream(dir / name) << name << "\n";
+  }
+  std::vector<std::string> names;
+  recover_and_checkpoint(dir, log, &names);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // The checkpoint pruned what it prunes without the foreign files: the
+  // segments the now-oldest checkpoint covers and the checkpoint before.
+  EXPECT_EQ(names, control_names);
+  for (const fs::path& segment : log.covered) {
+    EXPECT_FALSE(fs::exists(segment)) << segment;
+  }
+  for (const std::string& name : foreign) {
+    std::ifstream in(dir / name);
+    std::string body;
+    std::getline(in, body);
+    EXPECT_EQ(body, name) << "foreign file touched: " << name;
+  }
+
+  // A directory holding only foreign files holds no durable state, so a
+  // fresh engine starts on it.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (!is_foreign(entry.path())) fs::remove(entry.path());
+  }
+  EXPECT_FALSE(DirectoryHasDurableState(dir.string()));
+  StreamEngine fresh(log.config);
+  TripEvent event;
+  event.rental_id = 1;
+  event.from_station = 0;
+  event.to_station = 1;
+  event.start_time = CivilTime(1000);
+  event.end_time = CivilTime(1100);
+  EXPECT_TRUE(fresh.Ingest(event).ok());
+  EXPECT_EQ(fresh.wal_seq(), 1u);
+  fs::remove_all(control_dir);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace bikegraph::stream

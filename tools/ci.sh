@@ -26,21 +26,10 @@
 #
 # Opt-in sanitizer matrix (the flag must come first): after the regular
 # FULL run, build the tree into build-asan/ and build-ubsan/ and re-run
-# a ctest subset under each. Extra args select the sanitized subset only
-# — the unsanitized gate always runs everything; with none, the
-# streaming suites (including stream_reorder_test: the timing wheel's
-# overflow chains, ready FIFO and duplicate-id expiry heap are exactly
-# where lifetime bugs would live),
-# warm-start, grid and HAC suites (cluster_hac_test and
-# perf_equivalence_test: the slot-indexed merge loop), the paper
-# pipeline suites (graphdb, analysis, expansion, metrics, viz and
-# integration_paper: every projection and counter indexes per-station
-# arrays by the trip table's rows) and the community suites
-# (community_test, community_detector_test, property_invariants_test
-# and umbrella_header_test: every algorithm through Detect(), on flat
-# label-indexed scratch) run by default.
+# every suite under each. Extra args select a sanitized subset only —
+# the unsanitized gate always runs everything.
 #
-#   tools/ci.sh --sanitize-matrix                   # default subset
+#   tools/ci.sh --sanitize-matrix                   # every suite
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
 #
 # Bench smoke (the flag must come first): after the test pass, run every
@@ -235,17 +224,8 @@ if [ "$STRESS" = 1 ]; then
 fi
 
 if [ "$MATRIX" = 1 ]; then
-  declare -a MATRIX_ARGS
-  if [ "$#" -gt 0 ]; then
-    MATRIX_ARGS=("$@")
-  else
-    # 'reorder' is matched by 'stream' (stream_reorder_test) but is named
-    # anyway so the intent survives a test-file rename.
-    MATRIX_ARGS=(-R 'stream|query|reorder|warm_start|grid_index|cluster_hac|perf_equivalence|graphdb|analysis|expansion|metrics|viz|integration_paper|community|property_invariants|umbrella_header')
-  fi
   for san in address undefined; do
     echo ">>> sanitizer matrix: $san"
-    env -u BUILD_DIR BIKEGRAPH_SANITIZE="$san" \
-        "${BASH_SOURCE[0]}" "${MATRIX_ARGS[@]}"
+    env -u BUILD_DIR BIKEGRAPH_SANITIZE="$san" "${BASH_SOURCE[0]}" "$@"
   done
 fi
