@@ -48,13 +48,14 @@ BENCHMARK(BM_StreamIngest)->Arg(64)->Arg(256);
 // engine's Ingest/DrainReady shape (batch ForEachReady release).
 // Compare against BM_StreamIngest to read the buffer's overhead; the
 // measured numbers are discussed in docs/STREAMING.md.
-void BM_StreamIngestWheel(benchmark::State& state) {
+void StreamIngestWheel(benchmark::State& state, bool suppress_duplicates) {
   const auto stations = static_cast<size_t>(state.range(0));
   const auto events =
       JitterArrivalOrder(PlantedStream(stations, 4, 28, 4000, 17), 3600, 99)
           .events;
   ReorderBufferOptions options;
   options.max_lateness_seconds = 3600;
+  options.suppress_duplicates = suppress_duplicates;
   for (auto _ : state) {
     ReorderBuffer buffer(options);
     SlidingWindowGraph window({stations, 7 * 86400});
@@ -72,7 +73,20 @@ void BM_StreamIngestWheel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(events.size()));
 }
+
+// Duplicate suppression off: the reorder layer alone.
+void BM_StreamIngestWheel(benchmark::State& state) {
+  StreamIngestWheel(state, /*suppress_duplicates=*/false);
+}
 BENCHMARK(BM_StreamIngestWheel)->Arg(64)->Arg(256);
+
+// Duplicate suppression on, as the engine runs it for a live feed: every
+// admitted rental id enters the id set and leaves it when its start
+// falls out of the horizon (the planted stream redelivers nothing).
+void BM_StreamIngestWheelSuppress(benchmark::State& state) {
+  StreamIngestWheel(state, /*suppress_duplicates=*/true);
+}
+BENCHMARK(BM_StreamIngestWheelSuppress)->Arg(64)->Arg(256);
 
 // Full-engine ingestion with and without the write-ahead log. The two
 // variants differ only in config.durability, so their per-item delta is

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -21,9 +20,11 @@ namespace fs = std::filesystem;
 using internal::FsyncDirectory;
 using internal::IOError;
 using internal::kCheckpointFile;
+using internal::kCheckpointTempFile;
 using internal::OpenRetryingEintr;
 using internal::ReadWholeFile;
 using internal::ResolveEnv;
+using internal::WriteAllRetryingEintr;
 
 constexpr char kCheckpointMagic[8] = {'B', 'G', 'C', 'K', 'P', 'T', '1', '\n'};
 /// File layout: magic(8) + u64 payload size + u32 CRC32C(payload) +
@@ -298,7 +299,9 @@ Status WriteCheckpoint(const std::string& directory,
   const std::string final_path =
       (fs::path(directory) / kCheckpointFile.Format(checkpoint.wal_seq))
           .string();
-  const std::string tmp_path = final_path + ".tmp";
+  const std::string tmp_path =
+      (fs::path(directory) / kCheckpointTempFile.Format(checkpoint.wal_seq))
+          .string();
   // A failed commit must leave the directory as it found it: every error
   // path below removes the temp (best-effort) so the previous checkpoint
   // set — still intact, never touched until the atomic rename — remains
@@ -306,19 +309,11 @@ Status WriteCheckpoint(const std::string& directory,
   const int fd =
       OpenRetryingEintr(env, tmp_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return IOError("create checkpoint", tmp_path);
-  const char* p = file.data();
-  size_t left = file.size();
-  while (left > 0) {
-    const int64_t n = env->Write(fd, p, left);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      const Status failed = IOError("write checkpoint", tmp_path);
-      env->Close(fd);
-      (void)env->Unlink(tmp_path.c_str());
-      return failed;
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
+  if (!WriteAllRetryingEintr(env, fd, file.data(), file.size())) {
+    const Status failed = IOError("write checkpoint", tmp_path);
+    env->Close(fd);
+    (void)env->Unlink(tmp_path.c_str());
+    return failed;
   }
   if (env->Fsync(fd) != 0) {
     const Status failed = IOError("fsync checkpoint", tmp_path);
@@ -350,9 +345,7 @@ Result<CheckpointLoadResult> LoadNewestCheckpoint(
     uint64_t seq = 0;
     if (kCheckpointFile.Parse(name, &seq)) {
       candidates.emplace_back(seq, entry.path().string());
-    } else if (name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".tmp") == 0 &&
-               name.rfind("ckpt-", 0) == 0) {
+    } else if (kCheckpointTempFile.Parse(name, &seq)) {
       // A crash mid-checkpoint: the half-written temp never became a
       // .ckpt, so it carries no state anyone committed to. Clean it up
       // (best-effort — a stray temp is harmless, just litter).

@@ -49,6 +49,20 @@ int OpenRetryingEintr(IoEnv* env, const std::string& path, int flags,
   }
 }
 
+bool WriteAllRetryingEintr(IoEnv* env, int fd, const char* data,
+                           size_t size) {
+  while (size > 0) {
+    const int64_t n = env->Write(fd, data, size);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
 Status FsyncDirectory(IoEnv* env, const std::string& directory) {
   if (env->FsyncDir(directory.c_str()) != 0) {
     return IOError("fsync directory", directory);

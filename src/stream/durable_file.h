@@ -25,6 +25,8 @@ struct SeqFileName {
 
 inline constexpr SeqFileName kSegmentFile{"wal-", ".log"};
 inline constexpr SeqFileName kCheckpointFile{"ckpt-", ".ckpt"};
+/// The temp a checkpoint is written to before its atomic rename.
+inline constexpr SeqFileName kCheckpointTempFile{"ckpt-", ".ckpt.tmp"};
 
 /// A null env means the process default.
 inline IoEnv* ResolveEnv(IoEnv* env) {
@@ -38,6 +40,11 @@ Status IOError(const std::string& what, const std::string& path);
 /// errno set on any other failure.
 int OpenRetryingEintr(IoEnv* env, const std::string& path, int flags,
                       unsigned int mode = 0);
+
+/// Writes all `size` bytes at `data` to `fd` through `env->Write`,
+/// retrying EINTR and resuming after short writes. False when a write
+/// fails (errno says why) or makes no progress.
+bool WriteAllRetryingEintr(IoEnv* env, int fd, const char* data, size_t size);
 
 /// Fsyncs `directory`, so the names created or removed in it are durable.
 Status FsyncDirectory(IoEnv* env, const std::string& directory);

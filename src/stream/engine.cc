@@ -538,21 +538,9 @@ StreamEngine::SnapshotInternal() {
   // a large dirty fraction all fall back to a full rebuild inside
   // FreezeSnapshotDelta. With deltas disabled the window is never
   // drained at all, so tracking stays unarmed and ingest keeps its
-  // zero-bookkeeping hot path. Sharded: per-shard drains merge in shard
-  // order into the one set the delta freeze patches.
+  // zero-bookkeeping hot path.
   WindowDirtySet changes;
-  if (config_.snapshot_delta.enabled) {
-    if (shards_.size() == 1) {
-      changes = shards_[0]->window.DrainDirty();
-    } else {
-      std::vector<WindowDirtySet> parts;
-      parts.reserve(shards_.size());
-      for (const auto& shard : shards_) {
-        parts.push_back(shard->window.DrainDirty());
-      }
-      changes = MergeDirtySets(parts);
-    }
-  }
+  if (config_.snapshot_delta.enabled) changes = DrainWindowChanges();
   bool used_delta = false;
   auto previous = publisher_.Current();
   const bool try_delta =
@@ -593,6 +581,39 @@ StreamEngine::SnapshotInternal() {
   desyncs_at_last_freeze_ = desyncs;
   dirty_ = false;
   return publisher_.Publish(std::move(*frozen));
+}
+
+WindowDirtySet StreamEngine::DrainWindowChanges() {
+  // The live pairs now are the edges and self-loops of the graph the
+  // coming freeze publishes: the base the next epoch's delta freeze
+  // tests against, so the next epoch stops tracking at its cut-off.
+  size_t live_pairs = 0;
+  for (const auto& shard : shards_) live_pairs += shard->window.pair_count();
+  const size_t limit = dirty_pair_limit_;
+  dirty_pair_limit_ = MaxDeltaDirtyPairs(config_.snapshot_delta, live_pairs);
+  if (shards_.size() == 1) {
+    return shards_[0]->window.DrainDirty(dirty_pair_limit_);
+  }
+  // Every shard tracked under the same global limit. Records that
+  // together pass it describe an epoch the delta freeze rejects, so they
+  // are dropped unsorted and the merge is skipped. Otherwise the
+  // per-shard drains merge in shard order into the one set the delta
+  // freeze patches.
+  size_t listed = 0;
+  for (const auto& shard : shards_) listed += shard->window.dirty_pair_count();
+  if (listed > limit) {
+    for (const auto& shard : shards_) {
+      shard->window.MarkDirtyTrackingIncomplete();
+      (void)shard->window.DrainDirty(dirty_pair_limit_);
+    }
+    return {};
+  }
+  std::vector<WindowDirtySet> parts;
+  parts.reserve(shards_.size());
+  for (const auto& shard : shards_) {
+    parts.push_back(shard->window.DrainDirty(dirty_pair_limit_));
+  }
+  return MergeDirtySets(parts);
 }
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent() {
@@ -868,9 +889,7 @@ Status StreamEngine::RestoreFromCheckpoint(
     publisher_.Publish(std::move(snap));
     // Arm dirty tracking so replayed and resumed freezes can delta
     // against the republished baseline (RestoreState leaves it unarmed).
-    if (config_.snapshot_delta.enabled) {
-      for (const auto& shard : shards_) shard->window.DrainDirty();
-    }
+    if (config_.snapshot_delta.enabled) (void)DrainWindowChanges();
     dirty_ = false;
   } else {
     // Nothing published, or the window had moved past the publish: the

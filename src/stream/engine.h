@@ -439,6 +439,11 @@ class StreamEngine {
   /// Full (non-delta) freeze of the live window — shard 0 directly, or
   /// the merged view over all shards. Shards must be quiescent.
   Result<WindowSnapshot> FreezeFull() const;
+  /// Drains every shard's change record into the one set a delta freeze
+  /// patches, and starts the next epoch under the delta freeze's cut-off
+  /// for the live pairs now (MaxDeltaDirtyPairs). Shards must be
+  /// quiescent.
+  WindowDirtySet DrainWindowChanges();
 
   StreamEngineConfig config_;
   /// pair -> owning shard (stable splitmix64 hash; see stream/shard.h).
@@ -465,6 +470,9 @@ class StreamEngine {
   /// Written by the ingestion thread, polled by dashboard threads.
   std::atomic<uint64_t> delta_freeze_count_{0};
   std::atomic<uint64_t> full_freeze_count_{0};
+  /// The dirty-pair limit every shard window tracks the current epoch
+  /// under, set at the last drain (DrainWindowChanges).
+  size_t dirty_pair_limit_ = SIZE_MAX;
   /// delta_desync_count() as of the last successful freeze; a newer
   /// desync forces the next freeze down the full path.
   uint64_t desyncs_at_last_freeze_ = 0;

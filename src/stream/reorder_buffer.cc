@@ -70,15 +70,15 @@ Status ReorderBuffer::Push(const TripEvent& event) {
     // at most max_duplicate_ids entries.
     if (options_.max_duplicate_ids > 0 &&
         seen_ids_.size() >= options_.max_duplicate_ids &&
-        seen_ids_.find(event.rental_id) == seen_ids_.end()) {
+        !seen_ids_.Contains(event.rental_id)) {
       while (seen_ids_.size() >= options_.max_duplicate_ids &&
              !seen_expiry_.empty()) {
-        seen_ids_.erase(seen_expiry_.top().second);
+        seen_ids_.Erase(seen_expiry_.top().second);
         seen_expiry_.pop();
         ++duplicate_ids_evicted_;
       }
     }
-    if (!seen_ids_.insert(event.rental_id).second) {
+    if (!seen_ids_.Insert(event.rental_id)) {
       ++duplicate_count_;
       return Status::OK();
     }
@@ -321,7 +321,11 @@ Status ReorderBuffer::RestoreState(const ReorderBufferState& state) {
   duplicate_ids_high_water_ = state.duplicate_ids_high_water;
   duplicate_ids_evicted_ = state.duplicate_ids_evicted;
   for (const auto& [start, id] : state.seen) {
-    if (!seen_ids_.insert(id).second) {
+    if (id == data::kInvalidId) {
+      return Status::DataLoss(
+          "checkpointed duplicate-suppression set holds the invalid id");
+    }
+    if (!seen_ids_.Insert(id)) {
       return Status::DataLoss(
           "checkpointed duplicate-suppression set repeats rental id " +
           std::to_string(id));
@@ -369,8 +373,71 @@ void ReorderBuffer::EvictExpiredIds(int64_t cutoff) {
   // match an admissible redelivery (it would be late), so dropping them
   // keeps the set bounded by one horizon of events.
   while (!seen_expiry_.empty() && seen_expiry_.top().first < cutoff) {
-    seen_ids_.erase(seen_expiry_.top().second);
+    seen_ids_.Erase(seen_expiry_.top().second);
     seen_expiry_.pop();
+  }
+}
+
+size_t ReorderBuffer::IdSet::Home(int64_t id) const {
+  // Fibonacci hashing: the top bits of id × 2^64/φ spread sequential
+  // and strided ids alike.
+  return static_cast<size_t>(
+      (static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+bool ReorderBuffer::IdSet::Contains(int64_t id) const {
+  if (size_ == 0) return false;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(id);; i = (i + 1) & mask) {
+    if (slots_[i] == id) return true;
+    if (slots_[i] == data::kInvalidId) return false;
+  }
+}
+
+bool ReorderBuffer::IdSet::Insert(int64_t id) {
+  assert(id != data::kInvalidId && "the empty-slot marker is not a key");
+  if (size_ + 1 > slots_.size() / 2) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  for (; slots_[i] != data::kInvalidId; i = (i + 1) & mask) {
+    if (slots_[i] == id) return false;
+  }
+  slots_[i] = id;
+  ++size_;
+  return true;
+}
+
+void ReorderBuffer::IdSet::Erase(int64_t id) {
+  if (size_ == 0) return;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Home(id);
+  for (; slots_[hole] != id; hole = (hole + 1) & mask) {
+    if (slots_[hole] == data::kInvalidId) return;
+  }
+  // Backward shift: a later member of the probe run moves into the hole
+  // when its probe path passes through it (its home lies cyclically at
+  // or before the hole), so every member stays reachable from its home.
+  for (size_t j = (hole + 1) & mask; slots_[j] != data::kInvalidId;
+       j = (j + 1) & mask) {
+    if (((j - Home(slots_[j])) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = data::kInvalidId;
+  --size_;
+}
+
+void ReorderBuffer::IdSet::Grow() {
+  std::vector<int64_t> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), data::kInvalidId);
+  shift_ = 64u - static_cast<unsigned>(std::countr_zero(slots_.size()));
+  const size_t mask = slots_.size() - 1;
+  for (const int64_t id : old) {
+    if (id == data::kInvalidId) continue;
+    size_t i = Home(id);
+    while (slots_[i] != data::kInvalidId) i = (i + 1) & mask;
+    slots_[i] = id;
   }
 }
 

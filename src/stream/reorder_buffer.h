@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "core/civil_time.h"
@@ -204,7 +203,7 @@ class ReorderBuffer {
   /// options stay as constructed. Returns the constructor's
   /// InvalidArgument for invalid options, and DataLoss for internally
   /// inconsistent state (unsorted or beyond-watermark buffered events,
-  /// duplicate seen ids).
+  /// duplicate seen ids, a seen data::kInvalidId).
   Status RestoreState(const ReorderBufferState& state);
 
  private:
@@ -389,10 +388,34 @@ class ReorderBuffer {
   TripEvent direct_;
   bool has_direct_ = false;
 
+  /// The duplicate-suppression id set: open addressing with linear
+  /// probing over a power-of-two table of raw ids, at most half full.
+  /// data::kInvalidId marks an empty slot (such ids are never suppressed,
+  /// so never stored; every other int64_t is a key). Erase shifts the
+  /// rest of the probe run back into the hole, so no tombstones build up
+  /// as the horizon evicts. Once grown it allocates nothing per id.
+  class IdSet {
+   public:
+    size_t size() const { return size_; }
+    bool Contains(int64_t id) const;
+    /// Adds `id`; false when it was already present.
+    bool Insert(int64_t id);
+    /// Removes `id` if present.
+    void Erase(int64_t id);
+
+   private:
+    size_t Home(int64_t id) const;
+    void Grow();
+
+    std::vector<int64_t> slots_;
+    size_t size_ = 0;
+    unsigned shift_ = 64;
+  };
+
   // Duplicate suppression: ids admitted whose start is still within the
   // horizon, plus an eviction heap so the set shrinks as the watermark
   // advances.
-  std::unordered_set<int64_t> seen_ids_;
+  IdSet seen_ids_;
   std::priority_queue<std::pair<int64_t, int64_t>,
                       std::vector<std::pair<int64_t, int64_t>>,
                       std::greater<std::pair<int64_t, int64_t>>>

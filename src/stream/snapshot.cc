@@ -197,6 +197,16 @@ Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
 
 }  // namespace
 
+size_t MaxDeltaDirtyPairs(const SnapshotDeltaPolicy& policy,
+                          size_t live_pairs) {
+  const double cut_off =
+      policy.max_dirty_fraction * static_cast<double>(live_pairs + 1);
+  // NaN, infinite and past-size_t products never bind.
+  if (!(cut_off < static_cast<double>(SIZE_MAX))) return SIZE_MAX;
+  if (cut_off <= 0.0) return 0;
+  return static_cast<size_t>(cut_off);
+}
+
 std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
     const std::vector<geo::LatLon>& station_positions) {
   if (station_positions.empty()) return nullptr;

@@ -90,6 +90,18 @@ struct SnapshotDeltaPolicy {
   double max_dirty_fraction = 0.25;
 };
 
+/// \brief The most dirty pairs an epoch can list and still pass
+/// FreezeSnapshotDelta's size test against a previous graph holding
+/// `live_pairs` edges and self-loops: floor(max_dirty_fraction ×
+/// (live_pairs + 1)), the cut-off that test compares against (a count
+/// exceeds a product exactly when it exceeds its floor). SIZE_MAX when
+/// the fraction sets no finite cut-off, 0 when it is not positive. The
+/// engine hands it to SlidingWindowGraph::DrainDirty, so an epoch the
+/// delta freeze would reject stops tracking instead of sorting its
+/// record.
+size_t MaxDeltaDirtyPairs(const SnapshotDeltaPolicy& policy,
+                          size_t live_pairs);
+
 /// \brief Freezes the live window by copy-on-write patching of the
 /// previous epoch's snapshot: only the station pairs and profiles in
 /// `changes` (drained from the window via

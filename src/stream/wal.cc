@@ -24,6 +24,7 @@ using internal::kSegmentFile;
 using internal::OpenRetryingEintr;
 using internal::ReadWholeFile;
 using internal::ResolveEnv;
+using internal::WriteAllRetryingEintr;
 
 /// Frame header: u32 payload length + u32 CRC32C(payload).
 constexpr size_t kFrameHeaderBytes = 8;
@@ -618,17 +619,8 @@ void WriteDegradedMarker(const DurabilityConfig& config,
       OpenRetryingEintr(env, path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
   const std::string body = reason.ToString() + "\n";
-  const char* p = body.data();
-  size_t left = body.size();
-  while (left > 0) {
-    const int64_t n = env->Write(fd, p, left);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // best-effort: a partial (even empty) marker is still loud
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-  }
+  // Best-effort: a partial (even empty) marker is still loud.
+  (void)WriteAllRetryingEintr(env, fd, body.data(), body.size());
   (void)env->Fsync(fd);
   env->Close(fd);
   (void)env->FsyncDir(config.directory.c_str());

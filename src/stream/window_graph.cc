@@ -118,23 +118,23 @@ int64_t SlidingWindowGraph::TripsBetween(int32_t u, int32_t v) const {
 
 void SlidingWindowGraph::MarkPairDirty(uint64_t key, PairState& state) {
   if (state.dirty_epoch == dirty_epoch_) return;
-  state.dirty_epoch = dirty_epoch_;
-  if (dirty_pairs_overflowed_) return;
   // A pair that dies and is re-created within one epoch re-enters the
   // list (its fresh map entry carries a stale stamp), so the list is
-  // deduplicated at drain time; the cap bounds it against pathological
-  // churn loops in between.
+  // deduplicated at drain time; the ceiling bounds it against
+  // pathological churn loops for callers that set no limit.
   if (dirty_pairs_.size() >=
-      std::max<size_t>(4096, 2 * pair_trips_.size())) {
-    dirty_pairs_overflowed_ = true;
+      std::min(dirty_pair_limit_,
+               std::max<size_t>(4096, 2 * pair_trips_.size()))) {
+    dirty_tracking_ = false;
     return;
   }
+  state.dirty_epoch = dirty_epoch_;
   dirty_pairs_.push_back(key);
 }
 
-WindowDirtySet SlidingWindowGraph::DrainDirty() {
+WindowDirtySet SlidingWindowGraph::DrainDirty(size_t next_limit) {
   WindowDirtySet out;
-  out.complete = dirty_tracking_armed_ && !dirty_pairs_overflowed_;
+  out.complete = dirty_tracking_;
   if (out.complete) {
     out.pairs = std::move(dirty_pairs_);
     std::sort(out.pairs.begin(), out.pairs.end());
@@ -145,8 +145,8 @@ WindowDirtySet SlidingWindowGraph::DrainDirty() {
   }
   dirty_pairs_.clear();
   dirty_stations_.clear();
-  dirty_pairs_overflowed_ = false;
-  dirty_tracking_armed_ = true;
+  dirty_tracking_ = true;
+  dirty_pair_limit_ = next_limit;
   ++dirty_epoch_;
   if (dirty_epoch_ == 0) {
     // 32-bit epoch wrapped: wipe every stamp so nothing from 2^32
@@ -181,7 +181,7 @@ void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
   if (delta > 0) {
     auto [it, inserted] = pair_trips_.try_emplace(key);
     it->second.trips += delta;
-    if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
+    if (dirty_tracking_) MarkPairDirty(key, it->second);
     if (inserted) {
       pending_pairs_.push_back(key);
       // Bounds a window that is never read. The merge sorts the pending
@@ -207,14 +207,14 @@ void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
       return;
     }
     it->second.trips += delta;
-    if (dirty_tracking_armed_) MarkPairDirty(key, it->second);
+    if (dirty_tracking_) MarkPairDirty(key, it->second);
     if (it->second.trips == 0) pair_trips_.erase(it);
   }
   for (int32_t station : {e.from, e.to}) {
     day_[AsIndex(station)][e.day] += delta;
     hour_[AsIndex(station)][e.hour] += delta;
     endpoint_count_[AsIndex(station)] += delta;
-    if (dirty_tracking_armed_ &&
+    if (dirty_tracking_ &&
         station_dirty_epoch_[AsIndex(station)] != dirty_epoch_) {
       station_dirty_epoch_[AsIndex(station)] = dirty_epoch_;
       dirty_stations_.push_back(station);

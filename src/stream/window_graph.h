@@ -34,9 +34,9 @@ struct WindowGraphOptions {
 struct WindowDirtySet {
   /// True when the set is an exhaustive record of the changes since the
   /// last drain. False on the first drain (tracking arms lazily, so
-  /// pure-ingest workloads that never freeze pay nothing) and after a
-  /// pathological epoch overflowed the pair list — both force the caller
-  /// back to a full freeze.
+  /// pure-ingest workloads that never freeze pay nothing) and after an
+  /// epoch overflowed its pair list (see DrainDirty) — both force the
+  /// caller back to a full freeze.
   bool complete = false;
   /// Touched pair keys, `SlidingWindowGraph::PairKey` packed
   /// (u << 32 | v with u <= v; self pairs included), sorted ascending,
@@ -195,21 +195,32 @@ class SlidingWindowGraph {
   size_t pair_count() const { return pair_trips_.size(); }
 
   /// Drains the record of changes since the previous drain and starts a
-  /// new epoch. The first call arms change tracking (and therefore
-  /// returns `complete = false`): ingest-only consumers that never
-  /// freeze snapshots pay nothing for tracking they do not use. The
-  /// pair list is bounded — an epoch that touches more than
-  /// max(4096, 2 × live pairs) distinct pairs overflows and the drain
-  /// reports `complete = false`, forcing the next freeze down the full
-  /// path (stations are epoch-stamped and never overflow).
-  WindowDirtySet DrainDirty();
+  /// new epoch whose pair list holds at most `next_limit` entries. The
+  /// first call arms change tracking (and therefore returns
+  /// `complete = false`): ingest-only consumers that never freeze
+  /// snapshots pay nothing for tracking they do not use. An epoch that
+  /// would list more than min(`next_limit`, max(4096, 2 × live pairs))
+  /// pairs overflows: it tracks nothing more, and its drain reports
+  /// `complete = false` without sorting, forcing the next freeze down
+  /// the full path. The engine passes MaxDeltaDirtyPairs (snapshot.h),
+  /// so tracking stops where the delta freeze would reject the epoch
+  /// anyway. A pair that expires and is re-created within one epoch is
+  /// listed twice, so an epoch whose distinct pairs sit just under the
+  /// limit can still overflow; its freeze is a full one, bit-identical.
+  WindowDirtySet DrainDirty(size_t next_limit = SIZE_MAX);
+
+  /// Pairs the current epoch's change record lists so far (a pair
+  /// re-created within the epoch counts twice); never more than the
+  /// epoch's limit. The sharded engine sums it over its shards to drop
+  /// an over-limit epoch before sorting anything.
+  size_t dirty_pair_count() const { return dirty_pairs_.size(); }
 
   /// Forces the next DrainDirty() to report `complete = false` (one
   /// drain only; tracking re-arms as usual). For callers whose freeze
   /// failed *after* draining: those changes are gone from tracking, so
   /// patching an older snapshot later would silently miss them — the
   /// next freeze must rebuild instead.
-  void MarkDirtyTrackingIncomplete() { dirty_pairs_overflowed_ = true; }
+  void MarkDirtyTrackingIncomplete() { dirty_tracking_ = false; }
 
   /// Times an expiry reversal referenced a station pair the pair map has
   /// no record of — always 0 unless the ring and the map desync (a
@@ -275,11 +286,13 @@ class SlidingWindowGraph {
   std::vector<std::array<int64_t, 24>> hour_;
   std::vector<int64_t> endpoint_count_;
 
-  // Change tracking for delta snapshot freezes. Armed by the first
-  // DrainDirty(); until then ApplyDelta skips it entirely, so raw ingest
-  // throughput is unchanged for consumers that never freeze.
-  bool dirty_tracking_armed_ = false;
-  bool dirty_pairs_overflowed_ = false;
+  // Change tracking for delta snapshot freezes. On from each
+  // DrainDirty() until the epoch's record overflows (or is marked
+  // incomplete); while off, ApplyDelta skips it entirely, so consumers
+  // that never freeze, and epochs the delta freeze would reject, pay
+  // nothing for it.
+  bool dirty_tracking_ = false;
+  size_t dirty_pair_limit_ = SIZE_MAX;
   uint32_t dirty_epoch_ = 1;
   std::vector<uint64_t> dirty_pairs_;
   std::vector<int32_t> dirty_stations_;

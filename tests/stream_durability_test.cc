@@ -405,14 +405,16 @@ TEST(CheckpointTest, NewestCorruptFallsBackToOlderAndTmpIsSwept) {
   auto files = SortedFiles(dir, ".ckpt");
   ASSERT_EQ(files.size(), 2u);
   FlipByteAt(files[1], 4);  // bit-rot the newest
-  { std::ofstream stray(dir / "ckpt-junk.ckpt.tmp"); stray << "half"; }
+  // The temp a checkpoint crashed before renaming leaves behind.
+  const fs::path stray_tmp = dir / "ckpt-00000000000000000007.ckpt.tmp";
+  { std::ofstream stray(stray_tmp); stray << "half"; }
 
   auto loaded = LoadNewestCheckpoint(dir.string());
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->found);
   EXPECT_EQ(loaded->checkpoint.wal_seq, 5u);
   EXPECT_EQ(loaded->skipped, 1u);
-  EXPECT_FALSE(fs::exists(dir / "ckpt-junk.ckpt.tmp"));
+  EXPECT_FALSE(fs::exists(stray_tmp));
 
   // The WAL prune bound waits for `checkpoints_kept` checkpoints, then
   // follows the oldest.
@@ -1078,9 +1080,9 @@ TEST(BoundedRecoveryTest, WalHoldsAboutTwoCheckpointIntervals) {
 
 // ---------------------------------------------------------------------
 // Foreign files. The durable code owns the names "wal-<seq20>.log" and
-// "ckpt-<seq20>.ckpt", the degraded marker and the "ckpt-*.tmp" temps a
-// crashed checkpoint leaves; any other name, near misses included, is
-// someone else's file and is never read, counted or deleted.
+// "ckpt-<seq20>.ckpt", the degraded marker and the "ckpt-<seq20>.ckpt.tmp"
+// temps a crashed checkpoint leaves; any other name, near misses
+// included, is someone else's file and is never read, counted or deleted.
 
 TEST(ForeignFilesTest, NearMissNamesAreNeverTouched) {
   const std::vector<std::string> foreign = {
@@ -1089,6 +1091,8 @@ TEST(ForeignFilesTest, NearMissNamesAreNeverTouched) {
       "wal-00000000000000000001.log.bak",
       "ckpt-abc.ckpt",
       "ckpt-00000000000000000001.ckpt.bak",
+      "ckpt-notes.tmp",
+      "ckpt-junk.ckpt.tmp",
       "notes.txt"};
   const auto is_foreign = [&foreign](const fs::path& file) {
     return std::find(foreign.begin(), foreign.end(),

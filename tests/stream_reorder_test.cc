@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -297,16 +298,19 @@ using ReleaseKey = std::pair<int64_t, int64_t>;  // (start, rental id)
 
 /// The contract, stated directly over a plain list of held events. An
 /// event is admitted unless it is late (older than the horizon) or, with
-/// duplicate suppression, its id repeats an admitted id whose start is
-/// still inside the horizon. Admitted events raise the watermark. Each
-/// drain hands out the held events at or below the cutoff (all of them
-/// after Flush) in (start, rental id) order; a visitor that fails on the
-/// k-th event consumes exactly k.
+/// duplicate suppression, its id is in the id set. The set holds each
+/// admitted id (data::kInvalidId aside) until its start falls below the
+/// horizon or, when an insert would pass `max_duplicate_ids`, until the
+/// cap evicts it, oldest (start, rental id) first. Admitted events raise
+/// the watermark. Each drain hands out the held events at or below the
+/// cutoff (all of them after Flush) in (start, rental id) order; a
+/// visitor that fails on the k-th event consumes exactly k.
 class ReorderModel {
  public:
   explicit ReorderModel(const ReorderBufferOptions& options)
       : lateness_(options.max_lateness_seconds),
-        suppress_duplicates_(options.suppress_duplicates) {}
+        suppress_duplicates_(options.suppress_duplicates),
+        max_ids_(options.max_duplicate_ids) {}
 
   void Push(const TripEvent& event) {
     const int64_t start = event.start_time.seconds_since_epoch();
@@ -315,20 +319,33 @@ class ReorderModel {
       return;
     }
     if (suppress_duplicates_ && event.rental_id != data::kInvalidId) {
-      const auto it = admitted_start_.find(event.rental_id);
-      if (it != admitted_start_.end() && it->second >= Cutoff()) {
+      if (seen_start_.count(event.rental_id) != 0) {
         ++duplicate_count;
         return;
       }
-      admitted_start_[event.rental_id] = start;
+      while (max_ids_ > 0 && seen_start_.size() >= max_ids_) {
+        seen_start_.erase(seen_by_start_.begin()->second);
+        seen_by_start_.erase(seen_by_start_.begin());
+        ++duplicate_ids_evicted;
+      }
+      seen_start_[event.rental_id] = start;
+      seen_by_start_.emplace(start, event.rental_id);
+      duplicate_ids_high_water =
+          std::max<uint64_t>(duplicate_ids_high_water, seen_start_.size());
     }
     if (start < watermark) ++reordered_count;
-    watermark = std::max(watermark, start);
+    AdvanceWatermark(start);
     held_.emplace_back(start, event.rental_id);
   }
 
   void AdvanceWatermark(int64_t seconds) {
-    watermark = std::max(watermark, seconds);
+    if (seconds <= watermark) return;
+    watermark = seconds;
+    while (!seen_by_start_.empty() &&
+           seen_by_start_.begin()->first < Cutoff()) {
+      seen_start_.erase(seen_by_start_.begin()->second);
+      seen_by_start_.erase(seen_by_start_.begin());
+    }
   }
 
   void Flush() { flushed_ = true; }
@@ -358,6 +375,8 @@ class ReorderModel {
   uint64_t late_dropped_count = 0;
   uint64_t duplicate_count = 0;
   uint64_t released_count = 0;
+  uint64_t duplicate_ids_high_water = 0;
+  uint64_t duplicate_ids_evicted = 0;
 
  private:
   int64_t Cutoff() const {
@@ -366,21 +385,53 @@ class ReorderModel {
 
   int64_t lateness_;
   bool suppress_duplicates_;
+  size_t max_ids_;
   bool flushed_ = false;
   std::vector<ReleaseKey> held_;
-  std::map<int64_t, int64_t> admitted_start_;  // rental id -> start
+  std::map<int64_t, int64_t> seen_start_;  // rental id -> start
+  std::set<ReleaseKey> seen_by_start_;      // (start, rental id)
 };
+
+/// A rental id from a space of `space` (>= 8) values that holds both
+/// ends of the int64 range, kInvalidId (never suppressed), other
+/// negative ids and multiples of 2^40, which agree in their low bits.
+int64_t DrawRentalId(Rng& rng, uint64_t space) {
+  const uint64_t i = rng.NextBounded(space);
+  switch (i) {
+    case 0: return INT64_MIN;
+    case 1: return INT64_MAX;
+    case 2: return data::kInvalidId;
+    case 3: return INT64_MIN + 1;
+    default: break;
+  }
+  const auto k = static_cast<int64_t>(i);
+  return i % 3 == 0 ? -k : i % 3 == 1 ? k * (int64_t{1} << 40) : k;
+}
 
 TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
   Rng rng(0xC0FFEE);
   const int64_t base = At(6, 0).seconds_since_epoch();
   const int64_t lateness_choices[] = {0, 1, 7, 64, 600, 3600};
-  for (int trial = 0; trial < 24; ++trial) {
+  for (int trial = 0; trial < 36; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     ReorderBufferOptions options;
     options.max_lateness_seconds = lateness_choices[rng.NextBounded(6)];
     options.late_policy = LateEventPolicy::kDrop;
     options.suppress_duplicates = rng.NextBounded(2) == 0;
+    // A small id set cap, an hour's horizon with short watermark jumps
+    // (so the set holds more ids than the cap) and a wider id space
+    // drive the cap's oldest-first eviction; the default cap is never
+    // reached here.
+    const bool capped = options.suppress_duplicates && rng.NextBounded(2) == 0;
+    if (capped) {
+      options.max_lateness_seconds = 3600;
+      options.max_duplicate_ids = 4 + rng.NextBounded(29);
+    }
+    const uint64_t id_space = capped ? 512 : 64;
+    const int checkpoint_step = static_cast<int>(rng.NextBounded(500));
+    SCOPED_TRACE("max_duplicate_ids " +
+                 std::to_string(options.max_duplicate_ids) +
+                 ", restored at step " + std::to_string(checkpoint_step));
     ReorderBuffer buffer(options);
     ReorderModel model(options);
     const int64_t lateness = options.max_lateness_seconds;
@@ -402,6 +453,12 @@ TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
     int64_t now = base;
     for (int step = 0; step < 500; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
+      if (step == checkpoint_step) {
+        // The restored buffer must carry on exactly as the original.
+        ReorderBuffer restored(options);
+        ASSERT_TRUE(restored.RestoreState(buffer.ExportState()).ok());
+        buffer = std::move(restored);
+      }
       const uint64_t action = rng.NextBounded(100);
       if (action < 70) {
         now += static_cast<int64_t>(rng.NextBounded(40));
@@ -421,7 +478,7 @@ TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
         // A small id space under duplicate suppression produces real
         // redeliveries.
         const int64_t id = options.suppress_duplicates
-                               ? static_cast<int64_t>(rng.NextBounded(64))
+                               ? DrawRentalId(rng, id_space)
                                : step;
         const TripEvent e = Trip(0, 1, CivilTime(start), id);
         const Status status = buffer.Push(e);
@@ -429,7 +486,8 @@ TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
         model.Push(e);
       } else if (action < 80) {
         // May cross several wheel revolutions.
-        const int64_t jump = static_cast<int64_t>(rng.NextBounded(5000));
+        const int64_t jump =
+            static_cast<int64_t>(rng.NextBounded(capped ? 500 : 5000));
         buffer.AdvanceWatermark(CivilTime(now + jump));
         model.AdvanceWatermark(now + jump);
         now += jump;
@@ -441,6 +499,9 @@ TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
       }
       ASSERT_EQ(buffer.buffered_count(), model.buffered_count());
       ASSERT_EQ(buffer.watermark().seconds_since_epoch(), model.watermark);
+      ASSERT_EQ(buffer.duplicate_ids_high_water(),
+                model.duplicate_ids_high_water);
+      ASSERT_EQ(buffer.duplicate_ids_evicted(), model.duplicate_ids_evicted);
     }
     buffer.Flush();
     model.Flush();
@@ -450,6 +511,9 @@ TEST(ReorderBufferModelTest, RandomizedReleaseMatchesContractModel) {
     EXPECT_EQ(buffer.reordered_count(), model.reordered_count);
     EXPECT_EQ(buffer.late_dropped_count(), model.late_dropped_count);
     EXPECT_EQ(buffer.duplicate_count(), model.duplicate_count);
+    if (capped) {
+      EXPECT_GT(model.duplicate_ids_evicted, 0u);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -222,6 +223,69 @@ TEST(WindowDirtyTrackingTest, PathologicalChurnOverflowsToIncomplete) {
             (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1)}));
 }
 
+TEST(WindowDirtyTrackingTest, LimitBoundsTheEpochExactly) {
+  // The engine hands each drain the next epoch's delta cut-off. An epoch
+  // that lists exactly that many distinct pairs drains complete; one
+  // pair more overflows, drains incomplete and empty, and the epoch
+  // after it tracks normally again.
+  constexpr int32_t kLimit = 5;
+  SlidingWindowGraph w({8, 0});
+  (void)w.DrainDirty(kLimit);  // arm
+  CivilTime t = At(6, 8);
+  int64_t id = 0;
+  const auto ingest = [&](int32_t u, int32_t v) {
+    t = t.AddSeconds(60);
+    ASSERT_TRUE(w.Ingest(Trip(u, v, t, ++id)).ok());
+  };
+  // kLimit distinct pairs, listed in descending key order, one of them
+  // twice: the drain returns them sorted and deduplicated.
+  std::vector<uint64_t> expected;
+  for (int32_t u = kLimit - 1; u >= 0; --u) {
+    ingest(u, 7);
+    expected.push_back(SlidingWindowGraph::PairKey(u, 7));
+  }
+  ingest(7, 2);
+  EXPECT_EQ(w.dirty_pair_count(), static_cast<size_t>(kLimit));
+  std::sort(expected.begin(), expected.end());
+  const WindowDirtySet at_limit = w.DrainDirty(kLimit);
+  EXPECT_TRUE(at_limit.complete);
+  EXPECT_EQ(at_limit.pairs, expected);
+  EXPECT_EQ(at_limit.stations, (std::vector<int32_t>{0, 1, 2, 3, 4, 7}));
+
+  for (int32_t u = 0; u <= kLimit; ++u) ingest(u, 6);
+  EXPECT_EQ(w.dirty_pair_count(), static_cast<size_t>(kLimit));
+  const WindowDirtySet over = w.DrainDirty(kLimit);
+  EXPECT_FALSE(over.complete);
+  EXPECT_TRUE(over.pairs.empty());
+  EXPECT_TRUE(over.stations.empty());
+
+  ingest(2, 3);
+  ingest(0, 1);
+  const WindowDirtySet next = w.DrainDirty(kLimit);
+  EXPECT_TRUE(next.complete);
+  EXPECT_EQ(next.pairs,
+            (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1),
+                                   SlidingWindowGraph::PairKey(2, 3)}));
+  EXPECT_EQ(next.stations, (std::vector<int32_t>{0, 1, 2, 3}));
+}
+
+TEST(MaxDeltaDirtyPairsTest, IsTheFloorOfTheDeltaCutOff) {
+  SnapshotDeltaPolicy policy;  // max_dirty_fraction 0.25
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 0), 0u);
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 3), 1u);
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 5215), 1304u);
+  policy.max_dirty_fraction = 1e15;
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 99), 100000000000000000u);
+  // Cut-offs no size_t reaches, and NaN (FreezeSnapshotDelta's test
+  // never fires on it), set no limit.
+  policy.max_dirty_fraction = 1e18;
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 100), SIZE_MAX);
+  policy.max_dirty_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 100), SIZE_MAX);
+  policy.max_dirty_fraction = -1.0;
+  EXPECT_EQ(MaxDeltaDirtyPairs(policy, 100), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Delta vs full freeze: bit identity across randomized epoch chains.
 // ---------------------------------------------------------------------------
@@ -433,6 +497,55 @@ TEST(SnapshotDeltaTest, ShardedEngineDeltaEpochsMatchSingleWriterFull) {
   // any large epochs aside).
   EXPECT_GT(sharded_delta.delta_freeze_count(), 0u);
   EXPECT_EQ(single_full.delta_freeze_count(), 0u);
+}
+
+TEST(SnapshotDeltaTest, DirtyLimitNeverTouchesAnEpochTheDeltaPathTakes) {
+  // Snapshots alternate day-sized epochs, which dirty far more pairs
+  // than the default cut-off and stop tracking at it, with small epochs
+  // of a few trips. The default-policy engines, single-writer and
+  // sharded, publish what a delta-disabled engine publishes, and every
+  // small epoch, and only those, is delta-frozen.
+  const size_t stations = 24;
+  constexpr int kTripsPerDay = 400;
+  constexpr size_t kSmallEpoch = 4;
+  const auto events = testing::PlantedStream(stations, 3, 8, kTripsPerDay, 5);
+
+  StreamEngineConfig config;
+  config.station_count = stations;
+  config.window_seconds = 2 * 86400;
+  config.snapshot_delta.enabled = false;
+  StreamEngine full_engine(config);
+  config.snapshot_delta = SnapshotDeltaPolicy{};
+  StreamEngine single(config);
+  config.shard_count = 3;
+  StreamEngine sharded(config);
+
+  size_t small_epochs = 0;
+  size_t day_epochs = 0;
+  size_t in_epoch = 0;
+  bool small = false;
+  for (const TripEvent& e : events) {
+    ASSERT_TRUE(full_engine.Ingest(e).ok());
+    ASSERT_TRUE(single.Ingest(e).ok());
+    ASSERT_TRUE(sharded.Ingest(e).ok());
+    if (++in_epoch < (small ? kSmallEpoch : size_t{kTripsPerDay})) continue;
+    auto fs = full_engine.Snapshot();
+    auto ss = single.Snapshot();
+    auto hs = sharded.Snapshot();
+    ASSERT_TRUE(fs.ok());
+    ASSERT_TRUE(ss.ok());
+    ASSERT_TRUE(hs.ok());
+    ExpectSnapshotsIdentical(**ss, **fs);
+    ExpectSnapshotsIdentical(**hs, **fs);
+    ++(small ? small_epochs : day_epochs);
+    small = !small;
+    in_epoch = 0;
+  }
+  ASSERT_GE(small_epochs, 5u);
+  EXPECT_EQ(single.delta_freeze_count(), small_epochs);
+  EXPECT_EQ(single.full_freeze_count(), day_epochs);
+  EXPECT_EQ(sharded.delta_freeze_count(), small_epochs);
+  EXPECT_EQ(sharded.full_freeze_count(), day_epochs);
 }
 
 }  // namespace
