@@ -24,6 +24,10 @@ int IoEnv::Open(const char* path, int flags, unsigned int mode) {
   return ::open(path, flags, static_cast<mode_t>(mode));
 }
 
+int64_t IoEnv::Read(int fd, void* data, size_t size) {
+  return static_cast<int64_t>(::read(fd, data, size));
+}
+
 int64_t IoEnv::Write(int fd, const void* data, size_t size) {
   return static_cast<int64_t>(::write(fd, data, size));
 }
@@ -175,6 +179,26 @@ int FaultInjectingIoEnv::Open(const char* path, int flags,
   }
   fds_[fd] = path;
   return fd;
+}
+
+int64_t FaultInjectingIoEnv::Read(int fd, void* data, size_t size) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kRead)]++;
+  if (const FaultPlan::Rule* rule = Match(IoOp::kRead, idx, PathOf(fd))) {
+    switch (rule->kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule->error;
+        return -1;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return -1;
+      case FaultPlan::Kind::kShortWrite:
+      case FaultPlan::Kind::kSyncLie:
+        break;  // meaningless for read; pass through
+    }
+  }
+  return IoEnv::Read(fd, data, size);
 }
 
 int64_t FaultInjectingIoEnv::Write(int fd, const void* data, size_t size) {

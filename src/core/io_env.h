@@ -22,14 +22,15 @@ enum class IoOp : uint8_t {
   kFsyncDir,
   kTruncate,
   kMkdir,
+  kRead,
 };
-inline constexpr size_t kIoOpCount = 8;
+inline constexpr size_t kIoOpCount = 9;
 
 /// \brief The syscall seam under the durability protocol. Every raw
-/// `::open/::write/::fsync/::rename/::unlink` and directory creation the
-/// engine, WAL writer, checkpoint commit, and WAL repair perform goes
-/// through one of these virtual methods (enforced by the
-/// `naked-io-syscall` lint), so tests can
+/// `::open/::read/::write/::fsync/::rename/::unlink` and directory
+/// creation the engine, WAL writer and reader, checkpoint commit and
+/// load, and WAL repair perform goes through one of these virtual
+/// methods (enforced by the `naked-io-syscall` lint), so tests can
 /// substitute a FaultInjectingIoEnv and exercise ENOSPC, EINTR storms,
 /// short writes, torn renames, and lying fsyncs deterministically.
 ///
@@ -38,7 +39,7 @@ inline constexpr size_t kIoOpCount = 8;
 /// I/O operation — invisible next to the syscall itself; the bench guard
 /// in BENCH_perf.json holds WAL-on ingest within 1.15× of the pre-seam
 /// numbers). All methods follow POSIX conventions: -1 with `errno` set on
-/// failure, except Write which returns the byte count (possibly short).
+/// failure; Read and Write return the byte count (possibly short).
 ///
 /// Thread model: the engine serializes all durable I/O on the ingestion
 /// thread; IoEnv implementations are not required to be thread-safe.
@@ -48,6 +49,8 @@ class IoEnv {
 
   /// `::open(path, flags, mode)`.
   virtual int Open(const char* path, int flags, unsigned int mode);
+  /// `::read(fd, data, size)`: the byte count, 0 at end of file.
+  virtual int64_t Read(int fd, void* data, size_t size);
   /// `::write(fd, data, size)`; short writes are legal per POSIX and the
   /// callers loop.
   virtual int64_t Write(int fd, const void* data, size_t size);
@@ -139,6 +142,8 @@ class FaultInjectingIoEnv final : public IoEnv {
   ~FaultInjectingIoEnv() override;
 
   int Open(const char* path, int flags, unsigned int mode) override;
+  /// Injects kError / kEintrStorm (the recovery read paths).
+  int64_t Read(int fd, void* data, size_t size) override;
   int64_t Write(int fd, const void* data, size_t size) override;
   int Fsync(int fd) override;
   int Rename(const char* from, const char* to) override;

@@ -1,7 +1,6 @@
 #include "stream/durable_file.h"
 
 #include <fcntl.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cinttypes>
@@ -77,7 +76,7 @@ Result<std::string> ReadWholeFile(IoEnv* env, const std::string& path,
   std::string out;
   char buf[1u << 16];
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    const int64_t n = env->Read(fd, buf, sizeof(buf));
     if (n < 0) {
       if (errno == EINTR) continue;
       const Status failed = IOError("read " + kind, path);

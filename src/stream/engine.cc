@@ -13,9 +13,13 @@ namespace bikegraph::stream {
 
 namespace {
 
-/// InvalidArgument when a positions table is set but shorter than the
-/// station universe: no spatial index can cover it.
-Status CheckStationPositions(const StreamEngineConfig& config) {
+/// The one config check: InvalidArgument when the shards' windows would
+/// refuse the config (CheckWindowOptions: a negative window or more than
+/// kMaxWindowStations stations), or when a positions table is set but
+/// shorter than the station universe, so no spatial index can cover it.
+Status CheckConfig(const StreamEngineConfig& config) {
+  BIKEGRAPH_RETURN_NOT_OK(CheckWindowOptions(
+      WindowGraphOptions{config.station_count, config.window_seconds}));
   if (!config.station_positions.empty() &&
       config.station_positions.size() < config.station_count) {
     return Status::InvalidArgument(
@@ -192,7 +196,7 @@ StreamEngine::StreamEngine(RecoverTag, StreamEngineConfig config)
     : config_(std::move(config)),
       router_(config_.shard_count),
       tracker_(config_.refresh),
-      positions_status_(CheckStationPositions(config_)) {
+      config_status_(CheckConfig(config_)) {
   // 0 means "no sharding", i.e. one shard (mirrors ShardRouter's clamp).
   if (config_.shard_count == 0) config_.shard_count = 1;
   shards_.reserve(config_.shard_count);
@@ -234,8 +238,8 @@ void StreamEngine::InitDurability() {
   // A config every later call would reject must not touch the directory
   // (Recover runs the same check first): an engine that can never log a
   // record leaves no log behind to refuse its corrected successor.
-  if (!positions_status_.ok()) {
-    durability_status_ = positions_status_;
+  if (!config_status_.ok()) {
+    durability_status_ = config_status_;
     return;
   }
   if (config_.durability.directory.empty()) {
@@ -387,24 +391,29 @@ Status StreamEngine::BarrierQuiesce() {
   return CollectShardState();
 }
 
-Status StreamEngine::Ingest(const TripEvent& event) {
+Status StreamEngine::AdmitEvent(const TripEvent& event) const {
   if (flushed_) {
     return Status::FailedPrecondition(
         "Ingest after Flush: the stream was already finalized");
   }
-  // Fail fast on a truncated positions table instead of hours later at
+  // Fail fast on a config the windows refuse instead of hours later at
   // the first Snapshot() of a live run.
-  if (!positions_status_.ok()) return positions_status_;
+  if (!config_status_.ok()) return config_status_;
   // Validate endpoints at arrival: an out-of-range event parked in the
   // reorder buffer would otherwise fail a horizon later, far from the
-  // caller that produced it. Rejected events are never logged — the WAL
-  // records intent that passed admission, so replay cannot diverge on
-  // validation.
+  // caller that produced it.
   const auto n = static_cast<int64_t>(config_.station_count);
   if (event.from_station < 0 || event.from_station >= n ||
       event.to_station < 0 || event.to_station >= n) {
     return Status::InvalidArgument("trip event endpoint out of range");
   }
+  return Status::OK();
+}
+
+Status StreamEngine::Ingest(const TripEvent& event) {
+  // Rejected events are never logged — the WAL records intent that
+  // passed admission, so replay cannot diverge on validation.
+  BIKEGRAPH_RETURN_NOT_OK(AdmitEvent(event));
   WalRecord record;
   record.type = WalRecordType::kEvent;
   record.event = event;
@@ -499,7 +508,7 @@ Status StreamEngine::FlushInternal() {
 }
 
 Result<std::shared_ptr<const WindowSnapshot>> StreamEngine::Snapshot() {
-  if (!positions_status_.ok()) return positions_status_;
+  if (!config_status_.ok()) return config_status_;
   if (shards_.size() == 1) {
     // The reuse path changes nothing, so it is not logged; replay
     // reaches the same (dirty, published) state and skips it
@@ -617,7 +626,7 @@ WindowDirtySet StreamEngine::DrainWindowChanges() {
 }
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent() {
-  if (!positions_status_.ok()) return positions_status_;
+  if (!config_status_.ok()) return config_status_;
   // The default spec is logged as a flag, not serialized: replay reads
   // it from the recovering engine's config, which the fingerprint check
   // already pins to the original.
@@ -630,7 +639,7 @@ Result<RefreshOutcome> StreamEngine::DetectCurrent() {
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent(
     const community::DetectSpec& spec) {
-  if (!positions_status_.ok()) return positions_status_;
+  if (!config_status_.ok()) return config_status_;
   WalRecord record;
   record.type = WalRecordType::kDetect;
   record.default_spec = false;
@@ -902,18 +911,9 @@ Status StreamEngine::RestoreFromCheckpoint(
 
 Status StreamEngine::ApplyWalRecord(const WalRecord& record) {
   switch (record.type) {
-    case WalRecordType::kEvent: {
-      if (flushed_) {
-        return Status::FailedPrecondition(
-            "Ingest after Flush: the stream was already finalized");
-      }
-      const auto n = static_cast<int64_t>(config_.station_count);
-      if (record.event.from_station < 0 || record.event.from_station >= n ||
-          record.event.to_station < 0 || record.event.to_station >= n) {
-        return Status::InvalidArgument("trip event endpoint out of range");
-      }
+    case WalRecordType::kEvent:
+      BIKEGRAPH_RETURN_NOT_OK(AdmitEvent(record.event));
       return IngestInternal(record.event);
-    }
     case WalRecordType::kAdvance:
       return AdvanceInternal(CivilTime(record.watermark_seconds));
     case WalRecordType::kFlush:
@@ -939,7 +939,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
   const std::string directory = config.durability.directory;
   IoEnv* const env = config.durability.io_env;
   // A config every later call would reject must not touch the directory.
-  BIKEGRAPH_RETURN_NOT_OK(CheckStationPositions(config));
+  BIKEGRAPH_RETURN_NOT_OK(CheckConfig(config));
   BIKEGRAPH_RETURN_NOT_OK(CreateDurabilityDirectory(env, directory));
   if (HasDegradedMarker(directory)) {
     // A previous run dropped to non-durable mode and kept applying ops

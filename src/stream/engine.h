@@ -29,6 +29,9 @@ struct ShardCommand;
 /// \brief Configuration of a StreamEngine.
 struct StreamEngineConfig {
   /// Station universe; event endpoints must be dense ids < station_count.
+  /// At most kMaxWindowStations (4,096): each shard's window keeps its
+  /// pair counts in a dense n(n+1)/2 triangle, and a larger universe makes
+  /// every Ingest, Snapshot and DetectCurrent return InvalidArgument.
   size_t station_count = 0;
   /// Sliding-window length in seconds; 0 = landmark window (never
   /// expires — the batch semantics over a replayed dataset).
@@ -143,8 +146,9 @@ class StreamEngine {
   /// first durable call) a directory that already holds durable state —
   /// resuming an existing directory is `Recover()`'s job, and silently
   /// logging a fresh run over an old one would orphan its records. A
-  /// config with too few `station_positions` touches no file: its
-  /// durable calls return the same InvalidArgument as every other call.
+  /// config the windows refuse, or with too few `station_positions`,
+  /// touches no file: its durable calls return the same InvalidArgument
+  /// as every other call.
   explicit StreamEngine(StreamEngineConfig config);
 
   /// Joins the shard workers (no-op for shard_count == 1). Commands
@@ -402,6 +406,10 @@ class StreamEngine {
   /// mirror the original run's and leave state unchanged.
   Status ApplyWalRecord(const WalRecord& record);
 
+  /// Admission for one event, shared by Ingest and WAL replay: the
+  /// flushed check, the config check, then the endpoint range.
+  Status AdmitEvent(const TripEvent& event) const;
+
   /// Restores the complete logical state from a parsed checkpoint.
   Status RestoreFromCheckpoint(const EngineCheckpoint& checkpoint);
 
@@ -457,11 +465,13 @@ class StreamEngine {
   /// Built once from config_.station_positions and shared by every
   /// snapshot (stations never move between windows).
   std::shared_ptr<const geo::GridIndex> station_index_;
-  /// InvalidArgument when config_.station_positions is set but shorter
-  /// than station_count. Ingest, Snapshot and DetectCurrent return it
-  /// before logging anything; Recover runs the same check before it
-  /// touches the directory.
-  Status positions_status_ = Status::OK();
+  /// InvalidArgument when the windows would refuse the config (a
+  /// negative window_seconds, or station_count past kMaxWindowStations),
+  /// or when config_.station_positions is set but shorter than
+  /// station_count. Ingest, Snapshot and DetectCurrent return it before
+  /// logging anything; Recover runs the same check before it touches the
+  /// directory.
+  Status config_status_ = Status::OK();
   /// True when the live window changed after the last publish. With one
   /// shard it is updated eagerly per call; with several it absorbs the
   /// shard dirty flags at each barrier.

@@ -1,5 +1,6 @@
 #include "stream/shard.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace bikegraph::stream {

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/civil_time.h"
@@ -114,30 +112,12 @@ class ShardedWindowView {
   analysis::StationProfiles Profiles() const;
 
   /// Visits every live pair ordered by (u, v) ascending, exactly like
-  /// `SlidingWindowGraph::ForEachPair`: a k-way merge of the shards'
-  /// sorted pair runs, counts included (disjoint, so ascending merge
-  /// order is total order with no ties to break).
+  /// `SlidingWindowGraph::ForEachPair`, through the same scan: over the
+  /// OR of the shards' occupancy bitmaps, each count read from the one
+  /// shard that holds it.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    std::vector<std::span<const SlidingWindowGraph::PairTrips>> runs;
-    runs.reserve(shards_.size());
-    for (const SlidingWindowGraph* shard : shards_) {
-      const auto& run = shard->PairRun();
-      if (!run.empty()) runs.emplace_back(run);
-    }
-    while (!runs.empty()) {
-      size_t best = 0;
-      for (size_t i = 1; i < runs.size(); ++i) {
-        if (runs[i].front().key < runs[best].front().key) best = i;
-      }
-      const SlidingWindowGraph::PairTrips& pair = runs[best].front();
-      visit(static_cast<int32_t>(pair.key >> 32),
-            static_cast<int32_t>(pair.key & 0xFFFFFFFFu), pair.trips);
-      runs[best] = runs[best].subspan(1);
-      if (runs[best].empty()) {
-        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(best));
-      }
-    }
+    SlidingWindowGraph::ForEachPairIn(shards_, visit);
   }
 
   const std::vector<const SlidingWindowGraph*>& shards() const {

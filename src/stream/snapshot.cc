@@ -32,9 +32,14 @@ double PairWeight(const analysis::StationProfiles& profiles, int32_t u,
       trips);
 }
 
-/// Input validation shared by both freeze paths.
-Status ValidateFreezeInputs(const analysis::TemporalGraphOptions& projection,
+/// Input validation shared by both freeze paths, run before either
+/// reads the window.
+Status ValidateFreezeInputs(size_t station_count,
+                            const analysis::TemporalGraphOptions& projection,
                             const geo::GridIndex* station_index) {
+  // A window past kMaxWindowStations holds no pair triangle to read (the
+  // landmark length leaves the station bound as the only rule to fail).
+  BIKEGRAPH_RETURN_NOT_OK(CheckWindowOptions({station_count, 0}));
   if (projection.similarity_floor < 0.0 || projection.similarity_floor > 1.0) {
     return Status::InvalidArgument("similarity_floor must be in [0, 1]");
   }
@@ -60,8 +65,8 @@ Result<WindowSnapshot> FreezeSnapshotImpl(
     const Window& window,
     const analysis::TemporalGraphOptions& projection,
     std::shared_ptr<const geo::GridIndex> station_index) {
-  BIKEGRAPH_RETURN_NOT_OK(
-      ValidateFreezeInputs(projection, station_index.get()));
+  BIKEGRAPH_RETURN_NOT_OK(ValidateFreezeInputs(
+      window.station_count(), projection, station_index.get()));
 
   WindowSnapshot snap;
   snap.window_start = window.window_start();
@@ -125,8 +130,8 @@ Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
   if (!delta_applicable) {
     return FreezeSnapshotImpl(window, projection, std::move(station_index));
   }
-  BIKEGRAPH_RETURN_NOT_OK(
-      ValidateFreezeInputs(projection, station_index.get()));
+  BIKEGRAPH_RETURN_NOT_OK(ValidateFreezeInputs(
+      window.station_count(), projection, station_index.get()));
 
   WindowSnapshot snap;
   snap.window_start = window.window_start();

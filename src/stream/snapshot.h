@@ -61,7 +61,8 @@ std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
 /// \brief Freezes the live window into an immutable snapshot (epoch 0;
 /// publish it to stamp one). `station_index` (optional, from
 /// BuildFrozenStationIndex; must be frozen, or InvalidArgument) is
-/// shared into the snapshot. Rejects invalid projection options.
+/// shared into the snapshot. Rejects invalid projection options and a
+/// window past kMaxWindowStations (InvalidArgument).
 Result<WindowSnapshot> FreezeSnapshot(
     const SlidingWindowGraph& window,
     const analysis::TemporalGraphOptions& projection = {},

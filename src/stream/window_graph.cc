@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <string>
 
 #include "core/logging.h"
 
@@ -27,12 +28,35 @@ bool AddCounters(const std::array<int64_t, N>& counters, int64_t* total) {
 
 }  // namespace
 
+Status CheckWindowOptions(const WindowGraphOptions& options) {
+  if (options.window_seconds < 0) {
+    // Refuse loudly rather than silently behaving like a landmark
+    // window: a negative length is a sign bug or a misconverted
+    // duration, and "nothing ever expires" is the worst possible guess.
+    return Status::InvalidArgument("window_seconds must be >= 0");
+  }
+  if (options.station_count > kMaxWindowStations) {
+    return Status::InvalidArgument(
+        "station_count " + std::to_string(options.station_count) +
+        " exceeds kMaxWindowStations (" + std::to_string(kMaxWindowStations) +
+        "): a window keeps its pair counts in a dense n(n+1)/2 triangle");
+  }
+  return Status::OK();
+}
+
 SlidingWindowGraph::SlidingWindowGraph(const WindowGraphOptions& options)
-    : options_(options) {
-  day_.assign(options_.station_count, {});
-  hour_.assign(options_.station_count, {});
-  endpoint_count_.assign(options_.station_count, 0);
-  station_dirty_epoch_.assign(options_.station_count, 0);
+    : options_(options), options_status_(CheckWindowOptions(options)) {
+  const size_t n = options_.station_count;
+  day_.assign(n, {});
+  hour_.assign(n, {});
+  endpoint_count_.assign(n, 0);
+  station_listed_.assign(n, 0);
+  if (options_status_.ok()) {
+    const size_t pairs = n * (n + 1) / 2;
+    trips_.assign(pairs, 0);
+    live_.assign((pairs + 63) / 64, 0);
+    pair_listed_.assign(live_.size(), 0);
+  }
 }
 
 CivilTime SlidingWindowGraph::window_start() const {
@@ -55,12 +79,7 @@ bool SlidingWindowGraph::Contains(CivilTime t) const {
 }
 
 Status SlidingWindowGraph::Ingest(const TripEvent& event) {
-  if (options_.window_seconds < 0) {
-    // Refuse loudly rather than silently behaving like a landmark
-    // window: a negative length is a sign bug or a misconverted
-    // duration, and "nothing ever expires" is the worst possible guess.
-    return Status::InvalidArgument("window_seconds must be >= 0");
-  }
+  if (!options_status_.ok()) return options_status_;
   const auto n = static_cast<int64_t>(options_.station_count);
   if (event.from_station < 0 || event.from_station >= n ||
       event.to_station < 0 || event.to_station >= n) {
@@ -111,35 +130,34 @@ void SlidingWindowGraph::Advance(CivilTime watermark) {
   }
 }
 
-int64_t SlidingWindowGraph::TripsBetween(int32_t u, int32_t v) const {
-  auto it = pair_trips_.find(PairKey(u, v));
-  return it == pair_trips_.end() ? 0 : it->second.trips;
-}
-
-void SlidingWindowGraph::MarkPairDirty(uint64_t key, PairState& state) {
-  if (state.dirty_epoch == dirty_epoch_) return;
-  // A pair that dies and is re-created within one epoch re-enters the
-  // list (its fresh map entry carries a stale stamp), so the list is
-  // deduplicated at drain time; the ceiling bounds it against
-  // pathological churn loops for callers that set no limit.
-  if (dirty_pairs_.size() >=
-      std::min(dirty_pair_limit_,
-               std::max<size_t>(4096, 2 * pair_trips_.size()))) {
+void SlidingWindowGraph::MarkPairDirty(int32_t u, int32_t v, size_t index) {
+  uint64_t& listed = pair_listed_[index / 64];
+  if ((listed & Bit(index)) != 0) return;
+  if (dirty_pairs_.size() >= dirty_pair_limit_) {
     dirty_tracking_ = false;
     return;
   }
-  state.dirty_epoch = dirty_epoch_;
-  dirty_pairs_.push_back(key);
+  listed |= Bit(index);
+  dirty_pairs_.push_back(PairKey(u, v));
 }
 
 WindowDirtySet SlidingWindowGraph::DrainDirty(size_t next_limit) {
+  // Clear the listed flags through the lists whether or not the epoch
+  // was complete: a flag left set would hide that pair's or station's
+  // next change from the epoch after this one.
+  for (const uint64_t key : dirty_pairs_) {
+    const size_t index = PairIndex(static_cast<int32_t>(key >> 32),
+                                   static_cast<int32_t>(key & 0xFFFFFFFFu));
+    pair_listed_[index / 64] &= ~Bit(index);
+  }
+  for (const int32_t station : dirty_stations_) {
+    station_listed_[AsIndex(station)] = 0;
+  }
   WindowDirtySet out;
   out.complete = dirty_tracking_;
   if (out.complete) {
     out.pairs = std::move(dirty_pairs_);
     std::sort(out.pairs.begin(), out.pairs.end());
-    out.pairs.erase(std::unique(out.pairs.begin(), out.pairs.end()),
-                    out.pairs.end());
     out.stations = std::move(dirty_stations_);
     std::sort(out.stations.begin(), out.stations.end());
   }
@@ -147,15 +165,6 @@ WindowDirtySet SlidingWindowGraph::DrainDirty(size_t next_limit) {
   dirty_stations_.clear();
   dirty_tracking_ = true;
   dirty_pair_limit_ = next_limit;
-  ++dirty_epoch_;
-  if (dirty_epoch_ == 0) {
-    // 32-bit epoch wrapped: wipe every stamp so nothing from 2^32
-    // drains ago aliases the new epoch. Once per ~136 years of
-    // per-second freezes.
-    for (auto& [key, state] : pair_trips_) state.dirty_epoch = 0;
-    std::fill(station_dirty_epoch_.begin(), station_dirty_epoch_.end(), 0);
-    dirty_epoch_ = 1;
-  }
   return out;
 }
 
@@ -176,47 +185,40 @@ analysis::StationProfiles SlidingWindowGraph::Profiles() const {
 }
 
 void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {
-  const uint64_t key = PairKey(e.from, e.to);
-  pair_run_stale_ = true;
+  const size_t index = PairIndex(e.from, e.to);
+  int32_t& trips = trips_[index];
   if (delta > 0) {
-    auto [it, inserted] = pair_trips_.try_emplace(key);
-    it->second.trips += delta;
-    if (dirty_tracking_) MarkPairDirty(key, it->second);
-    if (inserted) {
-      pending_pairs_.push_back(key);
-      // Bounds a window that is never read. The merge sorts the pending
-      // keys and walks the run once, so it costs O(log) per created key.
-      if (pending_pairs_.size() > 2 * pair_trips_.size() + 4096) {
-        MergePendingPairs();
-      }
+    if (trips++ == 0) {
+      live_[index / 64] |= Bit(index);
+      ++pair_count_;
     }
   } else {
-    auto it = pair_trips_.find(key);
-    if (it == pair_trips_.end()) {
-      // An expiry reversal for a pair the map has no record of means the
-      // ring and the pair map desynced — a library bug. Dereferencing
-      // end() here would be silent memory stomping; skip the whole
-      // reversal (counters included, they are just as suspect) and make
-      // the corruption loud instead.
+    if (trips == 0) {
+      // An expiry reversal for a pair with no live trip means the ring
+      // and the pair counts desynced — a library bug. Driving the count
+      // negative would be silent corruption; skip the whole reversal
+      // (counters included, they are just as suspect) and make the
+      // corruption loud instead.
       assert(false && "expiry reversal for an unknown station pair");
       ++delta_desync_count_;
       BIKEGRAPH_LOG(Error)
           << "SlidingWindowGraph: expiry reversal for unknown pair ("
           << e.from << ", " << e.to << "); skipping reversal "
-          << "(expiry ring desynced from the pair map)";
+          << "(expiry ring desynced from the pair counts)";
       return;
     }
-    it->second.trips += delta;
-    if (dirty_tracking_) MarkPairDirty(key, it->second);
-    if (it->second.trips == 0) pair_trips_.erase(it);
+    if (--trips == 0) {
+      live_[index / 64] &= ~Bit(index);
+      --pair_count_;
+    }
   }
+  if (dirty_tracking_) MarkPairDirty(e.from, e.to, index);
   for (int32_t station : {e.from, e.to}) {
     day_[AsIndex(station)][e.day] += delta;
     hour_[AsIndex(station)][e.hour] += delta;
     endpoint_count_[AsIndex(station)] += delta;
-    if (dirty_tracking_ &&
-        station_dirty_epoch_[AsIndex(station)] != dirty_epoch_) {
-      station_dirty_epoch_[AsIndex(station)] = dirty_epoch_;
+    if (dirty_tracking_ && station_listed_[AsIndex(station)] == 0) {
+      station_listed_[AsIndex(station)] = 1;
       dirty_stations_.push_back(station);
     }
   }
@@ -263,11 +265,10 @@ WindowGraphState SlidingWindowGraph::ExportState() const {
       state.ring.push_back({e.start_seconds, e.from, e.to});
     }
   } else {
-    const std::vector<PairTrips>& run = PairRun();
-    state.pairs.reserve(run.size());
-    for (const PairTrips& pair : run) {
-      state.pairs.emplace_back(pair.key, pair.trips);
-    }
+    state.pairs.reserve(pair_count_);
+    ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
+      state.pairs.emplace_back(PairKey(u, v), trips);
+    });
     state.day = day_;
     state.hour = hour_;
     state.endpoint_count = endpoint_count_;
@@ -276,6 +277,7 @@ WindowGraphState SlidingWindowGraph::ExportState() const {
 }
 
 Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
+  if (!options_status_.ok()) return options_status_;
   const auto n = static_cast<int64_t>(options_.station_count);
   *this = SlidingWindowGraph(WindowGraphOptions(options_));
   if (options_.window_seconds > 0) {
@@ -312,14 +314,14 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
       return Status::DataLoss(
           "checkpointed window profiles do not cover the station universe");
     }
-    int64_t pair_trips_total = 0;
+    int64_t restored_trips = 0;
     for (size_t i = 0; i < state.pairs.size(); ++i) {
       const auto& [key, trips] = state.pairs[i];
       const auto u = static_cast<int32_t>(key >> 32);
       const auto v = static_cast<int32_t>(key & 0xFFFFFFFFu);
       if (u < 0 || u >= n || v < u || v >= n || trips <= 0 ||
           trips > std::numeric_limits<int32_t>::max()) {
-        // The trips bound matters: PairState::trips is int32_t, so a
+        // The trips bound matters: the pair counts are int32_t, so a
         // corrupt (or malicious) checkpoint holding e.g. 2^32 + 1 would
         // otherwise restore silently as 1 trip.
         return Status::DataLoss(
@@ -331,11 +333,13 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
       }
       // Each count is below 2^31, so the sum cannot overflow short of
       // 2^32 pairs (64 GiB of state).
-      pair_trips_total += trips;
-      pair_trips_.emplace(key, PairState{static_cast<int32_t>(trips), 0});
-      pair_run_.push_back(PairTrips{key, trips});
+      restored_trips += trips;
+      const size_t index = PairIndex(u, v);
+      trips_[index] = static_cast<int32_t>(trips);
+      live_[index / 64] |= Bit(index);
     }
-    if (static_cast<uint64_t>(pair_trips_total) != state.live_count) {
+    pair_count_ = state.pairs.size();
+    if (static_cast<uint64_t>(restored_trips) != state.live_count) {
       return Status::DataLoss(
           "checkpointed window pair trips do not sum to its live_count");
     }
@@ -373,44 +377,6 @@ Status SlidingWindowGraph::RestoreState(const WindowGraphState& state) {
   ingested_count_ = state.ingested_count;
   delta_desync_count_ = state.delta_desync_count;
   return Status::OK();
-}
-
-void SlidingWindowGraph::MergePendingPairs() const {
-  std::sort(pending_pairs_.begin(), pending_pairs_.end());
-  // Merge the pending keys into the run from the back, so the run's
-  // own prefix [0, kept) stays where it is. A pending key that is
-  // already in the run (it died and was re-created), or that is
-  // pending twice, takes one slot, which leaves a gap of unused slots
-  // between the prefix and the merged tail [tail, end).
-  size_t kept = pair_run_.size();
-  size_t pending = pending_pairs_.size();
-  pair_run_.resize(kept + pending);
-  size_t tail = pair_run_.size();
-  while (pending > 0) {
-    const uint64_t key = pending_pairs_[pending - 1];
-    if (kept > 0 && pair_run_[kept - 1].key > key) {
-      pair_run_[--tail] = pair_run_[--kept];
-      continue;
-    }
-    if (kept > 0 && pair_run_[kept - 1].key == key) --kept;
-    pair_run_[--tail] = PairTrips{key, 0};
-    while (pending > 0 && pending_pairs_[pending - 1] == key) --pending;
-  }
-  // Compact forward over the prefix and the tail, dropping keys whose
-  // count reached zero and refreshing every count. The write index
-  // never passes the read index.
-  size_t out = 0;
-  const auto keep_live = [&](size_t i) {
-    const auto it = pair_trips_.find(pair_run_[i].key);
-    if (it == pair_trips_.end()) return;
-    pair_run_[out++] = PairTrips{pair_run_[i].key, it->second.trips};
-  };
-  for (size_t i = 0; i < kept; ++i) keep_live(i);
-  for (size_t i = tail; i < pair_run_.size(); ++i) keep_live(i);
-  pair_run_.resize(out);
-  assert(out == pair_trips_.size() && "a live pair is missing from the run");
-  pending_pairs_.clear();
-  pair_run_stale_ = false;
 }
 
 }  // namespace bikegraph::stream

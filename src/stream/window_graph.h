@@ -1,8 +1,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,16 +16,26 @@
 
 namespace bikegraph::stream {
 
+/// The most stations a window holds. Its pair counts are one dense
+/// upper triangle of n(n+1)/2 int32 entries, 32 MiB at this bound.
+inline constexpr size_t kMaxWindowStations = 4096;
+
 /// \brief Options for a sliding-window graph maintainer.
 struct WindowGraphOptions {
   /// Size of the station universe; event endpoints must be < station_count.
+  /// At most kMaxWindowStations.
   size_t station_count = 0;
   /// Window length in seconds. The window covers the half-open interval
   /// (watermark - window_seconds, watermark]; 0 means a landmark window
-  /// that never expires (the batch semantics). Negative values are
-  /// rejected by Ingest.
+  /// that never expires (the batch semantics). Must be >= 0.
   int64_t window_seconds = 7 * 86400;
 };
+
+/// \brief OK when a SlidingWindowGraph can hold `options`: window_seconds
+/// >= 0 and station_count <= kMaxWindowStations. InvalidArgument naming
+/// the broken rule otherwise. A window built from such options refuses
+/// Ingest and RestoreState with this status, and both freezes refuse it.
+Status CheckWindowOptions(const WindowGraphOptions& options);
 
 /// \brief Everything that changed in a SlidingWindowGraph since the last
 /// `DrainDirty()` call: the station pairs whose live trip count moved and
@@ -89,15 +100,22 @@ struct WindowGraphState {
 /// to exactly its initial state (no floating-point residue), and the
 /// final landmark window over a whole dataset reproduces the batch
 /// pipeline's graph bit for bit when frozen (see snapshot.h).
+///
+/// Pair counts live in one dense upper triangle indexed by (u, v), u <= v,
+/// row-major, with an occupancy bitmap over it: index order is PairKey
+/// order, so the live pairs are read in key order by scanning the bitmap.
+/// The triangle grows with n²: 148 KB at 272 stations, 274 KB at 370, and
+/// 32 MiB at kMaxWindowStations, past which the window allocates none and
+/// refuses every event (see CheckWindowOptions).
 class SlidingWindowGraph {
  public:
   explicit SlidingWindowGraph(const WindowGraphOptions& options);
 
   /// Applies one event's deltas and advances the watermark to its start
   /// time if newer (expiring older events). Returns InvalidArgument for
-  /// out-of-range stations and FailedPrecondition when the event is
-  /// older than the previously ingested event (an explicit Advance never
-  /// blocks ingestion).
+  /// options CheckWindowOptions refuses and for out-of-range stations,
+  /// and FailedPrecondition when the event is older than the previously
+  /// ingested event (an explicit Advance never blocks ingestion).
   Status Ingest(const TripEvent& event);
 
   /// Advances the watermark without ingesting (e.g. on a quiet stream so
@@ -134,8 +152,13 @@ class SlidingWindowGraph {
   bool Contains(CivilTime t) const;
 
   /// Trips currently recorded between stations `u` and `v` (unordered;
-  /// u == v counts loop trips). Zero when absent.
-  int64_t TripsBetween(int32_t u, int32_t v) const;
+  /// u == v counts loop trips). Zero when absent, and for any id outside
+  /// [0, station_count).
+  int64_t TripsBetween(int32_t u, int32_t v) const {
+    const auto n = static_cast<int64_t>(station_count());
+    if (u < 0 || v < 0 || u >= n || v >= n || trips_.empty()) return 0;
+    return trips_[PairIndex(u, v)];
+  }
 
   /// Live per-station endpoint counters at the two temporal
   /// granularities (integral; see class comment for the convention).
@@ -154,31 +177,48 @@ class SlidingWindowGraph {
   /// (`analysis::StationProfiles`), for similarity reweighting.
   analysis::StationProfiles Profiles() const;
 
-  /// One live pair of the sorted pair run: its PairKey and trip count.
-  struct PairTrips {
-    uint64_t key;
-    int64_t trips;
-  };
-
-  /// The live pairs sorted ascending by PairKey, with their trip
-  /// counts — the sequence ForEachPair visits. Exposed so a sharded
-  /// merge view can k-way merge several windows' runs without
-  /// materializing a combined copy (see stream/shard.h). Reading merges
-  /// in the keys created since the last read (see MergePendingPairs);
-  /// the reference is invalidated by the next mutation.
-  const std::vector<PairTrips>& PairRun() const {
-    if (pair_run_stale_) MergePendingPairs();
-    return pair_run_;
-  }
-
   /// Visits every pair with a live trip count, ordered by (u, v)
   /// ascending: `visit(u, v, trips)` with u <= v. Deterministic, so
   /// snapshot freezes are reproducible.
   template <typename Visitor>
   void ForEachPair(Visitor&& visit) const {
-    for (const PairTrips& pair : PairRun()) {
-      visit(static_cast<int32_t>(pair.key >> 32),
-            static_cast<int32_t>(pair.key & 0xFFFFFFFFu), pair.trips);
+    const SlidingWindowGraph* self = this;
+    ForEachPairIn(std::span(&self, 1), visit);
+  }
+
+  /// The one pair scan: visits the live pairs of `windows`, which share
+  /// one station_count and hold disjoint pairs (the shards of one
+  /// stream), in (u, v) ascending order. It walks the OR of their
+  /// occupancy bitmaps a word at a time and reads each count from the
+  /// window that holds it.
+  template <typename Visitor>
+  static void ForEachPairIn(std::span<const SlidingWindowGraph* const> windows,
+                            Visitor&& visit) {
+    const SlidingWindowGraph& first = *windows.front();
+    const auto others = windows.subspan(1);
+    const size_t n = first.station_count();
+    // Row u of the triangle holds (u, u) .. (u, n - 1) at indices
+    // [row_begin, row_end); bits arrive in ascending index order.
+    size_t u = 0, row_begin = 0, row_end = n;
+    const size_t words = first.live_.size();
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = first.live_[w];
+      for (const SlidingWindowGraph* window : others) bits |= window->live_[w];
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t index =
+            w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        while (index >= row_end) {
+          row_begin = row_end;
+          row_end += n - ++u;
+        }
+        const SlidingWindowGraph* holder = &first;
+        for (const SlidingWindowGraph* window : others) {
+          if ((window->live_[w] & Bit(index)) != 0) holder = window;
+        }
+        visit(static_cast<int32_t>(u),
+              static_cast<int32_t>(u + index - row_begin),
+              int64_t{holder->trips_[index]});
+      }
     }
   }
 
@@ -192,27 +232,26 @@ class SlidingWindowGraph {
 
   /// Number of distinct station pairs (self pairs included) with at least
   /// one live trip.
-  size_t pair_count() const { return pair_trips_.size(); }
+  size_t pair_count() const { return pair_count_; }
 
   /// Drains the record of changes since the previous drain and starts a
-  /// new epoch whose pair list holds at most `next_limit` entries. The
-  /// first call arms change tracking (and therefore returns
+  /// new epoch whose pair list holds at most `next_limit` distinct pairs.
+  /// The first call arms change tracking (and therefore returns
   /// `complete = false`): ingest-only consumers that never freeze
   /// snapshots pay nothing for tracking they do not use. An epoch that
-  /// would list more than min(`next_limit`, max(4096, 2 × live pairs))
-  /// pairs overflows: it tracks nothing more, and its drain reports
-  /// `complete = false` without sorting, forcing the next freeze down
-  /// the full path. The engine passes MaxDeltaDirtyPairs (snapshot.h),
-  /// so tracking stops where the delta freeze would reject the epoch
-  /// anyway. A pair that expires and is re-created within one epoch is
-  /// listed twice, so an epoch whose distinct pairs sit just under the
-  /// limit can still overflow; its freeze is a full one, bit-identical.
+  /// would list more than `next_limit` pairs overflows: it tracks
+  /// nothing more, and its drain reports `complete = false` without
+  /// sorting, forcing the next freeze down the full path. The engine
+  /// passes MaxDeltaDirtyPairs (snapshot.h), so tracking stops where the
+  /// delta freeze would reject the epoch anyway. Each pair and station
+  /// is listed at most once per epoch (a "listed" flag, cleared through
+  /// the lists at every drain), so with no limit the list never outgrows
+  /// the triangle.
   WindowDirtySet DrainDirty(size_t next_limit = SIZE_MAX);
 
-  /// Pairs the current epoch's change record lists so far (a pair
-  /// re-created within the epoch counts twice); never more than the
-  /// epoch's limit. The sharded engine sums it over its shards to drop
-  /// an over-limit epoch before sorting anything.
+  /// Distinct pairs the current epoch's change record lists so far;
+  /// never more than the epoch's limit. The sharded engine sums it over
+  /// its shards to drop an over-limit epoch before sorting anything.
   size_t dirty_pair_count() const { return dirty_pairs_.size(); }
 
   /// Forces the next DrainDirty() to report `complete = false` (one
@@ -222,11 +261,11 @@ class SlidingWindowGraph {
   /// next freeze must rebuild instead.
   void MarkDirtyTrackingIncomplete() { dirty_tracking_ = false; }
 
-  /// Times an expiry reversal referenced a station pair the pair map has
-  /// no record of — always 0 unless the ring and the map desync (a
-  /// library bug). The guard skips the reversal instead of dereferencing
-  /// a missing entry; tests assert this stays 0 so any desync surfaces
-  /// as a test failure rather than silent memory corruption.
+  /// Times an expiry reversal referenced a station pair with no live
+  /// trip — always 0 unless the ring and the pair counts desync (a
+  /// library bug). The guard skips the reversal instead of driving a
+  /// count negative; tests assert this stays 0 so any desync surfaces
+  /// as a test failure rather than silent corruption.
   size_t delta_desync_count() const { return delta_desync_count_; }
 
   /// Copies out the window's complete logical state (checkpointing).
@@ -236,7 +275,8 @@ class SlidingWindowGraph {
   /// window re-applies the serialized ring events (recomputing the
   /// day/hour fields from their start times), a landmark window adopts
   /// the serialized aggregates. Dirty tracking restarts unarmed, exactly
-  /// as on a fresh graph. Returns DataLoss for internally inconsistent
+  /// as on a fresh graph. Returns InvalidArgument for options
+  /// CheckWindowOptions refuses, and DataLoss for internally inconsistent
   /// state: an unsorted ring, out-of-range stations, pair keys not
   /// strictly ascending, or counters that disagree with each other
   /// (pair trips vs live_count, a station's day or hour counters vs its
@@ -253,35 +293,39 @@ class SlidingWindowGraph {
     uint8_t day, hour;
   };
 
-  /// Live trip count plus the epoch stamp that keeps the dirty-pair list
-  /// duplicate-free: a pair is appended to the list only when its stamp
-  /// trails the current epoch. Packed to 8 bytes so the pair map's node
-  /// (and malloc chunk) size is the same as a bare count's — the pair
-  /// map is the ingest hot path's biggest cache consumer. 32-bit epochs
-  /// wrap after 2^32 drains; DrainDirty re-zeroes every stamp at the
-  /// wrap so a stamp from 4 billion epochs ago can never alias the
-  /// current one.
-  struct PairState {
-    int32_t trips = 0;
-    uint32_t dirty_epoch = 0;
-  };
-
   // delta is exactly +1 (ingest) or -1 (expiry); the narrow type keeps
   // the pair-counter arithmetic inside int32_t by construction instead
   // of narrowing an int64_t at the accumulation site.
   void ApplyDelta(const RingEntry& e, int32_t delta);
-  void MarkPairDirty(uint64_t key, PairState& state);
+  void MarkPairDirty(int32_t u, int32_t v, size_t index);
   void ExpireOlderThan(int64_t cutoff_seconds);
   void PushRing(const RingEntry& e);
-  void MergePendingPairs() const;
+
+  /// Index of the unordered pair (u, v), u <= v, in the row-major upper
+  /// triangle: row u starts at u·n − u(u−1)/2 and holds v = u .. n − 1,
+  /// so (u, v) sits at u(2n − u − 1)/2 + v.
+  size_t PairIndex(int32_t u, int32_t v) const {
+    if (u > v) std::swap(u, v);
+    const auto a = static_cast<size_t>(u);
+    return a * (2 * options_.station_count - a - 1) / 2 +
+           static_cast<size_t>(v);
+  }
+  /// The bit of triangle index `index` within its bitmap word.
+  static uint64_t Bit(size_t index) { return uint64_t{1} << (index % 64); }
 
   WindowGraphOptions options_;
+  /// CheckWindowOptions(options_), computed once.
+  Status options_status_;
   CivilTime watermark_{INT64_MIN};
   /// Start time of the newest ingested event (the ordering bound; the
   /// watermark can run ahead of it via Advance).
   int64_t last_event_seconds_ = INT64_MIN;
 
-  std::unordered_map<uint64_t, PairState> pair_trips_;
+  /// Live trips per pair, n(n+1)/2 entries (none past the bound), and
+  /// the occupancy bitmap over them: bit i is set iff trips_[i] > 0.
+  std::vector<int32_t> trips_;
+  std::vector<uint64_t> live_;
+  size_t pair_count_ = 0;
   std::vector<std::array<int64_t, 7>> day_;
   std::vector<std::array<int64_t, 24>> hour_;
   std::vector<int64_t> endpoint_count_;
@@ -293,10 +337,12 @@ class SlidingWindowGraph {
   // nothing for it.
   bool dirty_tracking_ = false;
   size_t dirty_pair_limit_ = SIZE_MAX;
-  uint32_t dirty_epoch_ = 1;
   std::vector<uint64_t> dirty_pairs_;
   std::vector<int32_t> dirty_stations_;
-  std::vector<uint32_t> station_dirty_epoch_;
+  /// The "listed" flags that keep both lists duplicate-free: a bitmap
+  /// over the triangle and one byte per station.
+  std::vector<uint64_t> pair_listed_;
+  std::vector<uint8_t> station_listed_;
 
   // Expiry ring: a circular buffer of the live events in time order
   // (head = oldest). Grows by re-linearising into a larger buffer.
@@ -307,15 +353,6 @@ class SlidingWindowGraph {
   size_t live_count_ = 0;
   size_t ingested_count_ = 0;
   size_t delta_desync_count_ = 0;
-
-  // The sorted pair run behind PairRun. Every key ApplyDelta creates is
-  // appended to pending_pairs_; a read (or a pending list past
-  // 2 × live pairs + 4096) sorts just those keys and merges them into
-  // the run, dropping dead keys and refreshing every count, so the run
-  // is never rebuilt from the hash map. Stale after any delta.
-  mutable std::vector<PairTrips> pair_run_;
-  mutable std::vector<uint64_t> pending_pairs_;
-  mutable bool pair_run_stale_ = false;
 };
 
 }  // namespace bikegraph::stream

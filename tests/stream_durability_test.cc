@@ -394,6 +394,73 @@ TEST(CheckpointTest, SerializeParseRoundTrip) {
   EXPECT_EQ(SerializeCheckpoint(*single_parsed), single_bytes);
 }
 
+// The checkpoint payload is an on-disk format too: a 3-station landmark
+// engine after four trips and one freeze, byte for byte. Its window block
+// carries the pairs (0, 1), (1, 2) and (2, 2) as (key, trips), keys
+// strictly ascending, then the day, hour and endpoint counters.
+TEST(CheckpointTest, LandmarkPayloadBytesArePinned) {
+  StreamEngineConfig config;
+  config.station_count = 3;
+  config.window_seconds = 0;
+  StreamEngine engine(config);
+  const int32_t trips[][2] = {{0, 1}, {1, 0}, {2, 2}, {2, 1}};
+  int64_t id = 0;
+  for (const auto& [from, to] : trips) {
+    TripEvent event;
+    event.rental_id = ++id;
+    event.from_station = from;
+    event.to_station = to;
+    event.start_time = CivilTime(1'600'000'000 + (id - 1) * 3600);
+    event.end_time = event.start_time.AddSeconds(600);
+    ASSERT_TRUE(engine.Ingest(event).ok());
+  }
+  ASSERT_TRUE(engine.Snapshot().ok());
+  const std::string want_hex =
+      "0000000000000000030000000000000000000000000000000000000000000000"
+      "0100000101000000000000000000000000000080303a5e5f0000000000000000"
+      "0000000001000000000000000000000000000000303a5e5f0000000000000000"
+      "0000000000000000000000000000000000000000000400000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000303a5e"
+      "5f00000000303a5e5f0000000004000000000000000000000000000000040000"
+      "0000000000000000000000000003000000000000000100000000000000020000"
+      "0000000000020000000100000001000000000000000200000002000000010000"
+      "0000000000030000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000020000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000300000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000003000000000000000300000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000010000"
+      "0000000000010000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000010000"
+      "0000000000010000000000000000000000000000000100000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000002000000000000000100000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000030000"
+      "0000000000020000000000000003000000000000000300000000000000000000"
+      "0000000000000000000000000000000000000000000001000000000000000400"
+      "000000000000";
+  const std::string bytes = SerializeCheckpoint(engine.CaptureState());
+  std::string got_hex;
+  for (const char c : bytes) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    got_hex += kDigits[static_cast<unsigned char>(c) >> 4];
+    got_hex += kDigits[static_cast<unsigned char>(c) & 0xF];
+  }
+  EXPECT_EQ(got_hex, want_hex);
+}
+
 TEST(CheckpointTest, NewestCorruptFallsBackToOlderAndTmpIsSwept) {
   const fs::path dir = FreshDir("ckpt_fallback");
   EngineCheckpoint older = SampleCheckpoint();

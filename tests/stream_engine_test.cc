@@ -5,6 +5,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
@@ -508,6 +509,46 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
   bad.durability.enabled = true;
   bad.durability.directory = dir.string();
   EXPECT_EQ(StreamEngine::Recover(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(StreamEngineTest, StationCountPastTheBoundIsRefusedEverywhere) {
+  // One station past kMaxWindowStations: the windows hold no pair
+  // triangle, so every call that would feed or freeze them returns the
+  // config error, and a durable engine logs nothing and makes no
+  // directory.
+  StreamEngineConfig config;
+  config.station_count = kMaxWindowStations + 1;
+  config.window_seconds = 0;
+  const fs::path dir = fs::path(::testing::TempDir()) / "bg_engine_past_bound";
+  fs::remove_all(dir);
+  const CivilTime t0 = CivilTime::FromCalendar(2020, 5, 4, 9).ValueOrDie();
+  TripEvent event;
+  event.from_station = 0;
+  event.to_station = 1;
+  event.start_time = t0;
+  event.end_time = t0.AddSeconds(300);
+  for (const bool durable : {false, true}) {
+    StreamEngineConfig past = config;
+    past.durability.enabled = durable;
+    past.durability.directory = dir.string();
+    StreamEngine engine(past);
+    for (const Status& status :
+         {engine.Ingest(event), engine.Snapshot().status(),
+          engine.DetectCurrent().status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(status.message().find("kMaxWindowStations"),
+                std::string::npos)
+          << status.ToString();
+    }
+    EXPECT_EQ(engine.wal_seq(), 0u) << "durable=" << durable;
+  }
+  EXPECT_FALSE(fs::exists(dir));
+  // Recover refuses the same config before touching the directory.
+  config.durability.enabled = true;
+  config.durability.directory = dir.string();
+  EXPECT_EQ(StreamEngine::Recover(config).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_FALSE(fs::exists(dir));
 }

@@ -729,6 +729,94 @@ TEST(RecoveryFaultTest, FailedDirectoryCreationIsAnIOError) {
   fs::remove_all(parent);
 }
 
+// Recovery reads the checkpoint and the WAL segments through the seam
+// too: a failed read is an IOError naming what was read, and an EINTR
+// storm on reads is retried for free.
+
+/// Leaves a durable run on `dir`: 30 events, checkpointed after the 20th,
+/// so Recover reads one checkpoint and one segment. Returns the run's
+/// final state.
+std::string WriteRunForReadFaults(const fs::path& dir) {
+  StreamEngine engine(SmallEngineConfig(dir, nullptr));
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_TRUE(engine
+                    .Ingest(MakeEvent(i + 1, i % 8, (i + 3) % 8,
+                                      1'600'000'000 + i * 60))
+                    .ok());
+    if (i == 19) {
+      EXPECT_TRUE(engine.Checkpoint().ok());
+    }
+  }
+  return SerializeCheckpoint(engine.CaptureState());
+}
+
+FaultPlan ReadFaultPlan(FaultPlan::Kind kind, uint64_t count,
+                        const std::string& path_substr) {
+  FaultPlan plan;
+  FaultPlan::Rule rule;
+  rule.op = IoOp::kRead;
+  rule.kind = kind;
+  rule.count = count;
+  rule.error = EIO;
+  rule.path_substr = path_substr;
+  plan.rules.push_back(rule);
+  return plan;
+}
+
+TEST(RecoveryFaultTest, ReadErrorOnWalSegmentIsAnIOError) {
+  const fs::path dir = FreshDir("read_wal");
+  (void)WriteRunForReadFaults(dir);
+  FaultInjectingIoEnv env(
+      ReadFaultPlan(FaultPlan::Kind::kError, 1000, "wal-"));
+  auto recovered = StreamEngine::Recover(SmallEngineConfig(dir, &env));
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
+  EXPECT_NE(recovered.status().message().find("read WAL segment"),
+            std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_EQ(env.faults_injected(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(RecoveryFaultTest, ReadErrorOnNewestCheckpointIsAnIOError) {
+  const fs::path dir = FreshDir("read_ckpt");
+  (void)WriteRunForReadFaults(dir);
+  FaultInjectingIoEnv env(
+      ReadFaultPlan(FaultPlan::Kind::kError, 1000, "ckpt-"));
+  auto recovered = StreamEngine::Recover(SmallEngineConfig(dir, &env));
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError);
+  EXPECT_NE(recovered.status().message().find("read checkpoint"),
+            std::string::npos)
+      << recovered.status().ToString();
+  EXPECT_EQ(env.faults_injected(), 1u);
+  fs::remove_all(dir);
+}
+
+TEST(RecoveryFaultTest, EintrStormOnReadsStillRecoversBitIdentically) {
+  const fs::path dir = FreshDir("read_eintr");
+  const std::string want = WriteRunForReadFaults(dir);
+  // Every read fails with EINTR three times over before one gets through.
+  FaultPlan plan;
+  for (uint64_t after = 0; after < 64; after += 4) {
+    FaultPlan::Rule rule = ReadFaultPlan(FaultPlan::Kind::kEintrStorm, 3, "")
+                               .rules.front();
+    rule.after = after;
+    plan.rules.push_back(rule);
+  }
+  FaultInjectingIoEnv env(plan);
+  StreamEngine::RecoveryStats stats;
+  auto recovered = StreamEngine::Recover(SmallEngineConfig(dir, &env), &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(stats.used_checkpoint);
+  EXPECT_EQ(stats.replayed_records, 10u);
+  EXPECT_EQ(SerializeCheckpoint((*recovered)->CaptureState()), want);
+  // A checkpoint and a segment, each read to its end: four reads through.
+  EXPECT_EQ(env.op_count(IoOp::kRead), 16u);
+  EXPECT_EQ(env.faults_injected(), 12u);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Satellite 3: retry/backoff determinism on the injected clock, at one
 // and at two shards (the WAL is written on the ingestion thread before
@@ -1140,8 +1228,12 @@ class CrashAfterOpsEnv final : public IoEnv {
   int Mkdir(const char* path) override {
     return Alive() ? disk_->Mkdir(path) : Dead();
   }
-  // Not protocol ops: a dead process's descriptors close all the same.
+  // Not protocol ops: a dead process's descriptors close all the same,
+  // and a read changes nothing a crash could tear.
   int Close(int fd) override { return disk_->Close(fd); }
+  int64_t Read(int fd, void* data, size_t size) override {
+    return disk_->Read(fd, data, size);
+  }
   void SleepMs(int64_t ms) override { disk_->SleepMs(ms); }
 
   /// Ops that reached the disk.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -190,37 +191,104 @@ TEST(WindowDirtyTrackingTest, ExpiryDirtiesTheRetiredPairs) {
 }
 
 TEST(WindowDirtyTrackingTest, PathologicalChurnOverflowsToIncomplete) {
-  // The dirty list caps at max(4096, 2 * live pairs): unreachable by
-  // growth alone (every grown pair is live), so the overflow needs
-  // churn — thousands of DISTINCT pairs created and expired within one
-  // epoch, leaving the live set tiny while the dead-dirty list balloons.
-  // The drain then reports incomplete (forcing a full freeze) and
-  // re-arms cleanly.
+  // Thousands of DISTINCT pairs created and expired within one epoch,
+  // leaving the live set empty. Each pair is listed once, so with no
+  // limit the drain is complete and holds exactly the churned pairs;
+  // under a limit below the churn the epoch overflows, drains incomplete
+  // (forcing a full freeze) and the next epoch tracks normally.
   const size_t n = 128;
-  SlidingWindowGraph w({n, 30});  // 30 s window, one event per minute
-  (void)w.DrainDirty();           // arm
-  CivilTime t = At(6, 0);
-  size_t pushed = 0;
-  for (size_t u = 0; u < n && pushed < 6000; ++u) {
-    for (size_t v = u; v < n && pushed < 6000; ++v) {
-      ASSERT_TRUE(w.Ingest(Trip(static_cast<int32_t>(u),
-                                static_cast<int32_t>(v), t,
-                                static_cast<int64_t>(pushed)))
-                      .ok());
-      t = t.AddSeconds(60);  // expires the previous pair immediately
-      ++pushed;
+  for (const size_t limit : {SIZE_MAX, size_t{4096}}) {
+    SCOPED_TRACE(limit);
+    SlidingWindowGraph w({n, 30});  // 30 s window, one event per minute
+    (void)w.DrainDirty(limit);      // arm
+    CivilTime t = At(6, 0);
+    std::vector<uint64_t> churned;  // ascending: u, then v, ascending
+    for (size_t u = 0; u < n && churned.size() < 6000; ++u) {
+      for (size_t v = u; v < n && churned.size() < 6000; ++v) {
+        const auto a = static_cast<int32_t>(u);
+        const auto b = static_cast<int32_t>(v);
+        ASSERT_TRUE(
+            w.Ingest(Trip(a, b, t, static_cast<int64_t>(churned.size())))
+                .ok());
+        churned.push_back(SlidingWindowGraph::PairKey(a, b));
+        t = t.AddSeconds(60);  // expires the previous pair immediately
+      }
     }
+    w.Advance(t.AddSeconds(3600));  // expire the last churn pair too
+    EXPECT_EQ(w.pair_count(), 0u);
+    const WindowDirtySet churn = w.DrainDirty(limit);
+    if (limit == SIZE_MAX) {
+      EXPECT_TRUE(churn.complete);
+      EXPECT_EQ(churn.pairs, churned);
+    } else {
+      EXPECT_FALSE(churn.complete);
+      EXPECT_TRUE(churn.pairs.empty());
+    }
+    ASSERT_TRUE(w.Ingest(Trip(0, 1, t)).ok());
+    const WindowDirtySet next = w.DrainDirty(limit);
+    EXPECT_TRUE(next.complete);
+    EXPECT_EQ(next.pairs,
+              (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1)}));
   }
-  w.Advance(t.AddSeconds(3600));  // expire the last churn pair too
-  EXPECT_EQ(w.pair_count(), 0u);
-  WindowDirtySet overflowed = w.DrainDirty();
-  EXPECT_FALSE(overflowed.complete);
-  // The epoch after the overflow tracks normally again.
-  ASSERT_TRUE(w.Ingest(Trip(0, 1, t)).ok());
-  WindowDirtySet next = w.DrainDirty();
-  EXPECT_TRUE(next.complete);
-  EXPECT_EQ(next.pairs,
-            (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1)}));
+}
+
+TEST(WindowDirtyTrackingTest, PairRecreatedWithinAnEpochIsListedOnce) {
+  // (0, 1) expires and is re-created within one epoch: with a limit of
+  // 5 and 5 distinct pairs, the epoch drains complete with 5 keys.
+  constexpr size_t kLimit = 5;
+  SlidingWindowGraph w({8, 1800});
+  (void)w.DrainDirty(kLimit);  // arm
+  CivilTime t = At(6, 8);
+  ASSERT_TRUE(w.Ingest(Trip(0, 1, t, 1)).ok());
+  t = t.AddSeconds(3600);  // the next ingest expires (0, 1)
+  int64_t id = 1;
+  for (const int32_t v : {2, 3, 4, 5, 1}) {
+    ASSERT_TRUE(w.Ingest(Trip(0, v, t, ++id)).ok());
+    t = t.AddSeconds(60);
+  }
+  EXPECT_EQ(w.TripsBetween(0, 1), 1);
+  EXPECT_EQ(w.dirty_pair_count(), kLimit);
+  const WindowDirtySet drained = w.DrainDirty(kLimit);
+  EXPECT_TRUE(drained.complete);
+  std::vector<uint64_t> expected;
+  for (const int32_t v : {1, 2, 3, 4, 5}) {
+    expected.push_back(SlidingWindowGraph::PairKey(0, v));
+  }
+  EXPECT_EQ(drained.pairs, expected);
+  EXPECT_EQ(drained.stations, (std::vector<int32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(WindowDirtyTrackingTest, PairListedInAnIncompleteEpochIsListedAgain) {
+  // The listed flags are cleared at every drain, complete or not: a pair
+  // and its stations listed in an epoch that overflowed, or that was
+  // marked incomplete, are listed again when the next epoch touches them.
+  constexpr size_t kLimit = 2;
+  SlidingWindowGraph w({8, 0});
+  (void)w.DrainDirty(kLimit);  // arm
+  CivilTime t = At(6, 8);
+  int64_t id = 0;
+  const auto ingest = [&](int32_t u, int32_t v) {
+    t = t.AddSeconds(60);
+    ASSERT_TRUE(w.Ingest(Trip(u, v, t, ++id)).ok());
+  };
+  const auto expect_only_0_1 = [&](const WindowDirtySet& set) {
+    EXPECT_TRUE(set.complete);
+    EXPECT_EQ(set.pairs,
+              (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1)}));
+    EXPECT_EQ(set.stations, (std::vector<int32_t>{0, 1}));
+  };
+  ingest(0, 1);
+  ingest(2, 3);
+  ingest(4, 5);  // the third pair overflows the epoch
+  EXPECT_FALSE(w.DrainDirty(kLimit).complete);
+  ingest(0, 1);
+  expect_only_0_1(w.DrainDirty(kLimit));
+
+  ingest(0, 1);
+  w.MarkDirtyTrackingIncomplete();
+  EXPECT_FALSE(w.DrainDirty(kLimit).complete);
+  ingest(0, 1);
+  expect_only_0_1(w.DrainDirty(kLimit));
 }
 
 TEST(WindowDirtyTrackingTest, LimitBoundsTheEpochExactly) {
@@ -267,6 +335,27 @@ TEST(WindowDirtyTrackingTest, LimitBoundsTheEpochExactly) {
             (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1),
                                    SlidingWindowGraph::PairKey(2, 3)}));
   EXPECT_EQ(next.stations, (std::vector<int32_t>{0, 1, 2, 3}));
+}
+
+TEST(WindowBoundTest, PastTheBoundEveryEntryPointRefuses) {
+  // One station past the bound: the window allocates no pair triangle,
+  // and every call that would read or write one refuses, naming it.
+  SlidingWindowGraph w({kMaxWindowStations + 1, 0});
+  const auto expect_refused = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("kMaxWindowStations (4096)"),
+              std::string::npos)
+        << status.ToString();
+  };
+  expect_refused(w.Ingest(Trip(0, 1, At(6, 8))));
+  expect_refused(w.RestoreState(WindowGraphState{}));
+  expect_refused(FreezeSnapshot(w).status());
+  SlidingWindowGraph small({4, 0});
+  const WindowSnapshot previous = FreezeSnapshot(small).ValueOrDie();
+  expect_refused(FreezeSnapshotDelta(w, previous, w.DrainDirty()).status());
+  EXPECT_EQ(w.trip_count(), 0u);
+  EXPECT_EQ(w.TripsBetween(0, 1), 0);
+  EXPECT_EQ(w.EndpointCount(static_cast<int32_t>(kMaxWindowStations)), 0);
 }
 
 TEST(MaxDeltaDirtyPairsTest, IsTheFloorOfTheDeltaCutOff) {

@@ -25,12 +25,8 @@ namespace bikegraph::stream {
 
 /// Test-only backdoor (befriended by SlidingWindowGraph): forges the
 /// desync the ApplyDelta guard defends against — an expiry reversal for a
-/// pair the map has never seen — which the public API cannot produce,
-/// and reads the pair run's pending-key list.
+/// pair with no live trip — which the public API cannot produce.
 struct WindowGraphTestPeer {
-  static size_t PendingPairs(const SlidingWindowGraph& w) {
-    return w.pending_pairs_.size();
-  }
   static void ForceReverseUnknownPair(SlidingWindowGraph* w) {
     SlidingWindowGraph::RingEntry entry;
     entry.start_seconds = 0;
@@ -71,6 +67,12 @@ TEST(SlidingWindowGraphTest, IngestAppliesDeltas) {
   EXPECT_EQ(w.TripsBetween(1, 0), 2);  // unordered
   EXPECT_EQ(w.TripsBetween(2, 2), 1);
   EXPECT_EQ(w.TripsBetween(0, 2), 0);
+  // An id outside [0, station_count), in either position, holds no trips.
+  for (const auto& [u, v] : std::vector<std::pair<int32_t, int32_t>>{
+           {-1, 0}, {0, -1}, {-1, -1}, {0, 4}, {4, 0}, {4, 4}, {3, 4},
+           {INT32_MIN, 2}, {2, INT32_MAX}}) {
+    EXPECT_EQ(w.TripsBetween(u, v), 0) << u << "," << v;
+  }
   // Monday = day 0; both endpoints counted, loops twice.
   EXPECT_EQ(w.DayCounts(0)[0], 2);
   EXPECT_EQ(w.HourCounts(0)[8], 1);
@@ -95,6 +97,23 @@ TEST(SlidingWindowGraphTest, RejectsBadEvents) {
   EXPECT_FALSE(w.Ingest(Trip(0, 1, At(6, 8))).ok());
   // Equal timestamps are fine.
   EXPECT_TRUE(w.Ingest(Trip(1, 0, At(6, 9))).ok());
+}
+
+TEST(SlidingWindowGraphTest, WindowAtTheStationBoundIndexesItsLastPair) {
+  const auto last = static_cast<int32_t>(kMaxWindowStations - 1);
+  SlidingWindowGraph w({kMaxWindowStations, 0});
+  ASSERT_TRUE(w.Ingest(Trip(last, last, At(6, 8))).ok());
+  ASSERT_TRUE(w.Ingest(Trip(last - 1, last, At(6, 9))).ok());
+  ASSERT_TRUE(w.Ingest(Trip(0, last, At(6, 10))).ok());
+  EXPECT_EQ(w.TripsBetween(last, last), 1);
+  EXPECT_EQ(w.TripsBetween(last, last - 1), 1);
+  const std::vector<std::array<int64_t, 3>> expected = {
+      {0, last, 1}, {last - 1, last, 1}, {last, last, 1}};
+  std::vector<std::array<int64_t, 3>> seen;
+  w.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
+    seen.push_back({u, v, trips});
+  });
+  EXPECT_EQ(seen, expected);
 }
 
 TEST(SlidingWindowGraphTest, SingleTripWindowEmptiesOnExpiry) {
@@ -461,12 +480,11 @@ struct PairModel {
   }
 };
 
-// The sorted pair run under churn: a short window over 6 stations, so
+// The ordered pair scan under churn: a short window over 6 stations, so
 // pairs die and are re-created between reads. Every read, wherever it
 // falls, must yield exactly the std::map model's (u, v, trips) sequence:
-// two reads with no mutation between them, a read right after the
-// pending list was merged at its bound, and reads after RestoreState of
-// a sliding and of a landmark state.
+// two reads with no mutation between them, and reads after RestoreState
+// of a sliding and of a landmark state.
 TEST(SlidingWindowGraphTest, PairRunMatchesMapModelUnderChurn) {
   const size_t stations = 6;
   const int64_t window = 300;
@@ -476,26 +494,20 @@ TEST(SlidingWindowGraphTest, PairRunMatchesMapModelUnderChurn) {
   PairModel landmark_model{0, {}, {}};
   Rng rng(1607);
   CivilTime t = At(6, 0);
-  size_t reads = 0, bound_merges = 0, restores = 0;
+  size_t reads = 0, restores = 0;
   for (int i = 0; i < 60000; ++i) {
     t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(120)));
     const TripEvent e =
         Trip(static_cast<int32_t>(rng.NextBounded(stations)),
              static_cast<int32_t>(rng.NextBounded(stations)), t, i);
-    const size_t pending_before = WindowGraphTestPeer::PendingPairs(sliding);
     ASSERT_TRUE(sliding.Ingest(e).ok());
     ASSERT_TRUE(landmark.Ingest(e).ok());
     sliding_model.Ingest(e);
     landmark_model.Ingest(e);
 
-    // Reads happen only in every other 10k-event phase, so the quiet
-    // phases run the pending list up to its bound.
+    // Reads happen only in every other 10k-event phase.
     const bool quiet = (i / 10000) % 2 == 1;
-    if (WindowGraphTestPeer::PendingPairs(sliding) < pending_before) {
-      ASSERT_TRUE(quiet) << "merged without a read outside a quiet phase";
-      ++bound_merges;
-      ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
-    } else if (!quiet && rng.NextBounded(100) == 0) {
+    if (!quiet && rng.NextBounded(100) == 0) {
       ++reads;
       ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
       ASSERT_EQ(ReadPairs(sliding), sliding_model.Expected()) << i;
@@ -516,35 +528,9 @@ TEST(SlidingWindowGraphTest, PairRunMatchesMapModelUnderChurn) {
     }
   }
   EXPECT_GT(reads, 100u);
-  EXPECT_GE(bound_merges, 3u);
   EXPECT_GE(restores, 7u);
   EXPECT_EQ(ReadPairs(sliding), sliding_model.Expected());
   EXPECT_EQ(ReadPairs(landmark), landmark_model.Expected());
-}
-
-// A window that is never read (ingest only, no freeze) keeps its pending
-// list within 2 × live pairs + 4096: it merges in place at the bound.
-TEST(SlidingWindowGraphTest, PendingPairsStayBoundedWithoutReads) {
-  const size_t stations = 6;
-  const size_t max_pairs = stations * (stations + 1) / 2;
-  SlidingWindowGraph w({stations, /*window_seconds=*/300});
-  Rng rng(99);
-  CivilTime t = At(6, 0);
-  size_t peak = 0, merges = 0;
-  for (int i = 0; i < 120000; ++i) {
-    t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(120)));
-    const size_t before = WindowGraphTestPeer::PendingPairs(w);
-    ASSERT_TRUE(w.Ingest(Trip(static_cast<int32_t>(rng.NextBounded(stations)),
-                              static_cast<int32_t>(rng.NextBounded(stations)),
-                              t, i))
-                    .ok());
-    const size_t pending = WindowGraphTestPeer::PendingPairs(w);
-    ASSERT_LE(pending, 2 * max_pairs + 4096) << i;
-    if (pending < before) ++merges;
-    peak = std::max(peak, pending);
-  }
-  EXPECT_GE(merges, 10u);
-  EXPECT_GT(peak, 4096u);
 }
 
 }  // namespace

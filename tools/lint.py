@@ -28,9 +28,11 @@ Checks
                         the fault injector sees every operation; a direct
                         syscall is invisible to fault schedules and
                         unprotected by the retry policy. Under src/ the
-                        std::filesystem mutators (create_directory[ies],
-                        remove[_all], rename, resize_file) count too;
-                        tests, benches and examples manage temp dirs.
+                        ::read/::pread globals (the recovery read paths)
+                        and the std::filesystem mutators (create_directory
+                        [ies], remove[_all], rename, resize_file) count
+                        too; tests, benches and examples read files and
+                        manage temp dirs.
   unseeded-rng          no rand()/srand()/std::random_device outside
                         src/core/rng — all randomness must flow through the
                         seeded deterministic RNG so every run is replayable.
@@ -278,6 +280,11 @@ IO_SYSCALL = re.compile(
     r"\b(?:fsync|fdatasync|rename|renameat)\s*\("
     r"|(?<![\w])::\s*(?:open|write|unlink)\s*\(")
 
+# Library code only, like FS_MUTATOR below: recovery reads its WAL and
+# checkpoints through IoEnv::Read so fault plans reach them, while tests,
+# benches and examples read files directly.
+READ_SYSCALL = re.compile(r"(?<![\w])::\s*(?:read|pread)\s*\(")
+
 # std::filesystem calls that change the disk, through the usual `fs`
 # alias or spelled out. Library code only: tests, benches and examples
 # create and delete their temp directories legitimately.
@@ -297,7 +304,9 @@ def check_naked_io_syscall(root, files):
             lines = f.read().splitlines()
         for i, line in enumerate(lines):
             code = strip_comments(line)
-            if IO_SYSCALL.search(code) or (library and FS_MUTATOR.search(code)):
+            if IO_SYSCALL.search(code) or (
+                    library and (READ_SYSCALL.search(code) or
+                                 FS_MUTATOR.search(code))):
                 violations.append(Violation(
                     "naked-io-syscall", rel, i + 1,
                     "raw I/O syscall or std::filesystem mutator outside "
@@ -598,6 +607,15 @@ def run_selftest(root):
     expect("naked-io-syscall", check_naked_io_syscall,
            {"src/core/io_env.cc": _golden(root, "bad_naked_fs_mutator.cc")},
            False, "std::filesystem mutators inside io_env.cc are the seam")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"src/stream/durable_file.cc": _golden(root, "bad_naked_read.cc")},
+           True, "bad_naked_read.cc")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"tests/read_test.cc": _golden(root, "bad_naked_read.cc")},
+           False, "tests read files directly")
+    expect("naked-io-syscall", check_naked_io_syscall,
+           {"src/core/io_env.cc": _golden(root, "bad_naked_read.cc")},
+           False, "raw reads inside io_env.cc are the seam")
 
     expect("unseeded-rng", check_unseeded_rng,
            {"src/bad.cc": _golden(root, "bad_unseeded_rng.cc")},
