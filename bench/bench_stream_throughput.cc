@@ -18,6 +18,7 @@
 #include "stream/replay.h"
 #include "stream/snapshot.h"
 #include "stream/testing.h"
+#include "stream/wal.h"
 #include "stream/window_graph.h"
 
 namespace bikegraph::stream {
@@ -138,6 +139,25 @@ void BM_StreamIngestWithWal(benchmark::State& state) {
   StreamEngineIngest(state, /*durable=*/true);
 }
 BENCHMARK(BM_StreamIngestWithWal)->Arg(64)->Arg(256);
+
+// CRC32C over one buffer: Arg 37 is about a WAL event frame's payload
+// (33 bytes), 249000 a serve-sized checkpoint payload, which the
+// committer and Recover() checksum whole.
+void BM_Crc32c(benchmark::State& state) {
+  const auto size = static_cast<size_t>(state.range(0));
+  std::vector<unsigned char> buffer(size);
+  Rng rng(37);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextBounded(256));
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32c(buffer.data(), buffer.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+}
+BENCHMARK(BM_Crc32c)->Arg(37)->Arg(249000);
 
 // Recovery cost against the length of the logged history. The log comes
 // from a serve-like durable run: 272 stations, 23 trips per 15-minute

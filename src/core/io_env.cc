@@ -13,6 +13,10 @@
 // The one file where raw I/O syscalls are legal (the `naked-io-syscall`
 // lint pins the whole durability protocol onto this seam; see
 // docs/STATIC_ANALYSIS.md).
+//
+// lint: thread-ok: nanosleep is the backoff clock, not synchronization;
+// the mutex serializes FaultInjectingIoEnv's calls from a durable
+// engine's writer and checkpoint committer (see io_env.h).
 
 namespace bikegraph {
 
@@ -75,7 +79,6 @@ void IoEnv::SleepMs(int64_t ms) {
   timespec ts;
   ts.tv_sec = static_cast<time_t>(ms / 1000);
   ts.tv_nsec = static_cast<long>((ms % 1000) * 1000000);
-  // lint: thread-ok: nanosleep is the backoff clock, not synchronization.
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
   }
 }
@@ -108,11 +111,43 @@ FaultInjectingIoEnv::FaultInjectingIoEnv(FaultPlan plan)
 FaultInjectingIoEnv::~FaultInjectingIoEnv() = default;
 
 void FaultInjectingIoEnv::AddRule(const FaultPlan::Rule& rule) {
+  std::lock_guard<std::mutex> lock(mu_);
   plan_.rules.push_back(rule);
 }
 
-const FaultPlan::Rule* FaultInjectingIoEnv::Match(
-    IoOp op, uint64_t idx, const std::string& path) const {
+uint64_t FaultInjectingIoEnv::faults_injected() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return faults_injected_;
+}
+
+uint64_t FaultInjectingIoEnv::op_count(IoOp op) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return op_counts_[static_cast<size_t>(op)];
+}
+
+uint64_t FaultInjectingIoEnv::crash_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return crash_count_;
+}
+
+uint64_t FaultInjectingIoEnv::disk_used_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return disk_used_;
+}
+
+std::vector<int64_t> FaultInjectingIoEnv::sleep_log() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sleep_log_;
+}
+
+int64_t FaultInjectingIoEnv::virtual_now_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return virtual_now_ms_;
+}
+
+FaultInjectingIoEnv::Fault FaultInjectingIoEnv::Inject(
+    IoOp op, const std::string& path) {
+  const uint64_t idx = op_counts_[static_cast<size_t>(op)]++;
   for (const FaultPlan::Rule& rule : plan_.rules) {
     if (rule.op != op || idx < rule.after || idx - rule.after >= rule.count) {
       continue;
@@ -121,9 +156,25 @@ const FaultPlan::Rule* FaultInjectingIoEnv::Match(
         path.find(rule.path_substr) == std::string::npos) {
       continue;
     }
-    return &rule;
+    switch (rule.kind) {
+      case FaultPlan::Kind::kError:
+        ++faults_injected_;
+        errno = rule.error;
+        return Fault::kFail;
+      case FaultPlan::Kind::kEintrStorm:
+        ++faults_injected_;
+        errno = EINTR;
+        return Fault::kFail;
+      case FaultPlan::Kind::kShortWrite:
+        return op == IoOp::kWrite ? Fault::kShortWrite : Fault::kNone;
+      case FaultPlan::Kind::kSyncLie:
+        if (op != IoOp::kFsync && op != IoOp::kFsyncDir) return Fault::kNone;
+        ++faults_injected_;
+        return Fault::kSyncLie;
+    }
+    return Fault::kNone;
   }
-  return nullptr;
+  return Fault::kNone;
 }
 
 std::string FaultInjectingIoEnv::PathOf(int fd) const {
@@ -139,22 +190,8 @@ FaultInjectingIoEnv::FileState* FaultInjectingIoEnv::Tracked(
 
 int FaultInjectingIoEnv::Open(const char* path, int flags,
                               unsigned int mode) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kOpen)]++;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kOpen, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for open; pass through
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Inject(IoOp::kOpen, path) == Fault::kFail) return -1;
   const bool existed = ::access(path, F_OK) == 0;
   const int fd = IoEnv::Open(path, flags, mode);
   if (fd < 0) {
@@ -182,48 +219,27 @@ int FaultInjectingIoEnv::Open(const char* path, int flags,
 }
 
 int64_t FaultInjectingIoEnv::Read(int fd, void* data, size_t size) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kRead)]++;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kRead, idx, PathOf(fd))) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for read; pass through
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Inject(IoOp::kRead, PathOf(fd)) == Fault::kFail) return -1;
   return IoEnv::Read(fd, data, size);
 }
 
 int64_t FaultInjectingIoEnv::Write(int fd, const void* data, size_t size) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kWrite)]++;
+  std::lock_guard<std::mutex> lock(mu_);
   const std::string path = PathOf(fd);
   size_t effective = size;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kWrite, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
+  switch (Inject(IoOp::kWrite, path)) {
+    case Fault::kFail:
+      return -1;
+    case Fault::kShortWrite:
+      if (size > 1) {
+        effective = size / 2;
         ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-        if (size > 1) {
-          effective = size / 2;
-          ++faults_injected_;
-        }
-        break;
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for write; pass through
-    }
+      }
+      break;
+    case Fault::kNone:
+    case Fault::kSyncLie:
+      break;
   }
   if (plan_.disk_capacity_bytes > 0) {
     if (disk_used_ >= plan_.disk_capacity_bytes) {
@@ -247,26 +263,18 @@ int64_t FaultInjectingIoEnv::Write(int fd, const void* data, size_t size) {
 }
 
 int FaultInjectingIoEnv::Fsync(int fd) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kFsync)]++;
+  std::lock_guard<std::mutex> lock(mu_);
   const std::string path = PathOf(fd);
-  if (const FaultPlan::Rule* rule = Match(IoOp::kFsync, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kSyncLie:
-        // Report success without marking anything durable: the caller's
-        // bytes stay in the crash-vulnerable window.
-        ++faults_injected_;
-        return 0;
-      case FaultPlan::Kind::kShortWrite:
-        break;  // meaningless for fsync; pass through
-    }
+  switch (Inject(IoOp::kFsync, path)) {
+    case Fault::kFail:
+      return -1;
+    case Fault::kSyncLie:
+      // Report success without marking anything durable: the caller's
+      // bytes stay in the crash-vulnerable window.
+      return 0;
+    case Fault::kNone:
+    case Fault::kShortWrite:
+      break;
   }
   const int rc = IoEnv::Fsync(fd);
   if (rc == 0) {
@@ -278,22 +286,9 @@ int FaultInjectingIoEnv::Fsync(int fd) {
 }
 
 int FaultInjectingIoEnv::Rename(const char* from, const char* to) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kRename)]++;
-  const std::string joined = std::string(from) + "|" + to;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kRename, idx, joined)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for rename; pass through
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Inject(IoOp::kRename, std::string(from) + "|" + to) == Fault::kFail) {
+    return -1;
   }
   const int rc = IoEnv::Rename(from, to);
   if (rc == 0) {
@@ -314,22 +309,8 @@ int FaultInjectingIoEnv::Rename(const char* from, const char* to) {
 }
 
 int FaultInjectingIoEnv::Unlink(const char* path) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kUnlink)]++;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kUnlink, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for unlink; pass through
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Inject(IoOp::kUnlink, path) == Fault::kFail) return -1;
   const FileState* file = Tracked(path);
   const uint64_t freed = file != nullptr ? file->size : RealFileSize(path);
   const int rc = IoEnv::Unlink(path);
@@ -350,25 +331,17 @@ int FaultInjectingIoEnv::Unlink(const char* path) {
 }
 
 int FaultInjectingIoEnv::FsyncDir(const char* path) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kFsyncDir)]++;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kFsyncDir, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kSyncLie:
-        // Claims the metadata barrier happened; the pending creates and
-        // renames stay crash-vulnerable.
-        ++faults_injected_;
-        return 0;
-      case FaultPlan::Kind::kShortWrite:
-        break;  // meaningless for fsyncdir; pass through
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  switch (Inject(IoOp::kFsyncDir, path)) {
+    case Fault::kFail:
+      return -1;
+    case Fault::kSyncLie:
+      // Claims the metadata barrier happened; the pending creates and
+      // renames stay crash-vulnerable.
+      return 0;
+    case Fault::kNone:
+    case Fault::kShortWrite:
+      break;
   }
   const int rc = IoEnv::FsyncDir(path);
   if (rc == 0) {
@@ -389,23 +362,9 @@ int FaultInjectingIoEnv::FsyncDir(const char* path) {
 }
 
 int FaultInjectingIoEnv::Truncate(int fd, int64_t size) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kTruncate)]++;
+  std::lock_guard<std::mutex> lock(mu_);
   const std::string path = PathOf(fd);
-  if (const FaultPlan::Rule* rule = Match(IoOp::kTruncate, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for truncate; pass through
-    }
-  }
+  if (Inject(IoOp::kTruncate, path) == Fault::kFail) return -1;
   const int rc = IoEnv::Truncate(fd, size);
   if (rc == 0) {
     if (FileState* file = Tracked(path)) {
@@ -422,36 +381,25 @@ int FaultInjectingIoEnv::Truncate(int fd, int64_t size) {
 }
 
 int FaultInjectingIoEnv::Close(int fd) {
+  std::lock_guard<std::mutex> lock(mu_);
   fds_.erase(fd);
   return IoEnv::Close(fd);
 }
 
 int FaultInjectingIoEnv::Mkdir(const char* path) {
-  const uint64_t idx = op_counts_[static_cast<size_t>(IoOp::kMkdir)]++;
-  if (const FaultPlan::Rule* rule = Match(IoOp::kMkdir, idx, path)) {
-    switch (rule->kind) {
-      case FaultPlan::Kind::kError:
-        ++faults_injected_;
-        errno = rule->error;
-        return -1;
-      case FaultPlan::Kind::kEintrStorm:
-        ++faults_injected_;
-        errno = EINTR;
-        return -1;
-      case FaultPlan::Kind::kShortWrite:
-      case FaultPlan::Kind::kSyncLie:
-        break;  // meaningless for mkdir; pass through
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (Inject(IoOp::kMkdir, path) == Fault::kFail) return -1;
   return IoEnv::Mkdir(path);
 }
 
 void FaultInjectingIoEnv::SleepMs(int64_t ms) {
+  std::lock_guard<std::mutex> lock(mu_);
   sleep_log_.push_back(ms);
   virtual_now_ms_ += ms;
 }
 
 void FaultInjectingIoEnv::SimulateCrash() {
+  std::lock_guard<std::mutex> lock(mu_);
   ++crash_count_;
   // Metadata first, newest-first: a rename the directory never committed
   // rolls back to the old name; a create it never committed disappears.

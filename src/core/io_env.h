@@ -5,9 +5,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+// lint: thread-ok: FaultInjectingIoEnv serializes its calls on one mutex,
+// because a durable engine's writer and its checkpoint committer issue
+// I/O through the same environment at once.
 
 namespace bikegraph {
 
@@ -41,8 +46,11 @@ inline constexpr size_t kIoOpCount = 9;
 /// numbers). All methods follow POSIX conventions: -1 with `errno` set on
 /// failure; Read and Write return the byte count (possibly short).
 ///
-/// Thread model: the engine serializes all durable I/O on the ingestion
-/// thread; IoEnv implementations are not required to be thread-safe.
+/// Thread model: a durable engine issues I/O from two threads at once —
+/// the ingestion thread (WAL appends, syncs, rotations, the ENOSPC
+/// self-heal) and its checkpoint committer (checkpoint write and the
+/// prunes) — so an implementation must accept concurrent calls. The
+/// production passthrough holds no state and already does.
 class IoEnv {
  public:
   virtual ~IoEnv();
@@ -135,7 +143,13 @@ struct FaultPlan {
 /// Usage: construct with a plan, point DurabilityConfig::io_env at it,
 /// run the workload, destroy the engine (its writer flushes through the
 /// environment), then SimulateCrash() and recover with a clean
-/// environment. Not thread-safe (the engine serializes durable I/O).
+/// environment.
+///
+/// Thread-safe: one mutex guards the whole model and is held across each
+/// call's syscall, so calls from the writer and the committer apply to
+/// the disk and to the model in one order. Op indices stay global across
+/// threads: a plan aimed at a call another thread may issue concurrently
+/// hits whichever call takes that index.
 class FaultInjectingIoEnv final : public IoEnv {
  public:
   explicit FaultInjectingIoEnv(FaultPlan plan);
@@ -169,28 +183,35 @@ class FaultInjectingIoEnv final : public IoEnv {
   /// writing engine must be destroyed first).
   void SimulateCrash();
 
-  uint64_t faults_injected() const { return faults_injected_; }
-  uint64_t op_count(IoOp op) const {
-    return op_counts_[static_cast<size_t>(op)];
-  }
-  uint64_t crash_count() const { return crash_count_; }
-  uint64_t disk_used_bytes() const { return disk_used_; }
+  uint64_t faults_injected() const;
+  uint64_t op_count(IoOp op) const;
+  uint64_t crash_count() const;
+  uint64_t disk_used_bytes() const;
   /// Every SleepMs duration, in call order (the backoff schedule).
-  const std::vector<int64_t>& sleep_log() const { return sleep_log_; }
+  std::vector<int64_t> sleep_log() const;
   /// Sum of the recorded sleeps — the virtual "now".
-  int64_t virtual_now_ms() const { return virtual_now_ms_; }
+  int64_t virtual_now_ms() const;
 
  private:
   struct FileState {
     uint64_t size = 0;    ///< bytes written (through this env)
     uint64_t synced = 0;  ///< bytes a truthful fsync covered
   };
+  /// What the plan does to one call (see Inject).
+  enum class Fault : uint8_t { kNone, kFail, kShortWrite, kSyncLie };
 
-  const FaultPlan::Rule* Match(IoOp op, uint64_t idx,
-                               const std::string& path) const;
+  /// Counts this call of `op` (index = calls of `op` so far) and applies
+  /// the first rule matching it and `path`. kError and kEintrStorm fail
+  /// the call here: errno is set, the fault counted, and the caller
+  /// returns -1 (kFail). kShortWrite is returned only for Write, which
+  /// halves the request and counts it; kSyncLie only for Fsync/FsyncDir,
+  /// counted here. On any other op those two kinds pass through (kNone).
+  /// Caller holds mu_.
+  Fault Inject(IoOp op, const std::string& path);
   std::string PathOf(int fd) const;
   FileState* Tracked(const std::string& path);
 
+  mutable std::mutex mu_;
   FaultPlan plan_;
   std::array<uint64_t, kIoOpCount> op_counts_{};
   uint64_t faults_injected_ = 0;

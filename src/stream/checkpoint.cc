@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -397,7 +398,8 @@ Status PruneCheckpoints(const std::string& directory, size_t keep,
   const size_t drop =
       candidates.size() > keep ? candidates.size() - keep : 0;
   for (size_t i = 0; i < drop; ++i) {
-    if (env->Unlink(candidates[i].second.c_str()) != 0) {
+    // Gone already counts as pruned, as for the WAL's segments.
+    if (env->Unlink(candidates[i].second.c_str()) != 0 && errno != ENOENT) {
       return IOError("remove checkpoint", candidates[i].second);
     }
   }

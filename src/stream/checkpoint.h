@@ -115,8 +115,9 @@ struct CheckpointLoadResult {
 [[nodiscard]] Result<CheckpointLoadResult> LoadNewestCheckpoint(
     const std::string& directory, IoEnv* env = nullptr);
 
-/// \brief Deletes all but the newest `keep` checkpoint files. The WAL is
-/// left alone: WalPruneBound gives the bound to prune it through.
+/// \brief Deletes all but the newest `keep` checkpoint files; one already
+/// gone (ENOENT) counts as deleted. The WAL is left alone: WalPruneBound
+/// gives the bound to prune it through.
 [[nodiscard]] Status PruneCheckpoints(const std::string& directory,
                                       size_t keep, IoEnv* env = nullptr);
 

@@ -1,6 +1,10 @@
 #include "stream/engine.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -190,6 +194,102 @@ class EngineShard {
   }
 };
 
+/// Commits checkpoints on one background thread: the writer hands it a
+/// capture, and the thread writes it (WriteCheckpoint), then prunes the
+/// checkpoints and the WAL segments the oldest kept one covers — the
+/// steps Checkpoint() ran inline before, in the same order. At most one
+/// commit is in flight; Wait() is the only way to learn its outcome.
+///
+/// The thread reads the capture it was handed and the durability config,
+/// which the engine never changes once durability is attached. `mu_` and
+/// `cv_` guard everything else.
+class CheckpointCommitter {
+ public:
+  explicit CheckpointCommitter(const DurabilityConfig& config)
+      : config_(config), thread_([this] { Run(); }) {}
+
+  /// Lets the commit in flight finish, then joins the thread. A failure
+  /// of that last commit has no caller left to report to.
+  ~CheckpointCommitter() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+  CheckpointCommitter(const CheckpointCommitter&) = delete;
+  CheckpointCommitter& operator=(const CheckpointCommitter&) = delete;
+
+  /// Hands `capture` to the thread. The caller has waited (Wait()), so no
+  /// commit is in flight.
+  void Start(EngineCheckpoint capture) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_ = std::move(capture);
+      busy_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Blocks until no commit is in flight and returns the last commit's
+  /// failure, once: a second call returns OK.
+  Status Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !busy_; });
+    return std::exchange(failure_, Status::OK());
+  }
+
+ private:
+  /// The thread's entry function. A pending capture is committed even
+  /// once stop_ is set, so the destructor never drops one.
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [this] { return pending_.has_value() || stop_; });
+      if (!pending_.has_value()) return;
+      std::optional<EngineCheckpoint> capture = std::move(pending_);
+      pending_.reset();
+      lock.unlock();
+      Status status = Status::OK();
+      try {
+        status = Commit(*capture);
+      } catch (const std::exception& e) {
+        status = Status::Internal(std::string("checkpoint commit threw: ") +
+                                  e.what());
+      } catch (...) {
+        status = Status::Internal("checkpoint commit threw");
+      }
+      capture.reset();
+      lock.lock();
+      failure_ = std::move(status);
+      busy_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  Status Commit(const EngineCheckpoint& capture) const {
+    const std::string& directory = config_.directory;
+    const size_t kept = config_.checkpoints_kept;
+    IoEnv* const env = config_.io_env;
+    BIKEGRAPH_RETURN_NOT_OK(WriteCheckpoint(directory, capture, env));
+    BIKEGRAPH_RETURN_NOT_OK(PruneCheckpoints(directory, kept, env));
+    return PruneWalSegments(directory, WalPruneBound(directory, kept),
+                            /*pruned=*/nullptr, env);
+  }
+
+  const DurabilityConfig& config_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<EngineCheckpoint> pending_;
+  bool busy_ = false;
+  bool stop_ = false;
+  Status failure_ = Status::OK();
+  /// Last: the thread starts once every field above is built.
+  std::thread thread_;
+};
+
 }  // namespace detail
 
 StreamEngine::StreamEngine(RecoverTag, StreamEngineConfig config)
@@ -216,15 +316,27 @@ StreamEngine::StreamEngine(RecoverTag, StreamEngineConfig config)
 StreamEngine::StreamEngine(StreamEngineConfig config)
     : StreamEngine(RecoverTag{}, std::move(config)) {
   InitDurability();
-  StartShardWorkers();
+  StartThreads();
 }
 
-StreamEngine::~StreamEngine() { StopShardWorkers(); }
+StreamEngine::~StreamEngine() {
+  // The commit in flight lands before anything it reads is destroyed.
+  committer_.reset();
+  StopShardWorkers();
+}
 
-void StreamEngine::StartShardWorkers() {
+void StreamEngine::StartThreads() {
+  if (wal_) {
+    committer_ =
+        std::make_unique<detail::CheckpointCommitter>(config_.durability);
+  }
   if (shards_.size() <= 1) return;
   for (auto& shard : shards_) shard->Start();
   started_ = true;
+}
+
+Status StreamEngine::AwaitCommit() {
+  return committer_ ? committer_->Wait() : Status::OK();
 }
 
 void StreamEngine::StopShardWorkers() {
@@ -266,6 +378,11 @@ void StreamEngine::InitDurability() {
 }
 
 void StreamEngine::EnterDegradedMode(const Status& reason) {
+  // A degraded engine never checkpoints again. Its committer finishes the
+  // commit in flight first, so the marker is the directory's last word;
+  // that commit's outcome no longer matters, since Recover refuses a
+  // marked directory.
+  committer_.reset();
   degraded_ = true;
   degrade_reason_ = reason;
   if (wal_) {
@@ -657,14 +774,19 @@ Result<RefreshOutcome> StreamEngine::DetectInternal(
 
 Status StreamEngine::SyncWal() {
   if (!config_.durability.enabled || degraded_) return Status::OK();
-  if (!durability_status_.ok()) return durability_status_;
-  const Status status = wal_->Sync();
-  if (!status.ok() && config_.durability.faults.degrade_on_exhausted) {
-    // Surface this failure loudly (the caller asked for durability and
-    // did not get it), but degrade so ingestion can continue.
-    EnterDegradedMode(status);
+  Status status = durability_status_;
+  if (status.ok()) {
+    status = wal_->Sync();
+    if (!status.ok() && config_.durability.faults.degrade_on_exhausted) {
+      // Surface this failure loudly (the caller asked for durability and
+      // did not get it), but degrade so ingestion can continue.
+      EnterDegradedMode(status);
+    }
   }
-  return status;
+  // Then the checkpoint commit: the log's error outranks the commit's,
+  // which is consumed either way.
+  const Status committed = AwaitCommit();
+  return status.ok() ? committed : status;
 }
 
 const SlidingWindowGraph& StreamEngine::window() const {
@@ -820,6 +942,11 @@ Status StreamEngine::Checkpoint() {
         degrade_reason_.ToString());
   }
   if (!durability_status_.ok()) return durability_status_;
+  // At most one commit in flight: wait for the previous one. A failed
+  // commit is not a poison — WriteCheckpoint cleaned up its temp, the
+  // previous checkpoint set is untouched, and the WAL still holds every
+  // record — but it is this call's result, and no new checkpoint starts.
+  BIKEGRAPH_RETURN_NOT_OK(AwaitCommit());
   // Quiesce the shards so the capture is a coherent cut of every
   // vertical. The barrier's own clock alignments are not logged, but
   // they are idempotent maxima the next barrier re-derives, so a replay
@@ -840,18 +967,12 @@ Status StreamEngine::Checkpoint() {
     }
     return logged;
   }
-  IoEnv* const env = config_.durability.io_env;
-  // A commit failure is NOT a poison: WriteCheckpoint cleaned up its
-  // temp, the previous checkpoint set is untouched, and the WAL is
-  // synced through this point — the engine keeps running durable and a
-  // later Checkpoint() simply tries again.
-  BIKEGRAPH_RETURN_NOT_OK(
-      WriteCheckpoint(config_.durability.directory, CaptureState(), env));
-  const std::string& directory = config_.durability.directory;
-  const size_t kept = config_.durability.checkpoints_kept;
-  BIKEGRAPH_RETURN_NOT_OK(PruneCheckpoints(directory, kept, env));
-  return PruneWalSegments(directory, WalPruneBound(directory, kept),
-                          /*pruned=*/nullptr, env);
+  // The rest — serialize, write, fsync, rename, directory fsync and the
+  // prunes — runs on the committer while this thread moves on. Nothing
+  // is pruned before the new checkpoint is durable, so a crash with the
+  // commit in flight recovers from the previous checkpoint and the log.
+  committer_->Start(CaptureState());
+  return Status::OK();
 }
 
 Status StreamEngine::RestoreFromCheckpoint(
@@ -1013,8 +1134,8 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
         WalWriter::Open(engine->config_.durability, resume_seq + 1));
   }
   // Replay is complete and deterministic; only now may the shard workers
-  // take over command application.
-  engine->StartShardWorkers();
+  // take over command application, and the committer start.
+  engine->StartThreads();
   if (stats != nullptr) {
     stats->used_checkpoint = loaded.found;
     stats->checkpoint_seq = base_seq;

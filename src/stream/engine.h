@@ -22,6 +22,7 @@
 namespace bikegraph::stream {
 
 namespace detail {
+class CheckpointCommitter;
 class EngineShard;
 struct ShardCommand;
 }  // namespace detail
@@ -103,8 +104,8 @@ struct StreamEngineConfig {
 /// structure fresh with warm-started refreshes.
 ///
 /// Thread model (see docs/SERVING.md): all *mutating* calls — Ingest,
-/// Advance, Flush, Snapshot, DetectCurrent, Checkpoint — belong to one
-/// ingestion thread. Concurrently with that thread, any number of reader
+/// Advance, Flush, Snapshot, DetectCurrent, Checkpoint, SyncWal — belong
+/// to one ingestion thread. Concurrently with that thread, any number of reader
 /// threads may call `LatestSnapshot()` / `publisher()` (the atomic
 /// RCU-style hand-off) and the freeze-stat getters
 /// `delta_freeze_count()` / `full_freeze_count()`; the supported
@@ -115,6 +116,10 @@ struct StreamEngineConfig {
 /// additionally only meaningful immediately after a barrier point
 /// (Snapshot, Flush, Checkpoint, or construction), when every shard
 /// worker is quiescent.
+///
+/// Durable mode (`config.durability.enabled`): the engine owns one more
+/// thread, the checkpoint committer, which writes each checkpoint
+/// Checkpoint() captured and prunes what it supersedes (see Checkpoint()).
 ///
 /// Sharded mode (`config.shard_count > 1`): the engine owns one worker
 /// thread per shard. Ingest routes each event to its owning shard's SPSC
@@ -151,8 +156,11 @@ class StreamEngine {
   /// as every other call.
   explicit StreamEngine(StreamEngineConfig config);
 
-  /// Joins the shard workers (no-op for shard_count == 1). Commands
-  /// still queued are applied before the workers exit.
+  /// Lets the checkpoint commit in flight finish — the checkpoint lands
+  /// and its prunes run — and joins the committer, then the shard workers
+  /// (none for shard_count == 1). Commands still queued are applied before
+  /// the workers exit. A commit failure is not reported here: call
+  /// SyncWal() first to learn it.
   ~StreamEngine();
 
   StreamEngine(const StreamEngine&) = delete;
@@ -257,20 +265,32 @@ class StreamEngine {
       const community::DetectSpec& spec);
 
   /// Durability only: fsyncs the WAL through the last appended record
-  /// (appends are group-synced every `sync_interval_records` otherwise).
-  /// No-op when durability is disabled.
+  /// (appends are group-synced every `sync_interval_records` otherwise),
+  /// then waits for the checkpoint commit in flight, if any. Returns the
+  /// log's error, or else the failure of a commit not yet reported — each
+  /// commit failure is reported once, here or by the next Checkpoint().
+  /// So after `Checkpoint()` and `SyncWal()` both succeed, the checkpoint
+  /// and its prunes are on disk. No-op when durability is disabled or the
+  /// engine has degraded.
   [[nodiscard]] Status SyncWal();
 
-  /// Durability only: syncs the WAL and rotates it to a new segment,
-  /// writes a crash-consistent checkpoint of the complete engine state,
-  /// prunes old checkpoints down to `checkpoints_kept`, and deletes the
-  /// WAL segments the oldest kept checkpoint covers (WalPruneBound: none
-  /// until `checkpoints_kept` checkpoints exist) — so the directory
-  /// holds about `checkpoints_kept` checkpoint intervals of log. A failed
+  /// Durability only. On the calling thread: waits for the previous
+  /// checkpoint's commit (if it failed, returns that failure and starts
+  /// no checkpoint), quiesces the shards, syncs the WAL and rotates it to
+  /// a new segment, and captures the complete engine state. A failed
   /// sync or rotation fails the log like a failed append (poison or
-  /// degrade, per FaultPolicy). FailedPrecondition when durability is
-  /// disabled. Sharded: a barrier point (the checkpoint must capture
-  /// quiescent shards).
+  /// degrade, per FaultPolicy). Then returns, while the engine's
+  /// committer thread writes the capture as a crash-consistent
+  /// checkpoint, prunes old checkpoints down to `checkpoints_kept`, and
+  /// deletes the WAL segments the oldest kept checkpoint covers
+  /// (WalPruneBound: none until `checkpoints_kept` checkpoints exist) —
+  /// so the directory holds about `checkpoints_kept` checkpoint intervals
+  /// of log. A failed commit never poisons or degrades the engine: the
+  /// previous checkpoints and the log are intact. It is reported once, by
+  /// the next Checkpoint() or SyncWal(); Ingest, Advance, Snapshot and
+  /// DetectCurrent never report it. FailedPrecondition when durability
+  /// is disabled or the engine has degraded. Sharded: a barrier point
+  /// (the checkpoint must capture quiescent shards).
   [[nodiscard]] Status Checkpoint();
 
   /// Copies out the complete logical state (what `Checkpoint()` writes),
@@ -373,8 +393,8 @@ class StreamEngine {
  private:
   struct RecoverTag {};
   /// Constructs components only; durability is attached afterwards by
-  /// InitDurability (fresh engine) or Recover (restore), and shard
-  /// workers start last (public constructor / end of Recover).
+  /// InitDurability (fresh engine) or Recover (restore), and the threads
+  /// start last (public constructor / end of Recover).
   StreamEngine(RecoverTag, StreamEngineConfig config);
 
   /// Fresh-engine durability setup: create the directory, refuse one
@@ -383,10 +403,11 @@ class StreamEngine {
   /// surfaces on the first durable call.
   void InitDurability();
 
-  /// Spawns one worker per shard (no-op for shard_count == 1). Called
-  /// after construction/recovery is complete so workers never observe a
-  /// half-built engine.
-  void StartShardWorkers();
+  /// Spawns the checkpoint committer once durability is attached (a WAL
+  /// writer is open) and one worker per shard (none for shard_count ==
+  /// 1). Called after construction/recovery is complete so no thread
+  /// observes a half-built engine.
+  void StartThreads();
   /// Signals and joins every worker; queued commands finish first.
   void StopShardWorkers();
 
@@ -397,10 +418,15 @@ class StreamEngine {
   /// OK so the caller's state change still happens (un-logged, loudly).
   Status LogRecord(const WalRecord& record);
 
-  /// The degrade transition: stash the writer's fault counters, abandon
+  /// The degrade transition: let the checkpoint commit in flight finish
+  /// and stop the committer, stash the writer's fault counters, abandon
   /// the WAL, drop the loud on-disk marker (best-effort), and log the
   /// reason at Error level. Idempotent in effect (only called once).
   void EnterDegradedMode(const Status& reason);
+
+  /// Waits for the checkpoint commit in flight and returns a failure not
+  /// yet reported (OK without a committer).
+  Status AwaitCommit();
 
   /// Replays one WAL record through the non-logging internals. Errors
   /// mirror the original run's and leave state unchanged.
@@ -501,6 +527,11 @@ class StreamEngine {
 
   /// nullptr when durability is disabled.
   std::unique_ptr<WalWriter> wal_;
+  /// The background checkpoint commit: set while durability is attached
+  /// (a writer is open and the engine has not degraded), nullptr
+  /// otherwise. Reads only config_.durability and the captures it is
+  /// handed.
+  std::unique_ptr<detail::CheckpointCommitter> committer_;
   /// Deferred durability failure (from construction or a poisoned
   /// writer), surfaced on every durable call until resolved.
   Status durability_status_ = Status::OK();

@@ -189,22 +189,42 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
-  // Table built once, on first use (thread-safe under C++11 statics).
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // tables[k][b] is the CRC register after byte b followed by k zero
+  // bytes, so eight table reads fold eight input bytes at once. Built
+  // once, on first use (thread-safe under C++11 statics).
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int k = 0; k < 8; ++k) {
         crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  const auto load_le32 = [](const unsigned char* b) {
+    return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
+           static_cast<uint32_t>(b[2]) << 16 |
+           static_cast<uint32_t>(b[3]) << 24;
+  };
   uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = crc ^ load_le32(p);
+    const uint32_t hi = load_le32(p + 4);
+    crc = tables[7][lo & 0xFF] ^ tables[6][(lo >> 8) & 0xFF] ^
+          tables[5][(lo >> 16) & 0xFF] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFF] ^ tables[2][(hi >> 8) & 0xFF] ^
+          tables[1][(hi >> 16) & 0xFF] ^ tables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = tables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -564,7 +584,9 @@ Status PruneWalSegments(const std::string& directory, uint64_t through_seq,
     // Segment i holds seqs [first_i, first_{i+1}); removable when they
     // are all covered.
     if (segments[i + 1].first <= through_seq + 1) {
-      if (env->Unlink(segments[i].second.c_str()) != 0) {
+      // Gone already counts as pruned: the writer's ENOSPC self-heal and
+      // the checkpoint committer may prune the same segment at once.
+      if (env->Unlink(segments[i].second.c_str()) != 0 && errno != ENOENT) {
         return IOError("remove WAL segment", segments[i].second);
       }
       if (pruned != nullptr) ++(*pruned);

@@ -4,6 +4,7 @@
 // the uninterrupted run, for sliding and landmark windows alike.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -74,6 +75,24 @@ Result<WalReadResult> ReadRecords(const fs::path& dir, bool repair_torn_tail,
 // ---------------------------------------------------------------------
 // CRC32C + WAL unit coverage.
 
+/// The byte-at-a-time table CRC32C: the reference the sliced Crc32c must
+/// match on every length, alignment and seed.
+uint32_t ReferenceCrc32c(const unsigned char* p, size_t size, uint32_t seed) {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+    table[i] = crc;
+  }
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
 TEST(Crc32cTest, KnownAnswer) {
   // RFC 3720 check value for the Castagnoli polynomial.
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
@@ -81,6 +100,30 @@ TEST(Crc32cTest, KnownAnswer) {
   // Seed chaining: CRC of a split buffer equals CRC of the whole.
   const uint32_t whole = Crc32c("123456789", 9);
   EXPECT_EQ(Crc32c("6789", 4, Crc32c("12345", 5)), whole);
+
+  // Randomized against the byte-at-a-time reference: every length 0-64
+  // and a checkpoint-sized 249 KB buffer, at each start offset 0-7, with
+  // random seeds, and chained across a random split.
+  Rng rng(0xC5C32C);
+  std::vector<unsigned char> buffer(249'000 + 8);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextBounded(256));
+  }
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(249'000);
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      SCOPED_TRACE("length " + std::to_string(n) + " offset " +
+                   std::to_string(offset));
+      const unsigned char* p = buffer.data() + offset;
+      const auto seed = static_cast<uint32_t>(rng.NextBounded(1ull << 32));
+      const uint32_t want = ReferenceCrc32c(p, n, seed);
+      ASSERT_EQ(Crc32c(p, n, seed), want);
+      const size_t split = static_cast<size_t>(rng.NextBounded(n + 1));
+      ASSERT_EQ(Crc32c(p + split, n - split, Crc32c(p, split, seed)), want);
+    }
+  }
 }
 
 TEST(WalTest, RoundTripsEveryRecordType) {
@@ -1132,6 +1175,7 @@ TEST(BoundedRecoveryTest, WalHoldsAboutTwoCheckpointIntervals) {
     if (interval == 0) interval_bytes = bytes - header;
     peak = std::max(peak, bytes);
     ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.SyncWal().ok());  // the commit and its prunes landed
     // Alone on disk, the first checkpoint's fallback is the log from
     // seq 1; the second checkpoint takes over that role.
     EXPECT_EQ(fs::exists(dir / "wal-00000000000000000001.log"), interval == 0)
@@ -1174,6 +1218,7 @@ TEST(ForeignFilesTest, NearMissNamesAreNeverTouched) {
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(ComparableState(**recovered), log.reference_state);
     ASSERT_TRUE((*recovered)->Checkpoint().ok());
+    ASSERT_TRUE((*recovered)->SyncWal().ok());  // ...and its commit landed
     for (const auto& entry : fs::directory_iterator(dir)) {
       if (!is_foreign(entry.path())) {
         names->push_back(entry.path().filename().string());

@@ -1,17 +1,26 @@
 // Deterministic I/O fault injection: the IoEnv seam and its crash model,
 // the WAL writer's transient-retry/backoff policy (injected clock — no
-// real sleeps anywhere in this file), ENOSPC self-healing, torn
-// checkpoint renames, loud degraded mode, and the gate the archetype
-// demands: randomized FaultPlans crossed with kill points must recover
-// bit-identical or fail loudly — never silently diverge.
+// real sleeps on the retry paths), ENOSPC self-healing, torn checkpoint
+// renames, loud degraded mode, the background checkpoint committer, and
+// the gate the archetype demands: randomized FaultPlans crossed with
+// kill points must recover bit-identical or fail loudly — never silently
+// diverge.
+//
+// lint: thread-ok: a durable engine commits checkpoints on its own
+// thread; the test environments below lock like FaultInjectingIoEnv, and
+// the committer cases wait on and hold that thread.
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/civil_time.h"
@@ -519,10 +528,13 @@ TEST(CheckpointFaultTest, FailedRenameLeavesPreviousCheckpointIntact) {
               .ok());
     }
     ASSERT_TRUE(engine.Checkpoint().ok());  // checkpoint A
+    ASSERT_TRUE(engine.SyncWal().ok());     // ...committed
     EXPECT_EQ(CountByExtension(dir, ".ckpt"), 1u);
 
     // The very next rename fails: checkpoint B's commit is torn before
-    // the atomic step, so its temp is cleaned up and A stays newest.
+    // the atomic step, so its temp is cleaned up and A stays newest. The
+    // commit runs in the background; SyncWal() waits for it and reports
+    // its failure.
     FaultPlan::Rule rule;
     rule.op = IoOp::kRename;
     rule.kind = FaultPlan::Kind::kError;
@@ -533,7 +545,8 @@ TEST(CheckpointFaultTest, FailedRenameLeavesPreviousCheckpointIntact) {
 
     ASSERT_TRUE(
         engine.Ingest(MakeEvent(11, 0, 1, 1'600'001'000)).ok());
-    const Status failed = engine.Checkpoint();
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    const Status failed = engine.SyncWal();
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kIOError);
     EXPECT_EQ(CountByExtension(dir, ".ckpt"), 1u) << "A still newest";
@@ -544,6 +557,7 @@ TEST(CheckpointFaultTest, FailedRenameLeavesPreviousCheckpointIntact) {
     ASSERT_TRUE(
         engine.Ingest(MakeEvent(12, 1, 2, 1'600'001'060)).ok());
     ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.SyncWal().ok());
     EXPECT_EQ(CountByExtension(dir, ".ckpt"), 2u);
   }
   fs::remove_all(dir);
@@ -565,12 +579,13 @@ TEST(CheckpointFaultTest, CrashBetweenRenameAndDirSyncFallsBackToPrevious) {
       ASSERT_TRUE(engine.Ingest(events[static_cast<size_t>(i)]).ok());
     }
     ASSERT_TRUE(engine.Checkpoint().ok());  // checkpoint A, seq 10
+    ASSERT_TRUE(engine.SyncWal().ok());     // ...committed
     ckpt_a_seq = engine.wal_seq();
 
     // The directory fsync after checkpoint B's rename fails: B is
     // renamed into place but the directory entry is never committed.
     // (B's first directory fsync commits its WAL rotation; the rename's
-    // is the second.)
+    // is the second, on the committer, and SyncWal() reports it.)
     FaultPlan::Rule rule;
     rule.op = IoOp::kFsyncDir;
     rule.kind = FaultPlan::Kind::kError;
@@ -582,7 +597,8 @@ TEST(CheckpointFaultTest, CrashBetweenRenameAndDirSyncFallsBackToPrevious) {
     for (int i = 10; i < 20; ++i) {
       ASSERT_TRUE(engine.Ingest(events[static_cast<size_t>(i)]).ok());
     }
-    const Status failed = engine.Checkpoint();
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    const Status failed = engine.SyncWal();
     ASSERT_FALSE(failed.ok());
     EXPECT_EQ(failed.code(), StatusCode::kIOError);
     EXPECT_EQ(CountByExtension(dir, ".ckpt"), 2u) << "B renamed into place";
@@ -1128,8 +1144,13 @@ void RunFaultScheduleGate(bool transient_only, uint64_t seed_base,
         ASSERT_EQ(engine.wal_seq(), applied) << "op/seq mapping drifted";
         if (applied % checkpoint_every == 0) {
           // A failed checkpoint commit is loud to its caller but leaves
-          // the previous checkpoint intact; the run continues.
-          const Status ckpt = engine.Checkpoint();
+          // the previous checkpoint intact; the run continues. SyncWal()
+          // waits for the background commit — after the rotation it
+          // issues no I/O itself — so the commit's ops keep their place
+          // in the global op order and the seeded schedule reproduces.
+          Status ckpt = engine.Checkpoint();
+          const Status committed = engine.SyncWal();
+          if (ckpt.ok()) ckpt = committed;
           if (!ckpt.ok() && transient_only) {
             // Transient faults can still fail one commit attempt (the
             // checkpoint path retries only EINTR); the engine itself
@@ -1197,47 +1218,89 @@ TEST(FaultScheduleGateTest, TransientSchedulesCompleteWithoutPoisoning) {
 // after its n-th I/O op, for every n the call issues. A second Recover()
 // must still match the uninterrupted run bit for bit.
 
-/// Lets `ops_allowed` I/O ops through to a FaultInjectingIoEnv, then fails
-/// every later one with EIO without touching the disk, as if the process
-/// had stopped there; SimulateCrash() on the inner environment then drops
-/// what the dead process had not made durable.
-class CrashAfterOpsEnv final : public IoEnv {
+/// Passes every call through to a FaultInjectingIoEnv (thread-safe
+/// itself); the environments below override the calls they intercept.
+class ForwardingIoEnv : public IoEnv {
  public:
-  CrashAfterOpsEnv(FaultInjectingIoEnv* disk, uint64_t ops_allowed)
-      : disk_(disk), left_(ops_allowed) {}
+  explicit ForwardingIoEnv(FaultInjectingIoEnv* disk) : disk_(disk) {}
 
   int Open(const char* path, int flags, unsigned int mode) override {
-    return Alive() ? disk_->Open(path, flags, mode) : Dead();
+    return disk_->Open(path, flags, mode);
   }
-  int64_t Write(int fd, const void* data, size_t size) override {
-    return Alive() ? disk_->Write(fd, data, size) : Dead();
-  }
-  int Fsync(int fd) override { return Alive() ? disk_->Fsync(fd) : Dead(); }
-  int Rename(const char* from, const char* to) override {
-    return Alive() ? disk_->Rename(from, to) : Dead();
-  }
-  int Unlink(const char* path) override {
-    return Alive() ? disk_->Unlink(path) : Dead();
-  }
-  int FsyncDir(const char* path) override {
-    return Alive() ? disk_->FsyncDir(path) : Dead();
-  }
-  int Truncate(int fd, int64_t size) override {
-    return Alive() ? disk_->Truncate(fd, size) : Dead();
-  }
-  int Mkdir(const char* path) override {
-    return Alive() ? disk_->Mkdir(path) : Dead();
-  }
-  // Not protocol ops: a dead process's descriptors close all the same,
-  // and a read changes nothing a crash could tear.
-  int Close(int fd) override { return disk_->Close(fd); }
   int64_t Read(int fd, void* data, size_t size) override {
     return disk_->Read(fd, data, size);
   }
+  int64_t Write(int fd, const void* data, size_t size) override {
+    return disk_->Write(fd, data, size);
+  }
+  int Fsync(int fd) override { return disk_->Fsync(fd); }
+  int Rename(const char* from, const char* to) override {
+    return disk_->Rename(from, to);
+  }
+  int Unlink(const char* path) override { return disk_->Unlink(path); }
+  int FsyncDir(const char* path) override { return disk_->FsyncDir(path); }
+  int Truncate(int fd, int64_t size) override {
+    return disk_->Truncate(fd, size);
+  }
+  int Close(int fd) override { return disk_->Close(fd); }
+  int Mkdir(const char* path) override { return disk_->Mkdir(path); }
   void SleepMs(int64_t ms) override { disk_->SleepMs(ms); }
 
+ protected:
+  FaultInjectingIoEnv* disk_;
+};
+
+/// Lets `ops_allowed` I/O ops through to a FaultInjectingIoEnv, then fails
+/// every later one with EIO without touching the disk, as if the process
+/// had stopped there; SimulateCrash() on the inner environment then drops
+/// what the dead process had not made durable. One lock, held across each
+/// op, orders the writer's and the committer's ops, so "the first
+/// `ops_allowed`" means the first to reach the disk.
+class CrashAfterOpsEnv final : public ForwardingIoEnv {
+ public:
+  CrashAfterOpsEnv(FaultInjectingIoEnv* disk, uint64_t ops_allowed)
+      : ForwardingIoEnv(disk), left_(ops_allowed) {}
+
+  int Open(const char* path, int flags, unsigned int mode) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Open(path, flags, mode) : Dead();
+  }
+  int64_t Write(int fd, const void* data, size_t size) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Write(fd, data, size) : Dead();
+  }
+  int Fsync(int fd) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Fsync(fd) : Dead();
+  }
+  int Rename(const char* from, const char* to) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Rename(from, to) : Dead();
+  }
+  int Unlink(const char* path) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Unlink(path) : Dead();
+  }
+  int FsyncDir(const char* path) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->FsyncDir(path) : Dead();
+  }
+  int Truncate(int fd, int64_t size) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Truncate(fd, size) : Dead();
+  }
+  int Mkdir(const char* path) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    return Alive() ? disk_->Mkdir(path) : Dead();
+  }
+  // Close, Read and SleepMs pass through: a dead process's descriptors
+  // close all the same, and a read changes nothing a crash could tear.
+
   /// Ops that reached the disk.
-  uint64_t ops() const { return ops_; }
+  uint64_t ops() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ops_;
+  }
 
  private:
   bool Alive() {
@@ -1251,7 +1314,7 @@ class CrashAfterOpsEnv final : public IoEnv {
     return -1;
   }
 
-  FaultInjectingIoEnv* disk_;
+  mutable std::mutex mu_;
   uint64_t left_;
   uint64_t ops_ = 0;
 };
@@ -1296,12 +1359,15 @@ std::string UninterruptedState(const std::vector<Op>& ops) {
 constexpr size_t kKillCheckpointEvery = 100;
 
 /// Runs ops [0, count) into a durable engine on `dir`, checkpointing every
-/// kKillCheckpointEvery ops; returns the I/O ops issued through `env`
-/// before and after the final checkpoint (at op `count`), which is the
-/// call a crash interrupts.
+/// kKillCheckpointEvery ops and waiting for each commit; returns the I/O
+/// ops issued through `env` before the final checkpoint (at op `count`),
+/// which is the call a crash interrupts, and by the end of the run. With
+/// `ops_after` == 0 the run waits for the final commit too; otherwise it
+/// applies up to `ops_after` more ops straight away, stopping at the
+/// first failure, while the commit runs in the background.
 void RunToCheckpoint(const std::vector<Op>& ops, size_t count,
                      const fs::path& dir, uint64_t ops_allowed,
-                     uint64_t* before, uint64_t* after) {
+                     size_t ops_after, uint64_t* before, uint64_t* after) {
   FaultInjectingIoEnv disk(FaultPlan{});
   CrashAfterOpsEnv env(&disk, ops_allowed);
   {
@@ -1311,12 +1377,23 @@ void RunToCheckpoint(const std::vector<Op>& ops, size_t count,
       ASSERT_TRUE(status.ok()) << status.ToString();
       if ((i + 1) % kKillCheckpointEvery == 0 && i + 1 < count) {
         ASSERT_TRUE(engine.Checkpoint().ok());
+        ASSERT_TRUE(engine.SyncWal().ok());
       }
     }
     *before = env.ops();
-    (void)engine.Checkpoint();  // dies inside when ops_allowed runs out
-    *after = env.ops();
-  }
+    // Dies inside the rotation or the background commit when ops_allowed
+    // runs out. SyncWal() waits for the commit and, right after a
+    // rotation, issues no I/O of its own.
+    const Status checkpointed = engine.Checkpoint();
+    if (ops_after == 0) {
+      (void)engine.SyncWal();
+    } else if (checkpointed.ok()) {
+      for (size_t i = count;
+           i < count + ops_after && TryApplyOp(engine, ops[i]).ok(); ++i) {
+      }
+    }
+  }  // the destructor lets the commit in flight finish (or die) first
+  *after = env.ops();
   disk.SimulateCrash();
 }
 
@@ -1330,7 +1407,8 @@ TEST(KillPointTest, CrashAfterEachIoOpOfCheckpoint) {
   uint64_t first_op = 0;
   uint64_t end_op = 0;
   const fs::path probe = FreshDir("kill_ckpt_probe");
-  RunToCheckpoint(ops, count, probe, kNoCrash, &first_op, &end_op);
+  RunToCheckpoint(ops, count, probe, kNoCrash, /*ops_after=*/0, &first_op,
+                  &end_op);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   // The call rotated at seq 301 and pruned down to the checkpoints at 200
   // and 300 and the log past 200.
@@ -1346,8 +1424,43 @@ TEST(KillPointTest, CrashAfterEachIoOpOfCheckpoint) {
     const fs::path dir = FreshDir("kill_ckpt");
     uint64_t before = 0;
     uint64_t after = 0;
-    RunToCheckpoint(ops, count, dir, allowed, &before, &after);
+    RunToCheckpoint(ops, count, dir, allowed, /*ops_after=*/0, &before,
+                    &after);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_EQ(after, allowed);
+    ExpectRecoversToReference(dir, ops, want);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    fs::remove_all(dir);
+  }
+}
+
+// The same kill points with no barrier: the run checkpoints and goes
+// straight on with the script, so the commit's ops interleave with the
+// writer's appends, group fsyncs and size rotations however the two
+// threads are scheduled. Wherever the crash lands, recovery must resume
+// bit-identically.
+TEST(KillPointTest, CrashAfterEachIoOpOfBackgroundCommitWhileIngesting) {
+  const std::vector<Op> ops = BuildOpScript(/*lateness=*/900, 5);
+  const std::string want = UninterruptedState(ops);
+  const size_t count = 3 * kKillCheckpointEvery;
+  const size_t ops_after = 64;
+  ASSERT_LT(count + ops_after, ops.size());
+  uint64_t first_op = 0;
+  uint64_t end_op = 0;
+  const fs::path probe = FreshDir("kill_commit_probe");
+  RunToCheckpoint(ops, count, probe, kNoCrash, ops_after, &first_op, &end_op);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  fs::remove_all(probe);
+  // The commit's ops plus the 64 ops' group fsyncs and rotations.
+  EXPECT_GE(end_op - first_op, 20u);
+  for (uint64_t allowed = first_op; allowed <= end_op; ++allowed) {
+    SCOPED_TRACE("crash after I/O op " + std::to_string(allowed));
+    const fs::path dir = FreshDir("kill_commit");
+    uint64_t before = 0;
+    uint64_t after = 0;
+    RunToCheckpoint(ops, count, dir, allowed, ops_after, &before, &after);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    ASSERT_EQ(before, first_op);
     ASSERT_EQ(after, allowed);
     ExpectRecoversToReference(dir, ops, want);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
@@ -1455,6 +1568,201 @@ TEST(KillPointTest, CrashAfterEachIoOpOfRecoverReset) {
   EXPECT_EQ(stats.replayed_records, 0u);
   EXPECT_EQ(stats.recovered_seq, 100u);
   fs::remove_all(tmpl);
+}
+
+// ---------------------------------------------------------------------
+// The background checkpoint committer: where its failures surface, what
+// the destructor waits for, and prunes racing the writer's self-heal.
+
+/// Ingests event `id`: station id % 8 to (id + 3) % 8, at minute `id`.
+Status IngestEvent(StreamEngine& engine, int64_t id) {
+  return engine.Ingest(MakeEvent(id, static_cast<int32_t>(id % 8),
+                                 static_cast<int32_t>((id + 3) % 8),
+                                 1'600'000'000 + id * 60));
+}
+
+/// Polls `done` for up to 10 s; false if it never held.
+template <typename Done>
+bool EventuallyTrue(Done done) {
+  for (int i = 0; i < 10'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+TEST(CommitterTest, FailedCommitIsReportedOnceAndIsNoPoison) {
+  const fs::path dir = FreshDir("commit_failure");
+  FaultInjectingIoEnv env(FaultPlan{});
+  StreamEngine engine(SmallEngineConfig(dir, &env));
+  int64_t id = 0;
+  // Fails the next rename, the atomic step of the next commit; the failed
+  // commit then unlinks its temp, its last op.
+  const auto fail_next_commit = [&env] {
+    FaultPlan::Rule rule;
+    rule.op = IoOp::kRename;
+    rule.kind = FaultPlan::Kind::kError;
+    rule.after = env.op_count(IoOp::kRename);
+    rule.count = 1;
+    rule.error = EACCES;
+    env.AddRule(rule);
+    return env.op_count(IoOp::kUnlink) + 1;
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(IngestEvent(engine, ++id).ok());
+
+  const uint64_t cleaned = fail_next_commit();
+  ASSERT_TRUE(engine.Checkpoint().ok()) << "the commit runs in the background";
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return env.op_count(IoOp::kUnlink) >= cleaned; }));
+  // The data path never reports it.
+  EXPECT_TRUE(IngestEvent(engine, ++id).ok());
+  EXPECT_TRUE(engine.Advance(CivilTime(1'600'000'000 + id * 60)).ok());
+  EXPECT_TRUE(engine.Snapshot().ok());
+  EXPECT_TRUE(engine.DetectCurrent().ok());
+  // SyncWal() does, once.
+  EXPECT_EQ(engine.SyncWal().code(), StatusCode::kIOError);
+  EXPECT_TRUE(engine.SyncWal().ok()) << "a commit failure is reported once";
+  EXPECT_EQ(CountByExtension(dir, ".ckpt"), 0u);
+  EXPECT_EQ(CountByExtension(dir, ".tmp"), 0u);
+
+  // Or the next Checkpoint() does, and starts no checkpoint: no rotation.
+  (void)fail_next_commit();
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  ASSERT_TRUE(IngestEvent(engine, ++id).ok());
+  const size_t segments = CountByExtension(dir, ".log");
+  const uint64_t wal_seq = engine.wal_seq();
+  EXPECT_EQ(engine.Checkpoint().code(), StatusCode::kIOError);
+  EXPECT_EQ(CountByExtension(dir, ".log"), segments);
+  EXPECT_TRUE(engine.SyncWal().ok()) << "a commit failure is reported once";
+
+  // Not a poison: the engine stays durable and the next commit lands.
+  EXPECT_FALSE(engine.degraded());
+  ASSERT_TRUE(IngestEvent(engine, ++id).ok());
+  ASSERT_TRUE(engine.Checkpoint().ok());
+  ASSERT_TRUE(engine.SyncWal().ok());
+  EXPECT_EQ(CountByExtension(dir, ".ckpt"), 1u);
+  auto loaded = LoadNewestCheckpoint(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->found);
+  EXPECT_EQ(loaded->checkpoint.wal_seq, wal_seq + 1);
+  fs::remove_all(dir);
+}
+
+TEST(CommitterTest, DestroyingTheEngineRightAfterCheckpointCommitsIt) {
+  // Three checkpoints, at seq 10, 20 and 30. The last commit writes
+  // ckpt 30, prunes ckpt 10 and the segment only it needed (from seq 11).
+  const auto run = [](const fs::path& dir, bool wait_for_last_commit) {
+    {
+      StreamEngine engine(SmallEngineConfig(dir, nullptr));
+      int64_t id = 0;
+      for (int checkpoint = 0; checkpoint < 3; ++checkpoint) {
+        for (int i = 0; i < 10; ++i) EXPECT_TRUE(IngestEvent(engine, ++id).ok());
+        EXPECT_TRUE(engine.Checkpoint().ok());
+        if (checkpoint < 2 || wait_for_last_commit) {
+          EXPECT_TRUE(engine.SyncWal().ok());
+        }
+      }
+    }
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const fs::path waited_dir = FreshDir("commit_waited");
+  const fs::path dropped_dir = FreshDir("commit_dropped");
+  const std::vector<std::string> want = {
+      "ckpt-00000000000000000020.ckpt", "ckpt-00000000000000000030.ckpt",
+      "wal-00000000000000000021.log", "wal-00000000000000000031.log"};
+  EXPECT_EQ(run(waited_dir, true), want);
+  EXPECT_EQ(run(dropped_dir, false), want);
+  fs::remove_all(waited_dir);
+  fs::remove_all(dropped_dir);
+}
+
+/// Holds the committer's first WAL segment unlink until Release(); every
+/// other call, and every call from the thread that built it, passes
+/// straight through.
+class HoldCommitterUnlinkEnv final : public ForwardingIoEnv {
+ public:
+  explicit HoldCommitterUnlinkEnv(FaultInjectingIoEnv* disk)
+      : ForwardingIoEnv(disk), writer_(std::this_thread::get_id()) {}
+
+  int Unlink(const char* path) override {
+    if (std::this_thread::get_id() != writer_ &&
+        std::string(path).find("wal-") != std::string::npos) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (held_path_.empty()) {
+        held_path_ = path;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return disk_->Unlink(path);
+  }
+
+  /// The path the committer is held on, once it is (empty after 10 s).
+  std::string AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10),
+                 [this] { return !held_path_.empty(); });
+    return held_path_;
+  }
+  /// Lets the held unlink, and any later one, through.
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  const std::thread::id writer_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::string held_path_;
+  bool released_ = false;
+};
+
+TEST(CommitterTest, EnospcSelfHealOverlapsTheCommittersPrune) {
+  const fs::path dir = FreshDir("heal_overlap");
+  FaultInjectingIoEnv disk(FaultPlan{});
+  HoldCommitterUnlinkEnv env(&disk);
+  {
+    StreamEngine engine(SmallEngineConfig(dir, &env));
+    int64_t id = 0;
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(IngestEvent(engine, ++id).ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    ASSERT_TRUE(engine.SyncWal().ok());
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(IngestEvent(engine, ++id).ok());
+    // With two checkpoints on disk this commit prunes the log through
+    // seq 10; it stops at its first segment unlink.
+    ASSERT_TRUE(engine.Checkpoint().ok());
+    const std::string held = env.AwaitHeld();
+    EXPECT_NE(held.find("wal-00000000000000000001.log"), std::string::npos)
+        << held;
+    // Meanwhile the writer runs out of disk: its self-heal prunes by the
+    // same bound and removes that segment first. (The self-heal ignores
+    // its own prune's errors by design, so only the committer's side can
+    // report one.)
+    FaultPlan::Rule full;
+    full.op = IoOp::kWrite;
+    full.kind = FaultPlan::Kind::kError;
+    full.after = disk.op_count(IoOp::kWrite);
+    full.count = 1;
+    full.error = ENOSPC;
+    disk.AddRule(full);
+    EXPECT_TRUE(IngestEvent(engine, ++id).ok()) << "the self-heal freed disk";
+    EXPECT_EQ(engine.wal_enospc_prune_count(), 1u);
+    EXPECT_FALSE(fs::exists(dir / "wal-00000000000000000001.log"));
+    env.Release();
+    // The committer finds the segment gone and counts it pruned.
+    EXPECT_TRUE(engine.SyncWal().ok());
+    EXPECT_EQ(SortedFiles(dir, ".ckpt").size(), 2u);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
