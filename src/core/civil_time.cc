@@ -75,14 +75,15 @@ int FixedDigits(const char* p, int width) {
 
 }  // namespace
 
-Result<CivilTime> CivilTime::Parse(const std::string& text) {
+Result<CivilTime> CivilTime::Parse(std::string_view text) {
   // Fast path for the zero-padded "YYYY-MM-DD[ T]HH:MM:SS" form every CSV
   // row carries. sscanf below reads the same fields from it, provided the
   // seconds are not followed by a further digit; any other text (bare
   // dates, unpadded fields, signs, leading blanks) takes the sscanf path.
-  const char* t = text.c_str();
-  if (text.size() >= 19 && !IsDigit(t[19]) && t[4] == '-' && t[7] == '-' &&
-      (t[10] == ' ' || t[10] == 'T') && t[13] == ':' && t[16] == ':') {
+  const char* t = text.data();
+  if (text.size() >= 19 && (text.size() == 19 || !IsDigit(t[19])) &&
+      t[4] == '-' && t[7] == '-' && (t[10] == ' ' || t[10] == 'T') &&
+      t[13] == ':' && t[16] == ':') {
     const int y = FixedDigits(t, 4), mo = FixedDigits(t + 5, 2),
               d = FixedDigits(t + 8, 2), h = FixedDigits(t + 11, 2),
               mi = FixedDigits(t + 14, 2), s = FixedDigits(t + 17, 2);
@@ -90,9 +91,11 @@ Result<CivilTime> CivilTime::Parse(const std::string& text) {
       return FromCalendar(y, mo, d, h, mi, s);
     }
   }
+  // sscanf reads up to a NUL, so it gets a terminated copy.
+  const std::string copy(text);
   int y = 0, mo = 0, d = 0, h = 0, mi = 0, s = 0;
   char sep = 0;
-  int n = std::sscanf(text.c_str(), "%d-%d-%d%c%d:%d:%d", &y, &mo, &d, &sep,
+  int n = std::sscanf(copy.c_str(), "%d-%d-%d%c%d:%d:%d", &y, &mo, &d, &sep,
                       &h, &mi, &s);
   if (n == 3) {
     return FromCalendar(y, mo, d);
@@ -100,7 +103,7 @@ Result<CivilTime> CivilTime::Parse(const std::string& text) {
   if (n == 7 && (sep == ' ' || sep == 'T')) {
     return FromCalendar(y, mo, d, h, mi, s);
   }
-  return Status::DataLoss("unparseable timestamp: '" + text + "'");
+  return Status::DataLoss("unparseable timestamp: '" + copy + "'");
 }
 
 namespace {

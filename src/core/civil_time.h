@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/result.h"
 
@@ -45,8 +46,9 @@ class CivilTime {
                                         int second = 0);
 
   /// Parses "YYYY-MM-DD HH:MM:SS" (also accepts 'T' as the separator and a
-  /// bare "YYYY-MM-DD" date).
-  static Result<CivilTime> Parse(const std::string& text);
+  /// bare "YYYY-MM-DD" date). `text` need not be NUL-terminated: a view
+  /// into a longer buffer parses exactly like the same text on its own.
+  static Result<CivilTime> Parse(std::string_view text);
 
   int64_t seconds_since_epoch() const { return seconds_; }
 

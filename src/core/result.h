@@ -16,7 +16,7 @@ namespace bikegraph {
 /// `ValueOrDie()` in contexts where failure is a programming error.
 ///
 /// \code
-///   Result<Dataset> r = Dataset::FromCsv(path);
+///   Result<Dataset> r = Dataset::ReadCsv(locations, rentals);
 ///   if (!r.ok()) return r.status();
 ///   Dataset ds = std::move(r).ValueOrDie();
 /// \endcode
@@ -75,7 +75,7 @@ class [[nodiscard]] Result {
 
 /// Assigns the value of a `Result` expression to `lhs`, or propagates the
 /// error. `lhs` may include a declaration, e.g.
-/// `BIKEGRAPH_ASSIGN_OR_RETURN(auto ds, Dataset::FromCsv(p));`
+/// `BIKEGRAPH_ASSIGN_OR_RETURN(auto ds, Dataset::ReadCsv(l, r));`
 #define BIKEGRAPH_ASSIGN_OR_RETURN_IMPL(tmp, lhs, expr) \
   auto tmp = (expr);                                    \
   if (!tmp.ok()) return tmp.status();                   \

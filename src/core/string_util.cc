@@ -8,21 +8,6 @@
 
 namespace bikegraph {
 
-std::vector<std::string> Split(std::string_view text, char delim) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (true) {
-    size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(text.substr(start));
-      break;
-    }
-    parts.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
 std::string_view Trim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();

@@ -2,14 +2,10 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/result.h"
 
 namespace bikegraph {
-
-/// \brief Splits `text` on `delim`, keeping empty fields.
-std::vector<std::string> Split(std::string_view text, char delim);
 
 /// \brief Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);

@@ -2,179 +2,112 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace bikegraph::data {
 
-int CsvTable::ColumnIndex(const std::string& name) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-namespace {
-
-// Parses the whole document in one pass, honouring quoted fields that may
-// contain commas, newlines, and doubled quotes.
-Result<std::vector<std::vector<std::string>>> ParseRows(
-    const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
+Status ForEachCsvRecord(std::string_view text, const CsvRecordVisitor& visit) {
+  std::string buffer;        // the current record's unescaped bytes
+  std::vector<size_t> ends;  // where each of its fields ends in `buffer`
+  std::vector<std::string_view> fields;
+  size_t records = 0;  // records visited so far, the header included
+  size_t width = 0;    // the header's field count
   bool in_quotes = false;
   bool field_started = false;
-  size_t i = 0;
-  const size_t n = text.size();
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
+  auto end_field = [&] {
+    ends.push_back(buffer.size());
     field_started = false;
   };
-  auto end_row = [&]() {
+  auto end_record = [&]() -> Status {
     end_field();
-    // Skip rows that are entirely empty (e.g. trailing newline).
-    if (!(row.size() == 1 && row[0].empty())) {
-      rows.push_back(std::move(row));
-    }
-    row.clear();
-  };
-  while (i < n) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          field.push_back('"');
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
+    Status status = Status::OK();
+    if (ends.size() > 1 || ends[0] > 0) {  // not one empty field
+      if (records == 0) width = ends.size();
+      if (ends.size() != width) {
+        return Status::DataLoss("row " + std::to_string(records) + " has " +
+                                std::to_string(ends.size()) +
+                                " fields, header has " +
+                                std::to_string(width));
       }
-      field.push_back(c);
-      ++i;
+      fields.clear();
+      size_t begin = 0;
+      for (const size_t end : ends) {
+        fields.emplace_back(buffer.data() + begin, end - begin);
+        begin = end;
+      }
+      status = visit(records++, fields);
+    }
+    buffer.clear();
+    ends.clear();
+    return status;
+  };
+  const size_t n = text.size();
+  for (size_t i = 0; i < n; ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c != '"') {
+        buffer.push_back(c);
+      } else if (i + 1 < n && text[i + 1] == '"') {
+        buffer.push_back('"');
+        ++i;
+      } else {
+        in_quotes = false;
+      }
       continue;
     }
     switch (c) {
       case '"':
-        if (!field_started && field.empty()) {
+        if (field_started) {
+          buffer.push_back(c);  // quote mid-field: keep verbatim
+        } else {
           in_quotes = true;
           field_started = true;
-        } else {
-          field.push_back(c);  // quote mid-field: keep verbatim
         }
-        ++i;
         break;
       case ',':
         end_field();
-        ++i;
         break;
       case '\r':
-        ++i;  // tolerate CRLF
-        break;
+        break;  // dropped outside quotes, CRLF or not
       case '\n':
-        end_row();
-        ++i;
+        BIKEGRAPH_RETURN_NOT_OK(end_record());
         break;
       default:
-        field.push_back(c);
+        buffer.push_back(c);
         field_started = true;
-        ++i;
         break;
     }
   }
   if (in_quotes) {
     return Status::DataLoss("unterminated quoted field at end of input");
   }
-  if (field_started || !field.empty() || !row.empty()) {
-    end_row();
+  if (field_started || !ends.empty()) {
+    BIKEGRAPH_RETURN_NOT_OK(end_record());
   }
-  return rows;
+  if (records == 0) return Status::DataLoss("empty CSV document");
+  return Status::OK();
 }
 
-bool NeedsQuoting(const std::string& s) {
-  for (char c : s) {
-    if (c == ',' || c == '"' || c == '\n' || c == '\r') return true;
-  }
-  return false;
+Status ForEachCsvFileRecord(const std::string& path,
+                            const CsvRecordVisitor& visit) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IOError("cannot open: " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return ForEachCsvRecord(std::move(text).str(), visit);
 }
 
-void AppendField(std::string* out, const std::string& field) {
-  if (!NeedsQuoting(field)) {
+void AppendCsvField(std::string* out, std::string_view field) {
+  if (field.find_first_of(",\"\r\n") == std::string_view::npos) {
     out->append(field);
     return;
   }
   out->push_back('"');
-  for (char c : field) {
+  for (const char c : field) {
     if (c == '"') out->push_back('"');
     out->push_back(c);
   }
   out->push_back('"');
-}
-
-}  // namespace
-
-Result<CsvTable> CsvReader::ParseString(const std::string& text) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rows, ParseRows(text));
-  if (rows.empty()) return Status::DataLoss("empty CSV document");
-  CsvTable table;
-  table.header = std::move(rows.front());
-  for (size_t r = 1; r < rows.size(); ++r) {
-    if (rows[r].size() != table.header.size()) {
-      return Status::DataLoss("row " + std::to_string(r) + " has " +
-                              std::to_string(rows[r].size()) +
-                              " fields, header has " +
-                              std::to_string(table.header.size()));
-    }
-    table.rows.push_back(std::move(rows[r]));
-  }
-  return table;
-}
-
-Result<CsvTable> CsvReader::ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseString(buffer.str());
-}
-
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : header_(std::move(header)) {}
-
-Status CsvWriter::AddRow(std::vector<std::string> row) {
-  if (row.size() != header_.size()) {
-    return Status::InvalidArgument(
-        "row width " + std::to_string(row.size()) + " != header width " +
-        std::to_string(header_.size()));
-  }
-  rows_.push_back(std::move(row));
-  return Status::OK();
-}
-
-std::string CsvWriter::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < header_.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    AppendField(&out, header_[i]);
-  }
-  out.push_back('\n');
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      AppendField(&out, row[i]);
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
-Status CsvWriter::WriteToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out << ToString();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
 }
 
 }  // namespace bikegraph::data

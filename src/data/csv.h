@@ -1,58 +1,47 @@
 #pragma once
 
+#include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "core/result.h"
 #include "core/status.h"
 
 namespace bikegraph::data {
 
-/// \brief A parsed CSV table: a header row plus data rows of equal width.
-struct CsvTable {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
+/// \brief Receives one CSV record: `record` 0 is the header, data records
+/// count from 1. The views are valid only during the call. A non-OK
+/// return stops the tokenizer, which returns that status.
+using CsvRecordVisitor = std::function<Status(
+    size_t record, std::span<const std::string_view> fields)>;
 
-  /// Index of a header column, or -1 when absent.
-  int ColumnIndex(const std::string& name) const;
-};
-
-/// \brief RFC-4180-style CSV parsing (quoted fields, embedded commas,
-/// doubled quotes, CRLF tolerance).
+/// \brief RFC-4180-style CSV tokenizer: the ingestion path for the Moby
+/// export tables (Rental, Location) and any dataset in the same schema.
 ///
-/// The Moby data arrives as two SQL-exported tables (Rental, Location);
-/// this reader is the ingestion path for them and for any user-supplied
-/// dataset in the same schema.
-class CsvReader {
- public:
-  /// Parses an in-memory CSV document. The first row is the header.
-  /// Rows whose field count differs from the header are a kDataLoss error.
-  [[nodiscard]] static Result<CsvTable> ParseString(const std::string& text);
+/// Rules: a field that opens with `"` is quoted and may hold commas,
+/// newlines and doubled quotes (`""` → `"`); a quote later in an unquoted
+/// field is kept as is; `\r` outside quotes is dropped wherever it
+/// appears; a record that is one empty field (a blank line, a trailing
+/// newline) is skipped. Fields are unescaped into one buffer the
+/// tokenizer reuses for every record, so no per-field string is built.
+///
+/// Errors (kDataLoss): "row N has X fields, header has Y" for a data
+/// record whose width differs from the header's, "unterminated quoted
+/// field at end of input", and "empty CSV document". Records before the
+/// fault have already been visited.
+[[nodiscard]] Status ForEachCsvRecord(std::string_view text,
+                                      const CsvRecordVisitor& visit);
 
-  /// Reads and parses a CSV file.
-  [[nodiscard]] static Result<CsvTable> ReadFile(const std::string& path);
-};
+/// \brief Reads the file at `path` whole and tokenizes it as
+/// ForEachCsvRecord does; IOError "cannot open: <path>" when it cannot be
+/// opened.
+[[nodiscard]] Status ForEachCsvFileRecord(const std::string& path,
+                                          const CsvRecordVisitor& visit);
 
-/// \brief CSV writer with minimal quoting (fields containing a comma,
-/// quote, or newline are quoted).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::vector<std::string> header);
-
-  /// Appends one row; must match the header width.
-  [[nodiscard]] Status AddRow(std::vector<std::string> row);
-
-  /// Serialises header + rows.
-  std::string ToString() const;
-
-  /// Writes to a file.
-  [[nodiscard]] Status WriteToFile(const std::string& path) const;
-
-  size_t row_count() const { return rows_.size(); }
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
+/// \brief Appends `field` to `out` in the form ForEachCsvRecord reads
+/// back: as is, or, when it holds a comma, quote, `\r` or `\n`, quoted
+/// with its quotes doubled.
+void AppendCsvField(std::string* out, std::string_view field);
 
 }  // namespace bikegraph::data

@@ -1,13 +1,15 @@
 #include "data/dataset.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <set>
+#include <span>
+#include <string_view>
 
 #include "core/string_util.h"
 #include "data/csv.h"
-
-#include "core/checked_cast.h"
 
 namespace bikegraph::data {
 
@@ -75,128 +77,136 @@ Status Dataset::Validate() const {
   return Status::OK();
 }
 
-std::string Dataset::LocationsCsvString() const {
-  CsvWriter w({"id", "lat", "lon", "is_station", "name"});
-  for (const auto& loc : locations_) {
-    std::string lat = std::isnan(loc.position.lat)
-                          ? ""
-                          : FormatDouble(loc.position.lat, 6);
-    std::string lon = std::isnan(loc.position.lon)
-                          ? ""
-                          : FormatDouble(loc.position.lon, 6);
-    (void)w.AddRow({std::to_string(loc.id), lat, lon,
-                    loc.is_station ? "1" : "0", loc.name});
-  }
-  return w.ToString();
-}
-
-std::string Dataset::RentalsCsvString() const {
-  CsvWriter w({"id", "bike_id", "start_time", "end_time",
-               "rental_location_id", "return_location_id"});
-  for (const auto& r : rentals_) {
-    auto fk = [](int64_t id) {
-      return id == kInvalidId ? std::string() : std::to_string(id);
-    };
-    (void)w.AddRow({std::to_string(r.id), std::to_string(r.bike_id),
-                    r.start_time.ToString(), r.end_time.ToString(),
-                    fk(r.rental_location_id), fk(r.return_location_id)});
-  }
-  return w.ToString();
-}
-
-Status Dataset::WriteCsv(const std::string& locations_path,
-                         const std::string& rentals_path) const {
-  auto write = [](const std::string& path, const std::string& content) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) return Status::IOError("cannot open for write: " + path);
-    out << content;
-    if (!out) return Status::IOError("write failed: " + path);
-    return Status::OK();
-  };
-  BIKEGRAPH_RETURN_NOT_OK(write(locations_path, LocationsCsvString()));
-  return write(rentals_path, RentalsCsvString());
-}
-
 namespace {
 
-Result<std::vector<LocationRecord>> ParseLocations(const CsvTable& table) {
-  const int id_col = table.ColumnIndex("id");
-  const int lat_col = table.ColumnIndex("lat");
-  const int lon_col = table.ColumnIndex("lon");
-  const int station_col = table.ColumnIndex("is_station");
-  const int name_col = table.ColumnIndex("name");
-  if (id_col < 0 || lat_col < 0 || lon_col < 0 || station_col < 0 ||
-      name_col < 0) {
-    return Status::DataLoss("locations CSV missing a required column");
+constexpr std::array<std::string_view, 5> kLocationColumns = {
+    "id", "lat", "lon", "is_station", "name"};
+constexpr std::array<std::string_view, 6> kRentalColumns = {
+    "id", "bike_id", "start_time", "end_time", "rental_location_id",
+    "return_location_id"};
+
+template <size_t N>
+void AppendHeader(std::string* out,
+                  const std::array<std::string_view, N>& columns) {
+  for (size_t c = 0; c < N; ++c) {
+    if (c > 0) out->push_back(',');
+    out->append(columns[c]);
   }
-  std::vector<LocationRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    LocationRecord loc;
-    BIKEGRAPH_ASSIGN_OR_RETURN(loc.id, ParseInt(row[AsIndex(id_col)]));
-    if (!row[AsIndex(lat_col)].empty() && !row[AsIndex(lon_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lat, ParseDouble(row[AsIndex(lat_col)]));
-      BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lon, ParseDouble(row[AsIndex(lon_col)]));
-    }
-    loc.is_station = row[AsIndex(station_col)] == "1";
-    loc.name = row[AsIndex(name_col)];
-    out.push_back(std::move(loc));
-  }
-  return out;
+  out->push_back('\n');
 }
 
-Result<std::vector<RentalRecord>> ParseRentals(const CsvTable& table) {
-  const int id_col = table.ColumnIndex("id");
-  const int bike_col = table.ColumnIndex("bike_id");
-  const int start_col = table.ColumnIndex("start_time");
-  const int end_col = table.ColumnIndex("end_time");
-  const int rent_col = table.ColumnIndex("rental_location_id");
-  const int ret_col = table.ColumnIndex("return_location_id");
-  if (id_col < 0 || bike_col < 0 || start_col < 0 || end_col < 0 ||
-      rent_col < 0 || ret_col < 0) {
-    return Status::DataLoss("rentals CSV missing a required column");
-  }
-  std::vector<RentalRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    RentalRecord r;
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.id, ParseInt(row[AsIndex(id_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.bike_id, ParseInt(row[AsIndex(bike_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.start_time, CivilTime::Parse(row[AsIndex(start_col)]));
-    BIKEGRAPH_ASSIGN_OR_RETURN(r.end_time, CivilTime::Parse(row[AsIndex(end_col)]));
-    if (!row[AsIndex(rent_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(r.rental_location_id,
-                                 ParseInt(row[AsIndex(rent_col)]));
+Status WriteFile(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) return Status::IOError("cannot open for write: " + path);
+  out << content;
+  if (!out) return Status::IOError("write failed: " + path);
+  return Status::OK();
+}
+
+/// Where each of `columns` sits in `header` (its first match).
+template <size_t N>
+Result<std::array<size_t, N>> FindColumns(
+    std::span<const std::string_view> header,
+    const std::array<std::string_view, N>& columns, const char* table) {
+  std::array<size_t, N> at{};
+  for (size_t c = 0; c < N; ++c) {
+    const auto it = std::find(header.begin(), header.end(), columns[c]);
+    if (it == header.end()) {
+      return Status::DataLoss(std::string(table) +
+                              " CSV missing a required column");
     }
-    if (!row[AsIndex(ret_col)].empty()) {
-      BIKEGRAPH_ASSIGN_OR_RETURN(r.return_location_id, ParseInt(row[AsIndex(ret_col)]));
-    }
-    out.push_back(std::move(r));
+    at[c] = static_cast<size_t>(it - header.begin());
   }
-  return out;
+  return at;
 }
 
 }  // namespace
 
-Result<Dataset> Dataset::FromCsvStrings(const std::string& locations_csv,
-                                        const std::string& rentals_csv) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto loc_table,
-                             CsvReader::ParseString(locations_csv));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rent_table,
-                             CsvReader::ParseString(rentals_csv));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto locations, ParseLocations(loc_table));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rentals, ParseRentals(rent_table));
-  return Dataset(std::move(locations), std::move(rentals));
+Status Dataset::WriteCsv(const std::string& locations_path,
+                         const std::string& rentals_path) const {
+  // Only `name` can hold a byte that needs quoting; every other field is
+  // digits, signs, '.', '-', ':' and spaces.
+  std::string out;
+  AppendHeader(&out, kLocationColumns);
+  for (const auto& loc : locations_) {
+    out += std::to_string(loc.id);
+    out.push_back(',');
+    if (!std::isnan(loc.position.lat)) {
+      out += FormatDouble(loc.position.lat, 6);
+    }
+    out.push_back(',');
+    if (!std::isnan(loc.position.lon)) {
+      out += FormatDouble(loc.position.lon, 6);
+    }
+    out += loc.is_station ? ",1," : ",0,";
+    AppendCsvField(&out, loc.name);
+    out.push_back('\n');
+  }
+  BIKEGRAPH_RETURN_NOT_OK(WriteFile(locations_path, out));
+  out.clear();
+  AppendHeader(&out, kRentalColumns);
+  for (const auto& r : rentals_) {
+    out += std::to_string(r.id);
+    out.push_back(',');
+    out += std::to_string(r.bike_id);
+    out.push_back(',');
+    out += r.start_time.ToString();
+    out.push_back(',');
+    out += r.end_time.ToString();
+    for (const int64_t fk : {r.rental_location_id, r.return_location_id}) {
+      out.push_back(',');
+      if (fk != kInvalidId) out += std::to_string(fk);
+    }
+    out.push_back('\n');
+  }
+  return WriteFile(rentals_path, out);
 }
 
 Result<Dataset> Dataset::ReadCsv(const std::string& locations_path,
                                  const std::string& rentals_path) {
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto loc_table,
-                             CsvReader::ReadFile(locations_path));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rent_table,
-                             CsvReader::ReadFile(rentals_path));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto locations, ParseLocations(loc_table));
-  BIKEGRAPH_ASSIGN_OR_RETURN(auto rentals, ParseRentals(rent_table));
+  std::vector<LocationRecord> locations;
+  std::array<size_t, kLocationColumns.size()> lc{};
+  BIKEGRAPH_RETURN_NOT_OK(ForEachCsvFileRecord(
+      locations_path,
+      [&](size_t record, std::span<const std::string_view> f) -> Status {
+        if (record == 0) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(
+              lc, FindColumns(f, kLocationColumns, "locations"));
+          return Status::OK();
+        }
+        LocationRecord& loc = locations.emplace_back();
+        BIKEGRAPH_ASSIGN_OR_RETURN(loc.id, ParseInt(f[lc[0]]));
+        if (!f[lc[1]].empty() && !f[lc[2]].empty()) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lat, ParseDouble(f[lc[1]]));
+          BIKEGRAPH_ASSIGN_OR_RETURN(loc.position.lon, ParseDouble(f[lc[2]]));
+        }
+        loc.is_station = f[lc[3]] == "1";
+        loc.name = f[lc[4]];
+        return Status::OK();
+      }));
+  std::vector<RentalRecord> rentals;
+  std::array<size_t, kRentalColumns.size()> rc{};
+  BIKEGRAPH_RETURN_NOT_OK(ForEachCsvFileRecord(
+      rentals_path,
+      [&](size_t record, std::span<const std::string_view> f) -> Status {
+        if (record == 0) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(rc,
+                                     FindColumns(f, kRentalColumns, "rentals"));
+          return Status::OK();
+        }
+        RentalRecord& r = rentals.emplace_back();
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.id, ParseInt(f[rc[0]]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.bike_id, ParseInt(f[rc[1]]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.start_time, CivilTime::Parse(f[rc[2]]));
+        BIKEGRAPH_ASSIGN_OR_RETURN(r.end_time, CivilTime::Parse(f[rc[3]]));
+        if (!f[rc[4]].empty()) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(r.rental_location_id, ParseInt(f[rc[4]]));
+        }
+        if (!f[rc[5]].empty()) {
+          BIKEGRAPH_ASSIGN_OR_RETURN(r.return_location_id, ParseInt(f[rc[5]]));
+        }
+        return Status::OK();
+      }));
   return Dataset(std::move(locations), std::move(rentals));
 }
 

@@ -21,9 +21,16 @@ struct DatasetSummary {
 ///
 /// This is the root input of the whole pipeline. The container owns both
 /// tables, maintains a by-id index over locations, and offers CSV round-trip
-/// I/O in the export schema (`locations.csv`: id,lat,lon,is_station,name;
-/// `rentals.csv`: id,bike_id,start_time,end_time,rental_location_id,
-/// return_location_id — empty string encodes a missing value).
+/// I/O in the export schema:
+///  - `locations.csv`: id,lat,lon,is_station,name. lat and lon carry 6
+///    decimals, a NaN one is written empty, and an empty one reads back
+///    as NaN for both; is_station is 1 or 0; name is the only field that
+///    may be quoted (data/csv.h).
+///  - `rentals.csv`: id,bike_id,start_time,end_time,rental_location_id,
+///    return_location_id. Times are written "YYYY-MM-DD HH:MM:SS"; an
+///    empty location id is a missing one (kInvalidId).
+/// ReadCsv finds the columns by header name, in any order, and ignores
+/// any others.
 class Dataset {
  public:
   Dataset() = default;
@@ -52,17 +59,15 @@ class Dataset {
   /// existing locations, start <= end. Returns the first violation.
   Status Validate() const;
 
-  /// CSV round trip in the export schema described above.
+  /// CSV round trip in the export schema described above. ReadCsv parses
+  /// each record's columns as the tokenizer hands it over, so in a file
+  /// with several faults the first one met is reported: the tokenizer's
+  /// (data/csv.h), "<table> CSV missing a required column", or a field's
+  /// ParseInt / ParseDouble / CivilTime::Parse error.
   Status WriteCsv(const std::string& locations_path,
                   const std::string& rentals_path) const;
   static Result<Dataset> ReadCsv(const std::string& locations_path,
                                  const std::string& rentals_path);
-
-  /// Serialise/parse without touching the filesystem (used in tests).
-  std::string LocationsCsvString() const;
-  std::string RentalsCsvString() const;
-  static Result<Dataset> FromCsvStrings(const std::string& locations_csv,
-                                        const std::string& rentals_csv);
 
  private:
   std::vector<LocationRecord> locations_;

@@ -95,12 +95,13 @@ Result<KNearestStationsResult> QueryService::Pinned::KNearest(
         "snapshot carries no station index (engine without "
         "station_positions)");
   }
-  if (station < 0 || AsIndex(station) >= index->size()) {
-    return Status::InvalidArgument("station out of range");
+  const geo::LatLon position = index->PointOf(station);
+  if (!position.IsValid()) {
+    return Status::InvalidArgument("station " + std::to_string(station) +
+                                   " is not in the station index");
   }
   KNearestStationsResult result;
-  result.neighbors =
-      index->KNearest(index->PointOf(station), k, /*exclude_id=*/station);
+  result.neighbors = index->KNearest(position, k, /*exclude_id=*/station);
   return result;
 }
 

@@ -108,7 +108,8 @@ class QueryService {
     /// Communities in the epoch's memoized partition.
     Result<size_t> CommunityCount() const;
     /// The k nearest stations through the snapshot's frozen GridIndex.
-    /// FailedPrecondition when the snapshot carries no station index.
+    /// FailedPrecondition when the snapshot carries no station index;
+    /// InvalidArgument when the index holds no position for `station`.
     Result<KNearestStationsResult> KNearest(int32_t station, size_t k) const;
     /// Inter-community flow between two labels of the memoized
     /// partition. InvalidArgument for out-of-range labels.

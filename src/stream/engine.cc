@@ -20,14 +20,22 @@ namespace {
 /// The one config check: InvalidArgument when the shards' windows would
 /// refuse the config (CheckWindowOptions: a negative window or more than
 /// kMaxWindowStations stations), or when a positions table is set but
-/// shorter than the station universe, so no spatial index can cover it.
+/// shorter than the station universe or holds an invalid coordinate for
+/// a station id, so no spatial index can cover every station.
 Status CheckConfig(const StreamEngineConfig& config) {
   BIKEGRAPH_RETURN_NOT_OK(CheckWindowOptions(
       WindowGraphOptions{config.station_count, config.window_seconds}));
-  if (!config.station_positions.empty() &&
-      config.station_positions.size() < config.station_count) {
+  if (config.station_positions.empty()) return Status::OK();
+  if (config.station_positions.size() < config.station_count) {
     return Status::InvalidArgument(
         "station_positions must cover every station id");
+  }
+  for (size_t s = 0; s < config.station_count; ++s) {
+    if (!config.station_positions[s].IsValid()) {
+      return Status::InvalidArgument("station_positions[" +
+                                     std::to_string(s) +
+                                     "] is not a valid coordinate");
+    }
   }
   return Status::OK();
 }

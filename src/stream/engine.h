@@ -45,9 +45,10 @@ struct StreamEngineConfig {
   /// Warm-start escalation policy for the community tracker.
   RefreshPolicy refresh;
   /// Optional station positions (indexed by station id; when set there
-  /// must be at least station_count entries and exactly the first
-  /// station_count are indexed). Every snapshot then shares one frozen
-  /// GridIndex over them, built once at engine construction.
+  /// must be at least station_count entries, the first station_count
+  /// must be valid coordinates, and exactly those are indexed; later
+  /// entries are neither checked nor indexed). Every snapshot then shares
+  /// one frozen GridIndex over them, built once at engine construction.
   std::vector<geo::LatLon> station_positions;
   /// Out-of-order tolerance: an arriving event may start up to this many
   /// seconds before the watermark (newest start time seen, or the latest
@@ -151,9 +152,9 @@ class StreamEngine {
   /// first durable call) a directory that already holds durable state —
   /// resuming an existing directory is `Recover()`'s job, and silently
   /// logging a fresh run over an old one would orphan its records. A
-  /// config the windows refuse, or with too few `station_positions`,
-  /// touches no file: its durable calls return the same InvalidArgument
-  /// as every other call.
+  /// config the windows refuse, or with too few or invalid
+  /// `station_positions`, touches no file: its durable calls return the
+  /// same InvalidArgument as every other call.
   explicit StreamEngine(StreamEngineConfig config);
 
   /// Lets the checkpoint commit in flight finish — the checkpoint lands
@@ -494,9 +495,9 @@ class StreamEngine {
   /// InvalidArgument when the windows would refuse the config (a
   /// negative window_seconds, or station_count past kMaxWindowStations),
   /// or when config_.station_positions is set but shorter than
-  /// station_count. Ingest, Snapshot and DetectCurrent return it before
-  /// logging anything; Recover runs the same check before it touches the
-  /// directory.
+  /// station_count or invalid for a station id. Ingest, Snapshot and
+  /// DetectCurrent return it before logging anything; Recover runs the
+  /// same check before it touches the directory.
   Status config_status_ = Status::OK();
   /// True when the live window changed after the last publish. With one
   /// shard it is updated eagerly per call; with several it absorbs the

@@ -1,5 +1,8 @@
 #include "core/civil_time.h"
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 namespace bikegraph {
@@ -109,6 +112,21 @@ TEST(CivilTimeTest, ParseFormsMatchScanfSemantics) {
   expect_time("2020-06-15 08:30:07.9", 2020, 6, 15, 8, 30, 7);
   expect_time("2020-06-15 08:30:0007", 2020, 6, 15, 8, 30, 7);
   expect_time("2020-06-15 08:30:007", 2020, 6, 15, 8, 30, 7);
+  // A view into a longer buffer parses exactly like the same text on its
+  // own: nothing past its end is read, on either path.
+  auto expect_view = [](std::string_view buffer, size_t size) {
+    const std::string_view view = buffer.substr(0, size);
+    auto got = CivilTime::Parse(view);
+    auto alone = CivilTime::Parse(std::string(view));
+    ASSERT_TRUE(alone.ok()) << "'" << view << "'";
+    ASSERT_TRUE(got.ok()) << "'" << view << "' in '" << buffer
+                          << "': " << got.status().message();
+    EXPECT_EQ(*got, *alone) << "'" << view << "' in '" << buffer << "'";
+  };
+  expect_view("2021-09-195", 10);           // a bare date, then a 5
+  expect_view("2020-06-15 08:30:075", 19);  // 19 characters, then a digit
+  expect_view("2020-06-15 08:30:07,1", 19);  // a field, then a comma
+  expect_view("2020-6-5 8:3:75", 14);       // the sscanf path, then a 5
 }
 
 TEST(CivilTimeTest, ParseErrorsKeepCodesAndMessages) {

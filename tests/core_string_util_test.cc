@@ -9,26 +9,6 @@
 namespace bikegraph {
 namespace {
 
-TEST(SplitTest, BasicSplit) {
-  auto parts = Split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  auto parts = Split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(SplitTest, NoDelimiterYieldsWholeString) {
-  auto parts = Split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("\t\nx\r "), "x");

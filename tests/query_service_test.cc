@@ -6,8 +6,10 @@
 // across pins of one epoch, and stays bounded; batches answer per slot.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/temporal_graph.h"
@@ -19,6 +21,7 @@
 #include "stream/engine.h"
 #include "stream/snapshot.h"
 #include "stream/testing.h"
+#include "stream/window_graph.h"
 
 #include <gtest/gtest.h>
 
@@ -382,6 +385,39 @@ TEST(QueryServiceTest, KNearestWithoutStationIndexFailsCleanly) {
   // The rest of the vocabulary still answers.
   EXPECT_TRUE(pin->Profile(0).ok());
   EXPECT_TRUE(pin->CommunityOf(0).ok());
+}
+
+TEST(QueryServiceTest, KNearestAnswersOnlyStationsTheIndexHolds) {
+  // A snapshot frozen with an index over a table whose station 1 has no
+  // valid position: the index holds stations 0 and 2 only.
+  stream::SlidingWindowGraph window(stream::WindowGraphOptions{3, 0});
+  const auto index = stream::BuildFrozenStationIndex(
+      {geo::LatLon(53.35, -6.26), geo::LatLon(std::nan(""), -6.25),
+       geo::LatLon(53.36, -6.27)});
+  ASSERT_EQ(index->size(), 2u);
+  auto frozen = stream::FreezeSnapshot(window, {}, index);
+  ASSERT_TRUE(frozen.ok()) << frozen.status();
+  stream::SnapshotPublisher publisher;
+  publisher.Publish(std::move(*frozen));
+  QueryService service(publisher);
+  auto pin = service.Pin();
+  ASSERT_TRUE(pin.ok());
+
+  // Station 2 is held although its id is not below the index's size();
+  // its only neighbour is station 0.
+  auto held = pin->KNearest(2, 5);
+  ASSERT_TRUE(held.ok()) << held.status();
+  ASSERT_EQ(held->neighbors.size(), 1u);
+  EXPECT_EQ(held->neighbors[0].id, 0);
+  for (const int32_t absent : {1, 3, -1}) {
+    auto refused = pin->KNearest(absent, 5);
+    ASSERT_FALSE(refused.ok()) << absent;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << absent;
+    EXPECT_EQ(refused.status().message(),
+              "station " + std::to_string(absent) +
+                  " is not in the station index");
+  }
 }
 
 }  // namespace

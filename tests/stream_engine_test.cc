@@ -3,6 +3,7 @@
 // bit for bit; sliding windows with warm-start refresh must track the
 // full re-detect closely; snapshots are immutable and epoch-stamped.
 
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -448,42 +449,52 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
   config.station_count = 2;
   config.window_seconds = 0;
   // Positions for a larger network: only ids < station_count may appear
-  // in snapshot spatial queries.
+  // in snapshot spatial queries, and only they are checked.
   config.station_positions = {geo::LatLon(53.35, -6.26),
                               geo::LatLon(53.36, -6.25),
                               geo::LatLon(53.30, -6.30),
-                              geo::LatLon(53.31, -6.31)};
+                              geo::LatLon(std::nan(""), -6.31)};
   StreamEngine engine(config);
   auto snap = engine.Snapshot();
   ASSERT_TRUE(snap.ok());
   ASSERT_NE((*snap)->station_index, nullptr);
   EXPECT_EQ((*snap)->station_index->size(), 2u);
 
-  // Too few positions is an error, not a silent partial index, and a
-  // durable engine logs none of the calls it rejects: a replay would
-  // only reject them again.
+  // Too few positions, or an invalid one for a station id, is an error,
+  // not a silent partial index, and a durable engine logs none of the
+  // calls it rejects: a replay would only reject them again.
   const fs::path dir =
       fs::path(::testing::TempDir()) / "bg_engine_short_positions";
   fs::remove_all(dir);
-  for (const bool durable : {false, true}) {
-    StreamEngineConfig bad = config;
-    bad.station_positions.resize(1);
-    bad.durability.enabled = durable;
-    bad.durability.directory = dir.string();
-    StreamEngine bad_engine(bad);
-    const CivilTime t0 = CivilTime::FromCalendar(2020, 5, 4, 9).ValueOrDie();
-    TripEvent event;
-    event.from_station = 0;
-    event.to_station = 1;
-    event.start_time = t0;
-    event.end_time = t0.AddSeconds(300);
-    EXPECT_EQ(bad_engine.Ingest(event).code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(bad_engine.Snapshot().status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(bad_engine.DetectCurrent().status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(bad_engine.wal_seq(), 0u) << "durable=" << durable;
+  StreamEngineConfig short_table = config;
+  short_table.station_positions.resize(1);
+  StreamEngineConfig nan_entry = config;
+  nan_entry.station_positions[1] = geo::LatLon(std::nan(""), -6.25);
+  const std::vector<StreamEngineConfig> refused = {short_table, nan_entry};
+  for (const StreamEngineConfig& refused_config : refused) {
+    for (const bool durable : {false, true}) {
+      StreamEngineConfig bad = refused_config;
+      bad.durability.enabled = durable;
+      bad.durability.directory = dir.string();
+      StreamEngine bad_engine(bad);
+      const CivilTime t0 =
+          CivilTime::FromCalendar(2020, 5, 4, 9).ValueOrDie();
+      TripEvent event;
+      event.from_station = 0;
+      event.to_station = 1;
+      event.start_time = t0;
+      event.end_time = t0.AddSeconds(300);
+      EXPECT_EQ(bad_engine.Ingest(event).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(bad_engine.Snapshot().status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(bad_engine.DetectCurrent().status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(bad_engine.wal_seq(), 0u) << "durable=" << durable;
+    }
   }
+  EXPECT_EQ(StreamEngine(nan_entry).Snapshot().status().message(),
+            "station_positions[1] is not a valid coordinate");
   // The rejected durable engine left nothing behind, so a fresh engine
   // with the corrected config may start on the same directory.
   EXPECT_FALSE(fs::exists(dir));
@@ -503,14 +514,15 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
     EXPECT_EQ(fixed_engine.wal_seq(), 1u);
   }
   fs::remove_all(dir);
-  // Recover refuses the same config before touching the directory.
-  StreamEngineConfig bad = config;
-  bad.station_positions.resize(1);
-  bad.durability.enabled = true;
-  bad.durability.directory = dir.string();
-  EXPECT_EQ(StreamEngine::Recover(bad).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_FALSE(fs::exists(dir));
+  // Recover refuses the same configs before touching the directory.
+  for (const StreamEngineConfig& refused_config : refused) {
+    StreamEngineConfig bad = refused_config;
+    bad.durability.enabled = true;
+    bad.durability.directory = dir.string();
+    EXPECT_EQ(StreamEngine::Recover(bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(fs::exists(dir));
+  }
 }
 
 TEST(StreamEngineTest, StationCountPastTheBoundIsRefusedEverywhere) {
