@@ -76,41 +76,6 @@ void BM_GridIndexRadiusQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexRadiusQuery)->Arg(1000)->Arg(10000)->Arg(50000);
 
-// Same query stream against a frozen (sorted-cell) index — the
-// build-once/query-many mode snapshots use.
-void BM_GridIndexFrozenRadiusQuery(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto points = RandomPoints(n);
-  GridIndex index(100.0);
-  for (size_t i = 0; i < n; ++i) {
-    index.Add(static_cast<int64_t>(i), points[i]);
-  }
-  index.Freeze();
-  size_t q = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.WithinRadius(points[q % n], 100.0));
-    ++q;
-  }
-}
-BENCHMARK(BM_GridIndexFrozenRadiusQuery)->Arg(1000)->Arg(10000)->Arg(50000);
-
-// Build + freeze, the snapshot-side construction cost (Add never hashes;
-// Freeze sorts once).
-void BM_GridIndexBuildFrozen(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto points = RandomPoints(n);
-  for (auto _ : state) {
-    GridIndex index(100.0);
-    for (size_t i = 0; i < n; ++i) {
-      index.Add(static_cast<int64_t>(i), points[i]);
-    }
-    index.Freeze();
-    benchmark::DoNotOptimize(index);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_GridIndexBuildFrozen)->Arg(1000)->Arg(10000)->Arg(50000);
-
 void BM_LinearRadiusQuery(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto points = RandomPoints(n);
@@ -144,6 +109,27 @@ void BM_GridIndexNearest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridIndexNearest)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// The live k-nearest-stations query at perfbench `serve`'s shape: each
+// station's own position against the station index snapshots share
+// (about 272 stations in BuildFrozenStationIndex's default 100 m cells),
+// k = 8 with the station itself excluded.
+void BM_GridIndexKNearest(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto points = RandomPoints(n);
+  GridIndex index(100.0);
+  for (size_t i = 0; i < n; ++i) {
+    index.Add(static_cast<int64_t>(i), points[i]);
+  }
+  size_t q = 0;
+  for (auto _ : state) {
+    const size_t s = q % n;
+    benchmark::DoNotOptimize(
+        index.KNearest(points[s], 8, static_cast<int64_t>(s)));
+    ++q;
+  }
+}
+BENCHMARK(BM_GridIndexKNearest)->Arg(272);
 
 }  // namespace
 }  // namespace bikegraph::geo

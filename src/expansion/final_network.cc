@@ -71,13 +71,11 @@ Result<FinalNetwork> BuildFinalNetwork(const data::Dataset& cleaned,
   }
 
   // Spatial index over the final stations for nearest-station
-  // reassignment — frozen at the build/query boundary (one build, one
-  // Nearest query per unassigned location).
+  // reassignment (one build, one Nearest query per unassigned location).
   geo::GridIndex station_index(300.0);
   for (size_t s = 0; s < net.stations.size(); ++s) {
     station_index.Add(static_cast<int64_t>(s), net.stations[s].position);
   }
-  station_index.Freeze();
 
   // Map every cleaned location to a final station.
   for (const auto& loc : cleaned.locations()) {

@@ -48,9 +48,6 @@ Result<SelectionResult> SelectStations(const CandidateNetwork& network,
   }
 
   // Spatial index over fixed stations for the Rule-4 distance check.
-  // Built once, queried per candidate: freeze at the build/query
-  // boundary so the Nearest loop below runs on the sorted-cell layout
-  // (and never lazily mutates the bucket map mid-scoring).
   geo::GridIndex fixed_index(std::max(params.secondary_distance_m, 50.0));
   for (size_t i = 0; i < n; ++i) {
     if (network.candidates[i].is_fixed()) {
@@ -58,7 +55,6 @@ Result<SelectionResult> SelectStations(const CandidateNetwork& network,
                       network.candidates[i].centroid);
     }
   }
-  fixed_index.Freeze();
 
   // Lines 2-9: initial scoring.
   for (size_t i = 0; i < n; ++i) {
@@ -95,10 +91,6 @@ Result<SelectionResult> SelectStations(const CandidateNetwork& network,
         survivors.push_back(static_cast<int32_t>(i));
       }
     }
-    // Each suppression round is build-then-query-many, the freeze sweet
-    // spot (results are identical either way; the radius visitor's order
-    // was never a contract — the sort below pins it).
-    survivor_index.Freeze();
     for (int32_t i : survivors) {
       if (result.scores[AsIndex(i)] == 0) continue;  // suppressed earlier this round
       // Ascending-id order keeps the loser choice deterministic, so the

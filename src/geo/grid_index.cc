@@ -16,6 +16,15 @@ GridIndex::GridIndex(double cell_size_m, double reference_lat) {
   cell_lon_deg_ = MetersToLonDegrees(cell_size_m, reference_lat);
 }
 
+GridIndex::RadiusKernel::RadiusKernel(double radius)
+    : radius_m(radius),
+      dlat(MetersToLatDegrees(radius)),
+      dlat_pad(dlat * (1.0 + 1e-9)) {
+  const double sin_r = std::sin(radius / (2.0 * kEarthRadiusMeters));
+  h_max = radius >= 3.14 * kEarthRadiusMeters ? 1.1
+                                              : sin_r * sin_r * (1.0 + 1e-9);
+}
+
 GridIndex::CellKey GridIndex::KeyFor(const LatLon& p) const {
   return CellKey{static_cast<int32_t>(std::floor(p.lat / cell_lat_deg_)),
                  static_cast<int32_t>(std::floor(p.lon / cell_lon_deg_))};
@@ -44,60 +53,18 @@ double GridIndex::MinCellExtentMeters(double cos_query_lat) const {
 
 bool GridIndex::Add(int64_t id, const LatLon& point) {
   if (!point.IsValid()) return false;
-  if (frozen_) {
-    // Thaw: drop the frozen arrays and let the lazy hash build re-bucket
-    // everything (slot_keys_ still holds every slot's cell) on the next
-    // query.
-    frozen_ = false;
-    frozen_keys_.clear();
-    frozen_offsets_.clear();
-    frozen_slots_.clear();
-    cells_.clear();
-    hashed_upto_ = 0;
-  }
   const int32_t slot = static_cast<int32_t>(points_.size());
+  const CellKey key = KeyFor(point);
+  cells_[key].push_back(slot);
+  min_row_ = std::min(min_row_, key.row);
+  max_row_ = std::max(max_row_, key.row);
+  min_col_ = std::min(min_col_, key.col);
+  max_col_ = std::max(max_col_, key.col);
   points_.push_back(point);
   ids_.push_back(id);
   cos_lat_.push_back(std::cos(DegToRad(point.lat)));
-  slot_keys_.push_back(KeyFor(point));
   id_to_slot_[id] = slot;
   return true;
-}
-
-void GridIndex::EnsureHashed() const {
-  for (; hashed_upto_ < slot_keys_.size(); ++hashed_upto_) {
-    cells_[slot_keys_[hashed_upto_]].push_back(
-        static_cast<int32_t>(hashed_upto_));
-  }
-}
-
-void GridIndex::Freeze() {
-  if (frozen_) return;
-  const size_t n = slot_keys_.size();
-  // Sort slots by cell key (stable, so each cell keeps insertion order —
-  // the same order the hash buckets would hold).
-  std::vector<int32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int32_t>(i);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int32_t a, int32_t b) {
-                     return slot_keys_[AsIndex(a)] < slot_keys_[AsIndex(b)];
-                   });
-  frozen_keys_.clear();
-  frozen_offsets_.clear();
-  frozen_slots_.clear();
-  frozen_slots_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const CellKey key = slot_keys_[AsIndex(order[i])];
-    if (frozen_keys_.empty() || !(frozen_keys_.back() == key)) {
-      frozen_keys_.push_back(key);
-      frozen_offsets_.push_back(i);
-    }
-    frozen_slots_.push_back(order[i]);
-  }
-  frozen_offsets_.push_back(n);
-  cells_.clear();
-  hashed_upto_ = n;
-  frozen_ = true;
 }
 
 std::vector<int64_t> GridIndex::WithinRadius(const LatLon& center,
@@ -109,63 +76,69 @@ std::vector<int64_t> GridIndex::WithinRadius(const LatLon& center,
   return out;
 }
 
+template <typename Consider, typename Reach>
+void GridIndex::WalkRings(const LatLon& query, int64_t exclude_id,
+                          Consider&& consider, Reach&& reach_m) const {
+  const CellKey o = KeyFor(query);
+  const double cos_query = std::cos(DegToRad(query.lat));
+  auto visit_cell = [&](int32_t row, int32_t col) {
+    for (int32_t slot : CellSlots(CellKey{row, col})) {
+      if (ids_[AsIndex(slot)] == exclude_id) continue;
+      consider(Neighbor{ids_[AsIndex(slot)],
+                        HaversineMetersWithCos(points_[AsIndex(slot)], query,
+                                               cos_lat_[AsIndex(slot)],
+                                               cos_query)});
+    }
+  };
+  // Ring r holds the cells at Chebyshev distance r from o: the first ring
+  // to reach the key range is o's distance to it, and the ring at o's
+  // distance to the range's farthest edge covers all of it.
+  const int32_t first = std::max({0, min_row_ - o.row, o.row - max_row_,
+                                  min_col_ - o.col, o.col - max_col_});
+  const int32_t last = std::max({o.row - min_row_, max_row_ - o.row,
+                                 o.col - min_col_, max_col_ - o.col});
+  for (int32_t ring = first;; ++ring) {
+    // The ring's top and bottom rows, then its side columns between
+    // them, each clipped to the range (ring >= first keeps every edge
+    // from passing the range on its far side).
+    const bool top = o.row - ring >= min_row_;
+    const bool bottom = ring > 0 && o.row + ring <= max_row_;
+    const bool left = o.col - ring >= min_col_;
+    const bool right = ring > 0 && o.col + ring <= max_col_;
+    for (int32_t col = std::max(o.col - ring, min_col_);
+         col <= std::min(o.col + ring, max_col_); ++col) {
+      if (top) visit_cell(o.row - ring, col);
+      if (bottom) visit_cell(o.row + ring, col);
+    }
+    for (int32_t row = std::max(o.row - ring + 1, min_row_);
+         row <= std::min(o.row + ring - 1, max_row_); ++row) {
+      if (left) visit_cell(row, o.col - ring);
+      if (right) visit_cell(row, o.col + ring);
+    }
+    // A point in ring r+1 is at least r cell extents away, with the extent
+    // taken at the most poleward latitude that ring can reach (longitude
+    // cells only get narrower toward the poles).
+    if (ring >= last ||
+        reach_m() <= ring * RingCellExtentMeters(query.lat, ring)) {
+      return;
+    }
+  }
+}
+
 GridIndex::Neighbor GridIndex::Nearest(const LatLon& query,
                                        int64_t exclude_id) const {
   Neighbor best;
   best.distance_m = std::numeric_limits<double>::infinity();
-  if (points_.empty()) return best;
-  // Expanding ring search: examine cells at increasing Chebyshev radius until
-  // the best candidate is provably closer than any unexplored cell.
-  const CellKey origin = KeyFor(query);
-  const double cos_query = std::cos(DegToRad(query.lat));
-  size_t visited = 0;
-  for (int32_t ring = 0;; ++ring) {
-    for (int32_t row = origin.row - ring; row <= origin.row + ring; ++row) {
-      for (int32_t col = origin.col - ring; col <= origin.col + ring; ++col) {
-        // Only the boundary of the ring (interior was covered earlier).
-        if (ring > 0 && std::abs(row - origin.row) != ring &&
-            std::abs(col - origin.col) != ring) {
-          continue;
+  if (points_.empty() || !query.IsValid()) return best;
+  WalkRings(
+      query, exclude_id,
+      [&](const Neighbor& cand) {
+        if (cand.distance_m < best.distance_m ||
+            (cand.distance_m == best.distance_m && cand.id < best.id)) {
+          best = cand;
         }
-        for (int32_t slot : CellSlots(CellKey{row, col})) {
-          ++visited;
-          if (ids_[AsIndex(slot)] == exclude_id) continue;
-          double d = HaversineMetersWithCos(points_[AsIndex(slot)], query,
-                                            cos_lat_[AsIndex(slot)], cos_query);
-          if (d < best.distance_m ||
-              (d == best.distance_m && ids_[AsIndex(slot)] < best.id)) {
-            best.id = ids_[AsIndex(slot)];
-            best.distance_m = d;
-          }
-        }
-      }
-    }
-    // Stop when we have a hit and the next ring cannot contain anything
-    // closer: the nearest point in ring r+1 is at least r*cell_m away, with
-    // the cell extent evaluated at the most poleward latitude the next ring
-    // can reach (longitude cells only get narrower toward the poles).
-    if (best.id >= 0 &&
-        best.distance_m <= ring * RingCellExtentMeters(query.lat, ring)) {
-      break;
-    }
-    // Every stored point has been examined — no further ring can help.
-    if (visited >= points_.size()) break;
-    // Far past any sane grid extent (e.g. a degenerate near-pole cell
-    // metric): fall back to an exhaustive scan rather than miss points.
-    if (ring > 1 << 16) {
-      for (size_t slot = 0; slot < points_.size(); ++slot) {
-        if (ids_[slot] == exclude_id) continue;
-        double d = HaversineMetersWithCos(points_[slot], query,
-                                          cos_lat_[slot], cos_query);
-        if (d < best.distance_m ||
-            (d == best.distance_m && ids_[slot] < best.id)) {
-          best.id = ids_[slot];
-          best.distance_m = d;
-        }
-      }
-      break;
-    }
-  }
+      },
+      [&] { return best.distance_m; });
   return best;
 }
 
@@ -173,60 +146,28 @@ std::vector<GridIndex::Neighbor> GridIndex::KNearest(const LatLon& query,
                                                      size_t k,
                                                      int64_t exclude_id) const {
   std::vector<Neighbor> heap;  // max-heap: farthest of the k best at front
-  if (k == 0 || points_.empty()) return heap;
+  if (k == 0 || points_.empty() || !query.IsValid()) return heap;
   heap.reserve(std::min(k, points_.size()) + 1);
   auto closer = [](const Neighbor& x, const Neighbor& y) {
     if (x.distance_m != y.distance_m) return x.distance_m < y.distance_m;
     return x.id < y.id;
   };
-
-  const CellKey origin = KeyFor(query);
-  const double cos_query = std::cos(DegToRad(query.lat));
-  auto consider = [&](int32_t slot) {
-    if (ids_[AsIndex(slot)] == exclude_id) return;
-    Neighbor cand{ids_[AsIndex(slot)],
-                  HaversineMetersWithCos(points_[AsIndex(slot)], query, cos_lat_[AsIndex(slot)],
-                                         cos_query)};
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), closer);
-    } else if (closer(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), closer);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), closer);
-    }
-  };
-  size_t visited = 0;
-  for (int32_t ring = 0;; ++ring) {
-    for (int32_t row = origin.row - ring; row <= origin.row + ring; ++row) {
-      for (int32_t col = origin.col - ring; col <= origin.col + ring; ++col) {
-        if (ring > 0 && std::abs(row - origin.row) != ring &&
-            std::abs(col - origin.col) != ring) {
-          continue;
+  WalkRings(
+      query, exclude_id,
+      [&](const Neighbor& cand) {
+        if (heap.size() < k) {
+          heap.push_back(cand);
+          std::push_heap(heap.begin(), heap.end(), closer);
+        } else if (closer(cand, heap.front())) {
+          std::pop_heap(heap.begin(), heap.end(), closer);
+          heap.back() = cand;
+          std::push_heap(heap.begin(), heap.end(), closer);
         }
-        for (int32_t slot : CellSlots(CellKey{row, col})) {
-          ++visited;
-          consider(slot);
-        }
-      }
-    }
-    // The k-th best is provably closer than anything in ring r+1.
-    if (heap.size() == k &&
-        heap.front().distance_m <= ring * RingCellExtentMeters(query.lat,
-                                                               ring)) {
-      break;
-    }
-    if (visited >= points_.size()) break;
-    if (ring > 1 << 16) {  // degenerate metric: exhaustive fallback
-      // Restart from scratch — the ring scan already pushed some of these
-      // slots, and re-considering them would duplicate ids in the heap.
-      heap.clear();
-      for (size_t slot = 0; slot < points_.size(); ++slot) {
-        consider(static_cast<int32_t>(slot));
-      }
-      break;
-    }
-  }
+      },
+      [&] {
+        return heap.size() == k ? heap.front().distance_m
+                                : std::numeric_limits<double>::infinity();
+      });
   std::sort(heap.begin(), heap.end(), closer);
   return heap;
 }

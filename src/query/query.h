@@ -41,7 +41,7 @@ struct CommunityOfStationResult {
 };
 
 /// \brief The k stations nearest to `station` (itself excluded), through
-/// the snapshot's frozen GridIndex. Requires the snapshot to carry a
+/// the snapshot's shared GridIndex. Requires the snapshot to carry a
 /// station index (engines configured with station_positions).
 struct KNearestStationsQuery {
   int32_t station = 0;

@@ -107,7 +107,7 @@ class QueryService {
     Result<CommunityOfStationResult> CommunityOf(int32_t station) const;
     /// Communities in the epoch's memoized partition.
     Result<size_t> CommunityCount() const;
-    /// The k nearest stations through the snapshot's frozen GridIndex.
+    /// The k nearest stations through the snapshot's shared GridIndex.
     /// FailedPrecondition when the snapshot carries no station index;
     /// InvalidArgument when the index holds no position for `station`.
     Result<KNearestStationsResult> KNearest(int32_t station, size_t k) const;

@@ -48,7 +48,7 @@ struct StreamEngineConfig {
   /// must be at least station_count entries, the first station_count
   /// must be valid coordinates, and exactly those are indexed; later
   /// entries are neither checked nor indexed). Every snapshot then shares
-  /// one frozen GridIndex over them, built once at engine construction.
+  /// one GridIndex over them, built once at engine construction.
   std::vector<geo::LatLon> station_positions;
   /// Out-of-order tolerance: an arriving event may start up to this many
   /// seconds before the watermark (newest start time seen, or the latest

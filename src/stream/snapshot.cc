@@ -35,20 +35,12 @@ double PairWeight(const analysis::StationProfiles& profiles, int32_t u,
 /// Input validation shared by both freeze paths, run before either
 /// reads the window.
 Status ValidateFreezeInputs(size_t station_count,
-                            const analysis::TemporalGraphOptions& projection,
-                            const geo::GridIndex* station_index) {
+                            const analysis::TemporalGraphOptions& projection) {
   // A window past kMaxWindowStations holds no pair triangle to read (the
   // landmark length leaves the station bound as the only rule to fail).
   BIKEGRAPH_RETURN_NOT_OK(CheckWindowOptions({station_count, 0}));
   if (projection.similarity_floor < 0.0 || projection.similarity_floor > 1.0) {
     return Status::InvalidArgument("similarity_floor must be in [0, 1]");
-  }
-  // The snapshot contract is "immutable, share freely across threads";
-  // an unfrozen index would lazily mutate under const queries, so the
-  // frozen invariant is enforced here rather than left to convention.
-  if (station_index != nullptr && !station_index->frozen()) {
-    return Status::InvalidArgument(
-        "station_index must be frozen (see GridIndex::Freeze)");
   }
   return Status::OK();
 }
@@ -65,8 +57,8 @@ Result<WindowSnapshot> FreezeSnapshotImpl(
     const Window& window,
     const analysis::TemporalGraphOptions& projection,
     std::shared_ptr<const geo::GridIndex> station_index) {
-  BIKEGRAPH_RETURN_NOT_OK(ValidateFreezeInputs(
-      window.station_count(), projection, station_index.get()));
+  BIKEGRAPH_RETURN_NOT_OK(
+      ValidateFreezeInputs(window.station_count(), projection));
 
   WindowSnapshot snap;
   snap.window_start = window.window_start();
@@ -130,8 +122,8 @@ Result<WindowSnapshot> FreezeSnapshotDeltaImpl(
   if (!delta_applicable) {
     return FreezeSnapshotImpl(window, projection, std::move(station_index));
   }
-  BIKEGRAPH_RETURN_NOT_OK(ValidateFreezeInputs(
-      window.station_count(), projection, station_index.get()));
+  BIKEGRAPH_RETURN_NOT_OK(
+      ValidateFreezeInputs(window.station_count(), projection));
 
   WindowSnapshot snap;
   snap.window_start = window.window_start();
@@ -219,7 +211,6 @@ std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
   for (size_t s = 0; s < station_positions.size(); ++s) {
     index->Add(static_cast<int64_t>(s), station_positions[s]);
   }
-  index->Freeze();
   return index;
 }
 

@@ -17,7 +17,7 @@
 namespace bikegraph::stream {
 
 /// \brief An immutable, epoch-stamped freeze of one window: the flat CSR
-/// station graph readers query, plus the per-station profiles and a frozen
+/// station graph readers query, plus the per-station profiles and a shared
 /// spatial index over the stations.
 ///
 /// A snapshot never changes after publication, so benches, dashboards and
@@ -44,25 +44,26 @@ struct WindowSnapshot {
   graphdb::WeightedGraph graph;
   /// Per-station day/hour profiles of the window.
   analysis::StationProfiles profiles;
-  /// Frozen (sorted-cell) spatial index over the station positions, or
-  /// nullptr when none were given. Ids are station ids. Station
-  /// positions never change between windows, so consecutive snapshots
-  /// share one immutable index instead of rebuilding it per epoch.
+  /// Spatial index over the station positions, or nullptr when none
+  /// were given. Ids are station ids. Station positions never change
+  /// between windows, so consecutive snapshots share one immutable
+  /// index instead of rebuilding it per epoch.
   std::shared_ptr<const geo::GridIndex> station_index;
 };
 
-/// \brief Builds the frozen station index snapshots share: one entry per
+/// \brief Builds the station index snapshots share: one entry per
 /// station id (positions must cover ids 0..station_count-1). Build once,
-/// hand to every FreezeSnapshot call. Returns nullptr for an empty
-/// positions vector.
+/// hand to every FreezeSnapshot call; its queries are pure reads, so
+/// every reader of every snapshot can share it. Returns nullptr for an
+/// empty positions vector.
 std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
     const std::vector<geo::LatLon>& station_positions);
 
 /// \brief Freezes the live window into an immutable snapshot (epoch 0;
-/// publish it to stamp one). `station_index` (optional, from
-/// BuildFrozenStationIndex; must be frozen, or InvalidArgument) is
-/// shared into the snapshot. Rejects invalid projection options and a
-/// window past kMaxWindowStations (InvalidArgument).
+/// publish it to stamp one). `station_index` (optional, typically from
+/// BuildFrozenStationIndex) is shared into the snapshot. Rejects invalid
+/// projection options and a window past kMaxWindowStations
+/// (InvalidArgument).
 Result<WindowSnapshot> FreezeSnapshot(
     const SlidingWindowGraph& window,
     const analysis::TemporalGraphOptions& projection = {},

@@ -2,12 +2,10 @@
 #include <vector>
 
 #include "core/civil_time.h"
-#include "core/rng.h"
 #include "expansion/candidate.h"
 #include "expansion/final_network.h"
 #include "expansion/pipeline.h"
 #include "expansion/selection.h"
-#include "geo/grid_index.h"
 #include "geo/haversine.h"
 
 #include <gtest/gtest.h>
@@ -316,50 +314,6 @@ TEST(PipelineTest, EndToEndOnFixture) {
   EXPECT_EQ(result->cleaning_report.after.rental_count, 30u);
   EXPECT_EQ(result->final_network.pre_existing_count, 2u);
   EXPECT_EQ(result->final_network.graph.EdgeCount(), 30u);
-}
-
-// The expansion pipeline now freezes its grid indexes at every
-// build/query boundary (Rule-4 fixed-station lookup, the per-round
-// survivor suppression grid, final-network nearest-station
-// reassignment). Query parity between the frozen (sorted-cell) and
-// lazy (hash-bucket) representations is asserted here over randomized
-// station layouts at exactly the pipeline's query shapes: Nearest and
-// sorted WithinRadius. The pipeline-output tests above double as the
-// end-to-end regression lock.
-TEST(GridFreezeParityTest, FrozenIndexAnswersPipelineQueriesIdentically) {
-  Rng rng(20240731);
-  for (const double cell_size_m : {50.0, 120.0, 300.0}) {
-    geo::GridIndex lazy(cell_size_m);
-    geo::GridIndex frozen(cell_size_m);
-    std::vector<LatLon> points;
-    for (int i = 0; i < 400; ++i) {
-      const double range = rng.NextDouble() * 3000.0;
-      const double bearing = rng.NextDouble() * 360.0;
-      points.push_back(Offset(kCenter, range, bearing));
-      lazy.Add(i, points.back());
-      frozen.Add(i, points.back());
-    }
-    frozen.Freeze();
-    ASSERT_TRUE(frozen.frozen());
-    ASSERT_FALSE(lazy.frozen());
-    for (int q = 0; q < 400; ++q) {
-      const LatLon& at = points[AsIndex(q)];
-      // SelectStations' Rule-4 shape: nearest fixed station.
-      const auto near_lazy = lazy.Nearest(at);
-      const auto near_frozen = frozen.Nearest(at);
-      EXPECT_EQ(near_frozen.id, near_lazy.id) << "cell " << cell_size_m;
-      EXPECT_EQ(near_frozen.distance_m, near_lazy.distance_m);
-      // BuildFinalNetwork's shape: nearest excluding the query point.
-      const auto excl_lazy = lazy.Nearest(at, q);
-      const auto excl_frozen = frozen.Nearest(at, q);
-      EXPECT_EQ(excl_frozen.id, excl_lazy.id);
-      EXPECT_EQ(excl_frozen.distance_m, excl_lazy.distance_m);
-      // The suppression round's shape: everything within the secondary
-      // distance (WithinRadius returns sorted ids, so direct equality).
-      EXPECT_EQ(frozen.WithinRadius(at, cell_size_m * 2.5),
-                lazy.WithinRadius(at, cell_size_m * 2.5));
-    }
-  }
 }
 
 }  // namespace

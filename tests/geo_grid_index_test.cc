@@ -19,13 +19,38 @@ TEST(GridIndexTest, EmptyIndexBehaviour) {
   EXPECT_TRUE(index.empty());
   EXPECT_EQ(index.WithinRadius({53.35, -6.26}, 100.0).size(), 0u);
   EXPECT_EQ(index.Nearest({53.35, -6.26}).id, -1);
+  EXPECT_TRUE(index.KNearest({53.35, -6.26}, 3).empty());
 }
 
 TEST(GridIndexTest, RejectsInvalidPoints) {
   GridIndex index;
   EXPECT_FALSE(index.Add(1, LatLon(std::nan(""), 0.0)));
   EXPECT_TRUE(index.Add(2, LatLon(53.35, -6.26)));
-  EXPECT_EQ(index.size(), 1u);
+  EXPECT_TRUE(index.Add(3, LatLon(53.351, -6.26)));
+  EXPECT_EQ(index.size(), 2u);
+
+  // An invalid query point has no neighbour; a NaN radius, like a
+  // negative one, covers nothing.
+  const double nan = std::nan("");
+  for (const LatLon& bad : {LatLon(nan, nan), LatLon(nan, -6.26),
+                            LatLon(53.35, 200.0), LatLon(-91.0, 0.0)}) {
+    const auto nearest = index.Nearest(bad);
+    EXPECT_EQ(nearest.id, -1);
+    EXPECT_EQ(nearest.distance_m, std::numeric_limits<double>::infinity());
+    EXPECT_TRUE(index.KNearest(bad, 3).empty());
+    EXPECT_TRUE(index.WithinRadius(bad, 1000.0).empty());
+    int visits = 0;
+    index.ForEachWithinRadius(bad, 1000.0, [&](int64_t, double) { ++visits; });
+    EXPECT_EQ(visits, 0);
+  }
+  int visits = 0;
+  index.ForEachWithinRadius({53.35, -6.26}, nan,
+                            [&](int64_t, double) { ++visits; });
+  index.ForEachPairWithinRadius(nan, [&](int64_t, int64_t, double) {
+    ++visits;
+  });
+  EXPECT_EQ(visits, 0);
+  EXPECT_TRUE(index.WithinRadius({53.35, -6.26}, nan).empty());
 }
 
 TEST(GridIndexTest, WithinRadiusExactBoundary) {
@@ -56,6 +81,11 @@ TEST(GridIndexTest, NearestWithExclusion) {
   index.Add(2, Offset(center, 80.0, 45.0));
   EXPECT_EQ(index.Nearest(center).id, 1);
   EXPECT_EQ(index.Nearest(center, /*exclude_id=*/1).id, 2);
+
+  // A point added after a query is seen by the next one.
+  index.Add(3, Offset(center, 10.0, 90.0));
+  EXPECT_EQ(index.Nearest(center, /*exclude_id=*/1).id, 3);
+  EXPECT_EQ(index.WithinRadius(center, 50.0), (std::vector<int64_t>{1, 3}));
 }
 
 TEST(GridIndexTest, NearestAcrossManyCells) {
@@ -66,6 +96,56 @@ TEST(GridIndexTest, NearestAcrossManyCells) {
   auto nearest = index.Nearest(center);
   EXPECT_EQ(nearest.id, 7);
   EXPECT_NEAR(nearest.distance_m, 4000.0, 2.0);
+}
+
+// Brute-force reference for Nearest/KNearest: every stored point by
+// (distance, id), `exclude` skipped, the first k kept.
+std::vector<GridIndex::Neighbor> BruteKNearest(
+    const std::vector<LatLon>& points, const LatLon& q, size_t k,
+    int64_t exclude = -1) {
+  std::vector<GridIndex::Neighbor> all;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (static_cast<int64_t>(i) == exclude) continue;
+    all.push_back({static_cast<int64_t>(i), HaversineMeters(points[i], q)});
+  }
+  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.distance_m, x.id) < std::tie(y.distance_m, y.id);
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameNeighbors(const std::vector<GridIndex::Neighbor>& got,
+                         const std::vector<GridIndex::Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_NEAR(got[i].distance_m, want[i].distance_m, 1e-6) << "rank " << i;
+  }
+}
+
+TEST(GridIndexTest, FarQueryPointsMatchBruteForce) {
+  // The ring search starts at the first ring that reaches the stored
+  // cells and stops once a ring covers them, so a query hundreds or
+  // thousands of kilometres away costs a few rings, not one per cell of
+  // distance.
+  GridIndex index(100.0);
+  const LatLon center(53.35, -6.26);
+  const std::vector<LatLon> points = {center, Offset(center, 250.0, 40.0),
+                                      Offset(center, 900.0, 200.0)};
+  for (size_t i = 0; i < points.size(); ++i) {
+    index.Add(static_cast<int64_t>(i), points[i]);
+  }
+  for (const LatLon& far : {Offset(center, 370000.0, 120.0),
+                            Offset(center, 17000000.0, 95.0)}) {
+    const auto want = BruteKNearest(points, far, 3);
+    const auto nearest = index.Nearest(far);
+    EXPECT_EQ(nearest.id, want[0].id);
+    EXPECT_NEAR(nearest.distance_m, want[0].distance_m, 1e-6);
+    ExpectSameNeighbors(index.KNearest(far, 3), want);
+    ExpectSameNeighbors(index.KNearest(far, 2, /*exclude_id=*/want[0].id),
+                        BruteKNearest(points, far, 2, want[0].id));
+  }
 }
 
 TEST(GridIndexTest, KNearestOrdering) {
@@ -96,8 +176,11 @@ TEST(GridIndexTest, PointOfReturnsStoredCoordinate) {
   EXPECT_TRUE(std::isnan(index.PointOf(99).lat));
 }
 
-// Property test: grid results match a brute-force scan for random points
-// and radii (various cell sizes).
+using PairSet = std::set<std::tuple<int64_t, int64_t>>;
+
+// Property test: every query matches a brute-force scan for random
+// points, radii and query points, inside and outside the data's extent
+// (various cell sizes).
 class GridIndexPropertyTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(GridIndexPropertyTest, MatchesBruteForce) {
@@ -112,121 +195,56 @@ TEST_P(GridIndexPropertyTest, MatchesBruteForce) {
     points.push_back(p);
     index.Add(i, p);
   }
-  for (int trial = 0; trial < 20; ++trial) {
-    LatLon q = Offset(center, rng.NextUniform(0.0, 1500.0),
-                      rng.NextUniform(0.0, 360.0));
+  for (int trial = 0; trial < 40; ++trial) {
+    // Every fourth query lies outside the 2 km disc holding the data.
+    const double range = trial % 4 == 3 ? rng.NextUniform(2500.0, 20000.0)
+                                        : rng.NextUniform(0.0, 1500.0);
+    LatLon q = Offset(center, range, rng.NextUniform(0.0, 360.0));
     double radius = rng.NextUniform(10.0, 800.0);
 
     std::vector<int64_t> expected;
-    int64_t best_id = -1;
-    double best_dist = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < points.size(); ++i) {
-      double d = HaversineMeters(points[i], q);
-      if (d <= radius) expected.push_back(static_cast<int64_t>(i));
-      if (d < best_dist ||
-          (d == best_dist && static_cast<int64_t>(i) < best_id)) {
-        best_dist = d;
-        best_id = static_cast<int64_t>(i);
+      if (HaversineMeters(points[i], q) <= radius) {
+        expected.push_back(static_cast<int64_t>(i));
       }
     }
-    std::sort(expected.begin(), expected.end());
-
     EXPECT_EQ(index.WithinRadius(q, radius), expected);
+
+    const auto best = BruteKNearest(points, q, 1);
     auto nearest = index.Nearest(q);
-    EXPECT_EQ(nearest.id, best_id);
-    EXPECT_NEAR(nearest.distance_m, best_dist, 1e-9);
+    EXPECT_EQ(nearest.id, best[0].id);
+    EXPECT_NEAR(nearest.distance_m, best[0].distance_m, 1e-9);
+    const int64_t exclude = best[0].id;
+    const auto second = BruteKNearest(points, q, 1, exclude);
+    const auto excluded = index.Nearest(q, exclude);
+    EXPECT_EQ(excluded.id, second[0].id);
+    EXPECT_NEAR(excluded.distance_m, second[0].distance_m, 1e-9);
+    for (size_t k : {size_t{1}, size_t{3}, size_t{7}}) {
+      ExpectSameNeighbors(index.KNearest(q, k), BruteKNearest(points, q, k));
+      ExpectSameNeighbors(index.KNearest(q, k, exclude),
+                          BruteKNearest(points, q, k, exclude));
+    }
+  }
+
+  for (double radius : {cell_size * 0.6, 60.0, 200.0}) {
+    PairSet got;
+    index.ForEachPairWithinRadius(radius, [&](int64_t a, int64_t b, double) {
+      EXPECT_TRUE(got.insert({std::min(a, b), std::max(a, b)}).second);
+    });
+    PairSet want;
+    for (size_t i = 0; i < points.size(); ++i) {
+      for (size_t j = i + 1; j < points.size(); ++j) {
+        if (HaversineMeters(points[i], points[j]) <= radius) {
+          want.insert({static_cast<int64_t>(i), static_cast<int64_t>(j)});
+        }
+      }
+    }
+    EXPECT_EQ(got, want) << "radius " << radius;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(CellSizes, GridIndexPropertyTest,
                          ::testing::Values(25.0, 100.0, 400.0, 2000.0));
-
-// ---------------------------------------------------------------------------
-// Freeze(): the sorted-cell build-once/query-many mode must answer every
-// query identically to the lazy-hash representation.
-// ---------------------------------------------------------------------------
-
-using PairSet = std::set<std::tuple<int64_t, int64_t>>;
-
-PairSet CollectPairs(const GridIndex& index, double radius) {
-  PairSet pairs;
-  index.ForEachPairWithinRadius(radius, [&](int64_t a, int64_t b, double) {
-    pairs.insert({std::min(a, b), std::max(a, b)});
-  });
-  return pairs;
-}
-
-TEST(GridIndexFreezeTest, FrozenQueriesMatchUnfrozen) {
-  const LatLon center(53.35, -6.26);
-  Rng rng(123);
-  GridIndex lazy(80.0);
-  GridIndex frozen(80.0);
-  for (int i = 0; i < 400; ++i) {
-    LatLon p = Offset(center, rng.NextUniform(0.0, 1500.0),
-                      rng.NextUniform(0.0, 360.0));
-    lazy.Add(i, p);
-    frozen.Add(i, p);
-  }
-  frozen.Freeze();
-  EXPECT_TRUE(frozen.frozen());
-  EXPECT_FALSE(lazy.frozen());
-
-  for (int trial = 0; trial < 15; ++trial) {
-    LatLon q = Offset(center, rng.NextUniform(0.0, 1200.0),
-                      rng.NextUniform(0.0, 360.0));
-    const double radius = rng.NextUniform(20.0, 600.0);
-    EXPECT_EQ(frozen.WithinRadius(q, radius), lazy.WithinRadius(q, radius));
-    auto nf = frozen.Nearest(q);
-    auto nl = lazy.Nearest(q);
-    EXPECT_EQ(nf.id, nl.id);
-    EXPECT_EQ(nf.distance_m, nl.distance_m);
-    auto kf = frozen.KNearest(q, 7);
-    auto kl = lazy.KNearest(q, 7);
-    ASSERT_EQ(kf.size(), kl.size());
-    for (size_t i = 0; i < kf.size(); ++i) {
-      EXPECT_EQ(kf[i].id, kl[i].id);
-      EXPECT_EQ(kf[i].distance_m, kl[i].distance_m);
-    }
-  }
-  // The all-pairs sweep enumerates the same pair set.
-  for (double radius : {60.0, 200.0}) {
-    EXPECT_EQ(CollectPairs(frozen, radius), CollectPairs(lazy, radius));
-  }
-  EXPECT_EQ(frozen.PointOf(17).lat, lazy.PointOf(17).lat);
-}
-
-TEST(GridIndexFreezeTest, AddAfterFreezeThaws) {
-  const LatLon center(53.35, -6.26);
-  GridIndex index(100.0);
-  index.Add(0, center);
-  index.Add(1, Offset(center, 120.0, 90.0));
-  index.Freeze();
-  ASSERT_TRUE(index.frozen());
-  EXPECT_EQ(index.WithinRadius(center, 50.0).size(), 1u);
-
-  // Adding thaws; queries see old and new points.
-  EXPECT_TRUE(index.Add(2, Offset(center, 30.0, 0.0)));
-  EXPECT_FALSE(index.frozen());
-  EXPECT_EQ(index.WithinRadius(center, 50.0).size(), 2u);
-  EXPECT_EQ(index.WithinRadius(center, 200.0),
-            (std::vector<int64_t>{0, 1, 2}));
-
-  // Re-freezing works and stays consistent.
-  index.Freeze();
-  EXPECT_EQ(index.WithinRadius(center, 200.0),
-            (std::vector<int64_t>{0, 1, 2}));
-  auto n = index.Nearest(center, /*exclude_id=*/0);
-  EXPECT_EQ(n.id, 2);
-}
-
-TEST(GridIndexFreezeTest, FreezeEmptyAndIdempotent) {
-  GridIndex index;
-  index.Freeze();
-  index.Freeze();
-  EXPECT_TRUE(index.frozen());
-  EXPECT_EQ(index.Nearest({53.35, -6.26}).id, -1);
-  EXPECT_EQ(index.WithinRadius({53.35, -6.26}, 500.0).size(), 0u);
-}
 
 }  // namespace
 }  // namespace bikegraph::geo

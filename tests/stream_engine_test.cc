@@ -433,7 +433,7 @@ TEST(StreamEngineTest, SnapshotCarriesFrozenStationIndex) {
   auto nearest = (*snap)->station_index->Nearest(geo::LatLon(53.351, -6.261));
   EXPECT_EQ(nearest.id, 0);
 
-  // Consecutive snapshots share the one frozen index (stations don't
+  // Consecutive snapshots share the one station index (stations don't
   // move between windows).
   e.from_station = 1;
   e.to_station = 2;

@@ -33,11 +33,11 @@
 #   tools/ci.sh --sanitize-matrix -R stream         # explicit subset
 #
 # Bench smoke (the flag must come first): after the test pass, run every
-# bench_stream_* / bench_query_* binary once with a minimal measuring
-# budget — a cheap
-# crash/assert canary for the benchmark code itself (it measures nothing
-# meaningful; use tools/run_benches.sh + tools/bench_diff.py to track
-# performance).
+# bench_perf_* / bench_stream_* / bench_query_* binary (the set
+# tools/run_benches.sh records) once with a minimal measuring budget — a
+# cheap crash/assert canary for the benchmark code itself (it measures
+# nothing meaningful; use tools/run_benches.sh + tools/bench_diff.py to
+# track performance).
 #
 #   tools/ci.sh --bench-smoke
 #
@@ -176,17 +176,18 @@ else
 fi
 
 if [ "$BENCH_SMOKE" = 1 ]; then
-  echo ">>> bench smoke: one minimal pass over the stream/query benches"
+  echo ">>> bench smoke: one minimal pass over the perf/stream/query benches"
   found=0
-  for bin in "$BUILD_DIR"/bench_stream_* "$BUILD_DIR"/bench_query_*; do
+  for bin in "$BUILD_DIR"/bench_perf_* "$BUILD_DIR"/bench_stream_* \
+             "$BUILD_DIR"/bench_query_*; do
     [ -x "$bin" ] || continue
     found=1
     echo ">>> $(basename "$bin")"
     "$bin" --benchmark_min_time=0.01 >/dev/null
   done
   if [ "$found" = 0 ]; then
-    echo "no bench_stream_*/bench_query_* binaries in $BUILD_DIR" \
-         "(benches disabled?)" >&2
+    echo "no bench_perf_*/bench_stream_*/bench_query_* binaries in" \
+         "$BUILD_DIR (benches disabled?)" >&2
     exit 1
   fi
 fi

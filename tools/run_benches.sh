@@ -93,6 +93,10 @@ build_context = {
                  else bool(changes),
 }
 
+# google-benchmark reports each row's times in its declared time_unit
+# (->Unit(...)); the stored keys are nanoseconds.
+NS_PER_UNIT = {"ns": 1, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 merged = {"schema": 1, "benches": {}}
 for path in inputs:
     with open(path) as f:
@@ -110,9 +114,10 @@ for path in inputs:
     for b in data.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        scale = NS_PER_UNIT[b.get("time_unit", "ns")]
         bench[b["name"]] = {
-            "real_time_ns": b["real_time"],
-            "cpu_time_ns": b["cpu_time"],
+            "real_time_ns": b["real_time"] * scale,
+            "cpu_time_ns": b["cpu_time"] * scale,
             "iterations": b["iterations"],
         }
         if "items_per_second" in b:
