@@ -53,35 +53,33 @@ struct EngineCheckpoint {
   /// desync-forces-full-freeze rule).
   uint64_t desyncs_published = 0;
 
-  ReorderBufferState reorder;
-  WindowGraphState window;
   TrackerState tracker;
 
-  /// Sharding extension (appended to the payload, after the blocks
-  /// above, so a single-shard checkpoint's prefix is unchanged).
-  /// `shard_count` joins the config fingerprint: Recover() refuses a
-  /// checkpoint whose shard layout disagrees with the engine's, because
-  /// per-shard state cannot be re-partitioned on load.
-  uint64_t shard_count = 1;
-  /// Per-shard applied-command counters (the shards' private sequence
-  /// spaces; size == shard_count). Shard 0's reorder/window state lives
-  /// in the legacy `reorder`/`window` fields above.
-  std::vector<uint64_t> shard_seqs;
-  /// Reorder + window state for shards 1..shard_count-1, in shard
-  /// order (size == shard_count - 1; empty for a single-shard engine).
-  struct ShardComponents {
+  /// One shard's vertical: its applied-command counter (the shard's
+  /// private sequence space), reorder buffer and window graph.
+  struct Shard {
+    uint64_t applied = 0;
     ReorderBufferState reorder;
     WindowGraphState window;
   };
-  std::vector<ShardComponents> extra_shards;
+  /// Every shard, in shard order; never empty (a single-writer engine has
+  /// one). Its size joins the config fingerprint: Recover() refuses a
+  /// checkpoint whose shard count differs from the engine's, because
+  /// per-shard state cannot be re-partitioned on load.
+  std::vector<Shard> shards = std::vector<Shard>(1);
 };
 
-/// \brief Serializes a checkpoint to its on-disk payload (no framing).
-/// Deterministic: two equal states serialize to equal bytes, which is
-/// what the recovery lock tests compare.
+/// \brief Serializes a checkpoint to its on-disk payload (no framing),
+/// laid out by the one field list in stream/durable_file.h that
+/// ParseCheckpoint reads back. Deterministic: two equal states serialize
+/// to equal bytes, which is what the recovery lock tests compare.
 std::string SerializeCheckpoint(const EngineCheckpoint& checkpoint);
 
-/// \brief Inverse of SerializeCheckpoint; DataLoss on malformed bytes.
+/// \brief Inverse of SerializeCheckpoint. DataLoss on any bytes it would
+/// not write: a short or overlong payload, a bool byte other than 0 or 1,
+/// or a count claiming more elements than the bytes left could encode. So
+/// every payload that parses re-serializes to the same bytes, and no
+/// count makes a parse allocate more than a few times its input.
 [[nodiscard]] Result<EngineCheckpoint> ParseCheckpoint(
     const std::string& bytes);
 

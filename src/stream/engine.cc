@@ -924,17 +924,12 @@ EngineCheckpoint StreamEngine::CaptureState() const {
   c.delta_freeze_count = delta_freeze_count_.load(std::memory_order_relaxed);
   c.full_freeze_count = full_freeze_count_.load(std::memory_order_relaxed);
   c.desyncs_published = desyncs_at_last_freeze_;
-  c.reorder = shards_[0]->reorder.ExportState();
-  c.window = shards_[0]->window.ExportState();
   c.tracker = tracker_.ExportState();
-  c.shard_count = shards_.size();
-  c.shard_seqs.reserve(shards_.size());
-  for (const auto& shard : shards_) c.shard_seqs.push_back(shard->applied);
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    EngineCheckpoint::ShardComponents components;
-    components.reorder = shards_[i]->reorder.ExportState();
-    components.window = shards_[i]->window.ExportState();
-    c.extra_shards.push_back(std::move(components));
+  c.shards.resize(shards_.size());
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    c.shards[i].applied = shards_[i]->applied;
+    c.shards[i].reorder = shards_[i]->reorder.ExportState();
+    c.shards[i].window = shards_[i]->window.ExportState();
   }
   return c;
 }
@@ -985,19 +980,11 @@ Status StreamEngine::Checkpoint() {
 
 Status StreamEngine::RestoreFromCheckpoint(
     const EngineCheckpoint& checkpoint) {
-  BIKEGRAPH_RETURN_NOT_OK(
-      shards_[0]->reorder.RestoreState(checkpoint.reorder));
-  BIKEGRAPH_RETURN_NOT_OK(shards_[0]->window.RestoreState(checkpoint.window));
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    if (i - 1 >= checkpoint.extra_shards.size()) break;
-    const EngineCheckpoint::ShardComponents& extra =
-        checkpoint.extra_shards[i - 1];
-    BIKEGRAPH_RETURN_NOT_OK(shards_[i]->reorder.RestoreState(extra.reorder));
-    BIKEGRAPH_RETURN_NOT_OK(shards_[i]->window.RestoreState(extra.window));
-  }
   for (size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->applied =
-        i < checkpoint.shard_seqs.size() ? checkpoint.shard_seqs[i] : 0;
+    const EngineCheckpoint::Shard& saved = checkpoint.shards[i];
+    BIKEGRAPH_RETURN_NOT_OK(shards_[i]->reorder.RestoreState(saved.reorder));
+    BIKEGRAPH_RETURN_NOT_OK(shards_[i]->window.RestoreState(saved.window));
+    shards_[i]->applied = saved.applied;
   }
   // The stream-wide watermark is held by whichever shard owned the last
   // raising event (every other shard is at or below it), so the max
@@ -1099,7 +1086,7 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
             static_cast<uint8_t>(engine->config_.late_policy) ||
         c.suppress_duplicates !=
             (engine->config_.suppress_duplicate_rentals ? 1 : 0) ||
-        c.shard_count != static_cast<uint64_t>(engine->shards_.size())) {
+        c.shards.size() != engine->shards_.size()) {
       return Status::FailedPrecondition(
           "checkpoint '" + loaded.path +
           "' was written under a different engine config (station count, "

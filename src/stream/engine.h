@@ -437,7 +437,8 @@ class StreamEngine {
   /// flushed check, the config check, then the endpoint range.
   Status AdmitEvent(const TripEvent& event) const;
 
-  /// Restores the complete logical state from a parsed checkpoint.
+  /// Restores the complete logical state from a parsed checkpoint with
+  /// one entry in `shards` per shard (Recover checks the count).
   Status RestoreFromCheckpoint(const EngineCheckpoint& checkpoint);
 
   // The public entry points log intent, then call these; WAL replay

@@ -44,6 +44,11 @@ void StoreU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
+/// What a RetryUnderPolicy attempt returns, other than an errno: done,
+/// or progress made and another call needed (after a short write).
+constexpr int kDone = -1;
+constexpr int kProgress = -2;
+
 /// EAGAIN/EWOULDBLOCK and ENOSPC earn backed-off retries (FaultPolicy);
 /// EINTR is handled separately (free), everything else is permanent.
 bool IsTransientErrno(int err) {
@@ -54,105 +59,11 @@ bool IsTransientErrno(int err) {
   return false;
 }
 
-void EncodeSpec(const community::DetectSpec& spec, std::string* out) {
-  wire::PutI32(out, static_cast<int32_t>(spec.algorithm));
-  wire::PutU64(out, spec.options.seed);
-  wire::PutDouble(out, spec.options.resolution);
-  const auto put_opt_i32 = [out](const std::optional<int>& v) {
-    wire::PutU8(out, v.has_value() ? 1 : 0);
-    wire::PutI32(out, v.value_or(0));
-  };
-  const auto put_opt_double = [out](const std::optional<double>& v) {
-    wire::PutU8(out, v.has_value() ? 1 : 0);
-    wire::PutDouble(out, v.value_or(0.0));
-  };
-  put_opt_i32(spec.options.max_levels);
-  put_opt_i32(spec.options.max_sweeps_per_level);
-  put_opt_i32(spec.options.max_iterations);
-  wire::PutU64(out, spec.options.max_merges);
-  put_opt_double(spec.options.min_gain);
-  put_opt_double(spec.options.min_improvement);
-}
-
-void DecodeSpec(wire::Cursor* in, community::DetectSpec* spec) {
-  spec->algorithm = static_cast<community::AlgorithmId>(in->I32());
-  spec->options.seed = in->U64();
-  spec->options.resolution = in->Double();
-  const auto get_opt_i32 = [in](std::optional<int>* v) {
-    const bool has = in->U8() != 0;
-    const int32_t value = in->I32();
-    if (has) *v = value;
-  };
-  const auto get_opt_double = [in](std::optional<double>* v) {
-    const bool has = in->U8() != 0;
-    const double value = in->Double();
-    if (has) *v = value;
-  };
-  get_opt_i32(&spec->options.max_levels);
-  get_opt_i32(&spec->options.max_sweeps_per_level);
-  get_opt_i32(&spec->options.max_iterations);
-  spec->options.max_merges = in->U64();
-  get_opt_double(&spec->options.min_gain);
-  get_opt_double(&spec->options.min_improvement);
-}
-
-void EncodePayload(const WalRecord& record, std::string* out) {
-  wire::PutU8(out, static_cast<uint8_t>(record.type));
-  switch (record.type) {
-    case WalRecordType::kEvent:
-      wire::PutI64(out, record.event.rental_id);
-      wire::PutI32(out, record.event.from_station);
-      wire::PutI32(out, record.event.to_station);
-      wire::PutI64(out, record.event.start_time.seconds_since_epoch());
-      wire::PutI64(out, record.event.end_time.seconds_since_epoch());
-      break;
-    case WalRecordType::kAdvance:
-      wire::PutI64(out, record.watermark_seconds);
-      break;
-    case WalRecordType::kFlush:
-    case WalRecordType::kSnapshot:
-      break;
-    case WalRecordType::kDetect:
-      wire::PutU8(out, record.default_spec ? 1 : 0);
-      if (!record.default_spec) EncodeSpec(record.spec, out);
-      break;
-  }
-}
-
-/// False on any structural problem (unknown type, short or oversized
-/// payload) — the caller treats that like a CRC failure.
-bool DecodePayload(const void* data, size_t size, WalRecord* record) {
-  wire::Cursor in(data, size);
-  const auto type = static_cast<WalRecordType>(in.U8());
-  record->type = type;
-  switch (type) {
-    case WalRecordType::kEvent:
-      record->event.rental_id = in.I64();
-      record->event.from_station = in.I32();
-      record->event.to_station = in.I32();
-      record->event.start_time = CivilTime(in.I64());
-      record->event.end_time = CivilTime(in.I64());
-      break;
-    case WalRecordType::kAdvance:
-      record->watermark_seconds = in.I64();
-      break;
-    case WalRecordType::kFlush:
-    case WalRecordType::kSnapshot:
-      break;
-    case WalRecordType::kDetect:
-      record->default_spec = in.U8() != 0;
-      if (!record->default_spec) DecodeSpec(&in, &record->spec);
-      break;
-    default:
-      return false;
-  }
-  return in.ok && in.remaining == 0;
-}
-
 std::string EncodeSegmentHeader(uint64_t first_seq) {
   std::string header(kSegmentMagic, sizeof(kSegmentMagic));
-  wire::PutU64(&header, first_seq);
-  wire::PutU32(&header, Crc32c(header.data(), header.size()));
+  internal::Writer fields(&header);
+  fields.U64(first_seq);
+  fields.U32(Crc32c(header.data(), header.size()));
   return header;
 }
 
@@ -163,9 +74,11 @@ bool DecodeSegmentHeader(const std::string& bytes, uint64_t* first_seq) {
   if (std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     return false;
   }
-  wire::Cursor in(bytes.data() + 8, kSegmentHeaderBytes - 8);
-  const uint64_t seq = in.U64();
-  const uint32_t crc = in.U32();
+  internal::Reader in(bytes.data() + 8, kSegmentHeaderBytes - 8);
+  uint64_t seq = 0;
+  uint32_t crc = 0;
+  in.U64(seq);
+  in.U32(crc);
   if (crc != Crc32c(bytes.data(), 16)) return false;
   *first_seq = seq;
   return true;
@@ -264,60 +177,60 @@ WalWriter::~WalWriter() {
   }
 }
 
-bool WalWriter::GrantDelayedRetry(uint32_t* delayed_left,
-                                  int64_t* backoff_ms) {
-  if (*delayed_left == 0) return false;
-  --*delayed_left;
-  ++retry_count_;
-  env_->SleepMs(*backoff_ms);
-  const int64_t cap = std::max<int64_t>(config_.faults.backoff_max_ms, 1);
-  *backoff_ms = std::min<int64_t>(*backoff_ms * 2, cap);
-  return true;
-}
-
-void WalWriter::TryEnospcSelfHeal() {
-  ++enospc_prune_count_;
-  // Prune what Checkpoint() would. Errors are deliberately swallowed:
-  // the retried write reports the truth either way, and a prune that
-  // freed nothing just means the retry fails too.
-  const uint64_t through =
-      WalPruneBound(config_.directory, config_.checkpoints_kept);
-  uint64_t pruned = 0;
-  (void)PruneWalSegments(config_.directory, through, &pruned, env_);
-}
-
-Status WalWriter::OpenSegment(uint64_t first_seq) {
-  const std::string path =
-      (fs::path(config_.directory) / kSegmentFile.Format(first_seq)).string();
+template <typename Attempt>
+Status WalWriter::RetryUnderPolicy(const char* what, const std::string& path,
+                                   Attempt attempt) {
   uint32_t delayed_left = config_.faults.max_retries;
   int64_t backoff_ms =
       std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
   bool had_transient = false;
   bool self_healed = false;
   for (;;) {
-    fd_ = env_->Open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-    if (fd_ >= 0) break;
-    const int err = errno;
+    const int err = attempt();
+    if (err == kDone) break;
+    if (err == kProgress) continue;
     if (err == EINTR) {
       had_transient = true;
       continue;
     }
     if (err == ENOSPC && !self_healed) {
+      // Prune what Checkpoint() would, then one free retry. Errors are
+      // deliberately swallowed: the retry reports the truth either way,
+      // and a prune that freed nothing just means it fails too.
       self_healed = true;
       had_transient = true;
-      TryEnospcSelfHeal();
-      continue;  // one free retry right after the prune
+      ++enospc_prune_count_;
+      uint64_t pruned = 0;
+      (void)PruneWalSegments(
+          config_.directory,
+          WalPruneBound(config_.directory, config_.checkpoints_kept),
+          &pruned, env_);
+      continue;
     }
-    if (IsTransientErrno(err) &&
-        GrantDelayedRetry(&delayed_left, &backoff_ms)) {
+    if (IsTransientErrno(err) && delayed_left > 0) {
+      --delayed_left;
+      ++retry_count_;
       had_transient = true;
+      env_->SleepMs(backoff_ms);
+      backoff_ms = std::min<int64_t>(
+          backoff_ms * 2, std::max<int64_t>(config_.faults.backoff_max_ms, 1));
       continue;
     }
     errno = err;
-    poisoned_ = IOError("create segment", path);
+    poisoned_ = IOError(what, path);
     return poisoned_;
   }
   if (had_transient) ++transient_recovered_count_;
+  return Status::OK();
+}
+
+Status WalWriter::OpenSegment(uint64_t first_seq) {
+  const std::string path =
+      (fs::path(config_.directory) / kSegmentFile.Format(first_seq)).string();
+  BIKEGRAPH_RETURN_NOT_OK(RetryUnderPolicy("create segment", path, [&] {
+    fd_ = env_->Open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    return fd_ >= 0 ? kDone : errno;
+  }));
   // Appended, not assigned: the buffer keeps the capacity it grew to, so
   // a rotation costs no regrowth.
   buffer_.clear();
@@ -338,41 +251,19 @@ Status WalWriter::WriteBuffer() {
   if (buffer_.empty()) return Status::OK();
   const char* p = buffer_.data();
   size_t left = buffer_.size();
-  uint32_t delayed_left = config_.faults.max_retries;
-  int64_t backoff_ms =
-      std::max<int64_t>(config_.faults.backoff_initial_ms, 1);
-  bool had_transient = false;
-  bool self_healed = false;
-  while (left > 0) {
-    const int64_t n = env_->Write(fd_, p, left);
-    if (n > 0) {
-      p += n;  // short writes are legal; keep going
-      left -= static_cast<size_t>(n);
-      continue;
-    }
-    // write() returning 0 for a nonzero count is a zero-progress oddity;
-    // treat it like EAGAIN so it gets the bounded-retry path, not a spin.
-    const int err = n < 0 ? errno : EAGAIN;
-    if (err == EINTR) {
-      had_transient = true;
-      continue;
-    }
-    if (err == ENOSPC && !self_healed) {
-      self_healed = true;
-      had_transient = true;
-      TryEnospcSelfHeal();
-      continue;  // one free retry right after the prune
-    }
-    if (IsTransientErrno(err) &&
-        GrantDelayedRetry(&delayed_left, &backoff_ms)) {
-      had_transient = true;
-      continue;
-    }
-    errno = err;
-    poisoned_ = IOError("write WAL segment", config_.directory);
-    return poisoned_;
-  }
-  if (had_transient) ++transient_recovered_count_;
+  BIKEGRAPH_RETURN_NOT_OK(
+      RetryUnderPolicy("write WAL segment", config_.directory, [&] {
+        const int64_t n = env_->Write(fd_, p, left);
+        if (n > 0) {
+          p += n;  // short writes are legal; keep going
+          left -= static_cast<size_t>(n);
+          return left == 0 ? kDone : kProgress;
+        }
+        // write() returning 0 for a nonzero count is a zero-progress
+        // oddity; treat it like EAGAIN so it gets the bounded-retry path,
+        // not a spin.
+        return n < 0 ? errno : EAGAIN;
+      }));
   buffer_.clear();
   return Status::OK();
 }
@@ -390,7 +281,15 @@ Status WalWriter::Append(const WalRecord& record) {
   // header, then patch the header in place: no per-record allocation.
   const size_t frame = buffer_.size();
   buffer_.append(kFrameHeaderBytes, '\0');
-  EncodePayload(record, &buffer_);
+  internal::Writer payload(&buffer_);
+  internal::PayloadFields(payload, record);
+  if (!payload.ok()) {
+    buffer_.resize(frame);
+    return Status::InvalidArgument(
+        "WAL record type " +
+        std::to_string(static_cast<unsigned>(record.type)) +
+        " has no encoding");
+  }
   const size_t payload_bytes = buffer_.size() - frame - kFrameHeaderBytes;
   char* header = buffer_.data() + frame;
   StoreU32(header, static_cast<uint32_t>(payload_bytes));
@@ -529,16 +428,23 @@ Result<WalReadResult> ReadWal(const std::string& directory,
       uint32_t crc = 0;
       WalRecord record;
       if (valid) {
-        wire::Cursor frame(bytes.data() + offset, kFrameHeaderBytes);
-        len = frame.U32();
-        crc = frame.U32();
+        internal::Reader frame(bytes.data() + offset, kFrameHeaderBytes);
+        frame.U32(len);
+        frame.U32(crc);
         valid = len <= kMaxPayloadBytes &&
                 bytes.size() - offset - kFrameHeaderBytes >= len;
       }
       if (valid) {
         const char* payload = bytes.data() + offset + kFrameHeaderBytes;
-        valid = Crc32c(payload, len) == crc &&
-                DecodePayload(payload, len, &record);
+        valid = Crc32c(payload, len) == crc;
+        if (valid) {
+          // A payload the field list refuses (an unknown type, a short or
+          // overlong body, a byte the writer never writes) counts as a
+          // CRC failure.
+          internal::Reader fields(payload, len);
+          internal::PayloadFields(fields, record);
+          valid = fields.done();
+        }
       }
       if (!valid) {
         if (!is_tail) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -106,7 +105,9 @@ enum class WalRecordType : uint8_t {
 };
 
 /// \brief One log record. Only the fields of the active `type` are
-/// meaningful (and serialized).
+/// meaningful, and only they are stored: the payload is the type byte,
+/// then the field list PayloadFields (stream/durable_file.h) gives that
+/// type, which WalWriter encodes and ReadWal decodes.
 struct WalRecord {
   WalRecordType type = WalRecordType::kEvent;
   TripEvent event{};                      // kEvent
@@ -142,6 +143,9 @@ class WalWriter {
   /// Buffers one record (sequence number `next_seq()`), writing through
   /// and group-fsyncing per the config. An I/O error poisons the writer:
   /// every later call returns the same error (the log tail is suspect).
+  /// A record of a type ReadWal could not decode is refused with
+  /// InvalidArgument before any byte of it is buffered: its sequence
+  /// number is not spent and the writer is not poisoned.
   [[nodiscard]] Status Append(const WalRecord& record);
 
   /// Writes the buffer through and fsyncs — after this every appended
@@ -179,13 +183,16 @@ class WalWriter {
   /// poisons the writer.
   Status OpenSegment(uint64_t first_seq);
   Status WriteBuffer();
-  /// One-per-call retry budget: decides whether a transient failure gets
-  /// another attempt, sleeping the capped-exponential backoff through
-  /// the environment clock when it does.
-  bool GrantDelayedRetry(uint32_t* delayed_left, int64_t* backoff_ms);
-  /// First-ENOSPC self-heal: prune the WAL segments Checkpoint() would
-  /// (through WalPruneBound), hoping to free enough space to retry.
-  void TryEnospcSelfHeal();
+  /// Calls `attempt` until it returns done, under the FaultPolicy: EINTR
+  /// (or progress made) is retried at once and for free; the first
+  /// ENOSPC after a self-heal prune of the segments Checkpoint() would
+  /// prune; other transient errnos after a capped-exponential backoff
+  /// sleep on the environment clock, while `max_retries` lasts. Any other
+  /// errno, or an exhausted budget, poisons the writer with
+  /// IOError "<what> '<path>'".
+  template <typename Attempt>
+  Status RetryUnderPolicy(const char* what, const std::string& path,
+                          Attempt attempt);
 
   DurabilityConfig config_;
   IoEnv* env_ = nullptr;
@@ -308,86 +315,5 @@ void WriteDegradedMarker(const DurabilityConfig& config,
 
 /// \brief True when `directory` holds the degraded marker.
 [[nodiscard]] bool HasDegradedMarker(const std::string& directory);
-
-/// Little-endian wire helpers shared by the WAL and checkpoint codecs.
-/// Writers append to a std::string; the reader is a bounds-checked cursor
-/// that goes (and stays) !ok() on any underflow, so decode loops can
-/// check once at the end instead of per field.
-namespace wire {
-
-inline void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(b, 4);
-}
-inline void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  out->append(b, 8);
-}
-inline void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-inline void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-inline void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-inline void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-struct Cursor {
-  const unsigned char* p = nullptr;
-  size_t remaining = 0;
-  bool ok = true;
-
-  Cursor(const void* data, size_t size)
-      : p(static_cast<const unsigned char*>(data)), remaining(size) {}
-
-  bool Take(size_t n) {
-    if (!ok || remaining < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Take(1)) return 0;
-    uint8_t v = p[0];
-    p += 1;
-    remaining -= 1;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-    p += 4;
-    remaining -= 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-    p += 8;
-    remaining -= 8;
-    return v;
-  }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double Double() {
-    uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
-
-}  // namespace wire
 
 }  // namespace bikegraph::stream

@@ -241,6 +241,112 @@ TEST(WalTest, EventFrameBytesArePinned) {
   fs::remove_all(dir);
 }
 
+/// Lower-case hex of `bytes`, two digits a byte.
+std::string ToHex(const std::string& bytes) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex += kDigits[static_cast<unsigned char>(c) >> 4];
+    hex += kDigits[static_cast<unsigned char>(c) & 0xF];
+  }
+  return hex;
+}
+
+std::string ReadFileBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Every other record type's frame, pinned in one segment: kAdvance (type,
+// watermark), kFlush and kSnapshot (type only), a default-spec kDetect
+// (type, default_spec 1) and an explicit-spec one (type, default_spec 0,
+// then algorithm, seed, resolution, max_levels, max_sweeps_per_level and
+// max_iterations as a has-value byte and an i32 slot, max_merges, and
+// min_gain and min_improvement as a has-value byte and a double slot).
+TEST(WalTest, EveryRecordTypeFrameBytesArePinned) {
+  const fs::path dir = FreshDir("frame_types");
+  DurabilityConfig config;
+  config.enabled = true;
+  config.directory = dir.string();
+  {
+    auto writer = WalWriter::Open(config, /*next_seq=*/5);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalRecord record;
+    record.type = WalRecordType::kAdvance;
+    record.watermark_seconds = 1'600'003'600;
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    record = WalRecord{};
+    record.type = WalRecordType::kFlush;
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    record = WalRecord{};
+    record.type = WalRecordType::kSnapshot;
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    record = WalRecord{};
+    record.type = WalRecordType::kDetect;
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    record = WalRecord{};
+    record.type = WalRecordType::kDetect;
+    record.default_spec = false;
+    record.spec.algorithm = community::AlgorithmId::kLabelPropagation;
+    record.spec.options.seed = 42;
+    record.spec.options.resolution = 1.5;
+    record.spec.options.max_levels = 3;
+    record.spec.options.max_iterations = -7;
+    record.spec.options.max_merges = 5;
+    record.spec.options.min_gain = 0.25;
+    ASSERT_TRUE((*writer)->Append(record).ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+  }
+  const std::string want_hex =
+      "424757414c310a0005000000000000000687c7360900000014ca876702101e5e"
+      "5f0000000001000000a5a02d4103010000004ec4e79504020000007a0d225e05"
+      "013f0000004370a9430500010000002a00000000000000000000000000f83f01"
+      "03000000000000000001f9ffffff050000000000000001000000000000d03f00"
+      "0000000000000000";
+  const auto segments = SortedFiles(dir, ".log");
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(ToHex(ReadFileBytes(segments[0])), want_hex);
+  fs::remove_all(dir);
+}
+
+// A record the log could not read back is refused, not acknowledged:
+// nothing reaches the segment, its sequence number is not spent, and the
+// writer keeps appending.
+TEST(WalTest, AppendRefusesAnUnknownRecordType) {
+  const fs::path dir = FreshDir("unknown_type");
+  DurabilityConfig config;
+  config.enabled = true;
+  config.directory = dir.string();
+  {
+    auto writer = WalWriter::Open(config, /*next_seq=*/1);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    WalRecord unknown;
+    unknown.type = static_cast<WalRecordType>(99);
+    const Status refused = (*writer)->Append(unknown);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+        << refused.ToString();
+    EXPECT_NE(refused.message().find("99"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ((*writer)->next_seq(), 1u);
+    WalRecord advance;
+    advance.type = WalRecordType::kAdvance;
+    advance.watermark_seconds = 1234;
+    ASSERT_TRUE((*writer)->Append(advance).ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+    EXPECT_EQ((*writer)->next_seq(), 2u);
+  }
+  std::vector<WalRecord> records;
+  auto read = ReadRecords(dir, /*repair_torn_tail=*/false, &records);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, WalRecordType::kAdvance);
+  EXPECT_EQ(records[0].watermark_seconds, 1234);
+  EXPECT_EQ(read->last_seq, 1u);
+  EXPECT_EQ(read->truncated_bytes, 0u);
+  fs::remove_all(dir);
+}
+
 TEST(WalTest, TornTailIsTruncatedNotFatal) {
   const fs::path dir = FreshDir("torn");
   DurabilityConfig config;
@@ -376,40 +482,40 @@ EngineCheckpoint SampleCheckpoint() {
   c.delta_freeze_count = 2;
   c.full_freeze_count = 1;
   c.desyncs_published = 0;
-  c.reorder.watermark_seconds = 4200;
-  c.reorder.reordered_count = 5;
-  c.reorder.released_count = 11;
+  c.tracker.refresh_count = 2;
+  c.tracker.previous_modularity = 0.4375;
+  community::Partition partition;
+  partition.assignment = {0, 0, 1, 1};
+  c.tracker.previous_partition = std::move(partition);
+  // Two shards, each with its own applied counter and components.
+  c.shards.resize(2);
+  EngineCheckpoint::Shard& first = c.shards[0];
+  first.applied = 7;
+  first.reorder.watermark_seconds = 4200;
+  first.reorder.reordered_count = 5;
+  first.reorder.released_count = 11;
   TripEvent buffered;
   buffered.rental_id = 9;
   buffered.from_station = 1;
   buffered.to_station = 2;
   buffered.start_time = CivilTime(4199);
   buffered.end_time = CivilTime(4300);
-  c.reorder.buffered.push_back(buffered);
-  c.reorder.seen.emplace_back(4199, 9);
-  c.window.watermark_seconds = 4200;
-  c.window.last_event_seconds = 4190;
-  c.window.ingested_count = 11;
-  c.window.live_count = 1;
-  c.window.ring.push_back({4190, 1, 2});
-  c.tracker.refresh_count = 2;
-  c.tracker.previous_modularity = 0.4375;
-  community::Partition partition;
-  partition.assignment = {0, 0, 1, 1};
-  c.tracker.previous_partition = std::move(partition);
-  // Sharded payload: shard 0 lives in the legacy fields above; one extra
-  // shard with its own sequence space and components.
-  c.shard_count = 2;
-  c.shard_seqs = {7, 5};
-  EngineCheckpoint::ShardComponents extra;
-  extra.reorder.watermark_seconds = 4100;
-  extra.reorder.released_count = 4;
-  extra.window.watermark_seconds = 4100;
-  extra.window.last_event_seconds = 4090;
-  extra.window.ingested_count = 4;
-  extra.window.live_count = 1;
-  extra.window.ring.push_back({4090, 0, 3});
-  c.extra_shards.push_back(std::move(extra));
+  first.reorder.buffered.push_back(buffered);
+  first.reorder.seen.emplace_back(4199, 9);
+  first.window.watermark_seconds = 4200;
+  first.window.last_event_seconds = 4190;
+  first.window.ingested_count = 11;
+  first.window.live_count = 1;
+  first.window.ring.push_back({4190, 1, 2});
+  EngineCheckpoint::Shard& second = c.shards[1];
+  second.applied = 5;
+  second.reorder.watermark_seconds = 4100;
+  second.reorder.released_count = 4;
+  second.window.watermark_seconds = 4100;
+  second.window.last_event_seconds = 4090;
+  second.window.ingested_count = 4;
+  second.window.live_count = 1;
+  second.window.ring.push_back({4090, 0, 3});
   return c;
 }
 
@@ -419,21 +525,24 @@ TEST(CheckpointTest, SerializeParseRoundTrip) {
   auto parsed = ParseCheckpoint(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(SerializeCheckpoint(*parsed), bytes);
+  ASSERT_EQ(parsed->shards.size(), 2u);
+  EXPECT_EQ(parsed->shards[0].applied, 7u);
+  EXPECT_EQ(parsed->shards[1].applied, 5u);
+  EXPECT_EQ(parsed->shards[1].window.ring.size(), 1u);
 
   // Truncation and trailing garbage are both DataLoss, not UB.
   EXPECT_FALSE(ParseCheckpoint(bytes.substr(0, bytes.size() - 1)).ok());
   EXPECT_FALSE(ParseCheckpoint(bytes + 'x').ok());
   EXPECT_FALSE(ParseCheckpoint("").ok());
 
-  // A default (single-shard) checkpoint round-trips too: the sharded
-  // extension appends shard_count 1, one sequence, and no extra blocks.
+  // A default checkpoint holds one shard and round-trips too: its trailer
+  // is the shard count 1 and one applied counter.
   const EngineCheckpoint single;
   const std::string single_bytes = SerializeCheckpoint(single);
   auto single_parsed = ParseCheckpoint(single_bytes);
   ASSERT_TRUE(single_parsed.ok()) << single_parsed.status().ToString();
-  EXPECT_EQ(single_parsed->shard_count, 1u);
-  EXPECT_EQ(single_parsed->shard_seqs, (std::vector<uint64_t>{0}));
-  EXPECT_TRUE(single_parsed->extra_shards.empty());
+  ASSERT_EQ(single_parsed->shards.size(), 1u);
+  EXPECT_EQ(single_parsed->shards[0].applied, 0u);
   EXPECT_EQ(SerializeCheckpoint(*single_parsed), single_bytes);
 }
 
@@ -502,6 +611,94 @@ TEST(CheckpointTest, LandmarkPayloadBytesArePinned) {
     got_hex += kDigits[static_cast<unsigned char>(c) & 0xF];
   }
   EXPECT_EQ(got_hex, want_hex);
+}
+
+/// The payload of a 3-station sliding-window engine with a 600 s reorder
+/// horizon and duplicate suppression, after five trips (one out of
+/// order), one redelivery and one freeze: two trips released into the
+/// ring, three still buffered, five ids seen.
+std::string PinnedSlidingPayload(size_t shard_count) {
+  StreamEngineConfig config;
+  config.station_count = 3;
+  config.window_seconds = 7200;
+  config.max_lateness_seconds = 600;
+  config.suppress_duplicate_rentals = true;
+  config.shard_count = shard_count;
+  StreamEngine engine(config);
+  // (rental id, from, to, start offset); id 5 arrives after a later
+  // start and id 4 is redelivered.
+  const int64_t trips[][4] = {{1, 0, 1, 0},    {2, 1, 2, 300},
+                              {3, 2, 0, 1000}, {4, 0, 0, 1500},
+                              {5, 1, 1, 1400}, {4, 0, 0, 1500}};
+  for (const auto& [id, from, to, offset] : trips) {
+    TripEvent event;
+    event.rental_id = id;
+    event.from_station = static_cast<int32_t>(from);
+    event.to_station = static_cast<int32_t>(to);
+    event.start_time = CivilTime(1'600'000'000 + offset);
+    event.end_time = event.start_time.AddSeconds(600);
+    const Status ingested = engine.Ingest(event);
+    EXPECT_TRUE(ingested.ok()) << ingested.ToString();
+  }
+  EXPECT_TRUE(engine.Snapshot().ok());
+  return SerializeCheckpoint(engine.CaptureState());
+}
+
+// A single-shard sliding payload: the reorder block with its buffered
+// events and seen ids, the window block with its ring (and no landmark
+// aggregates), the tracker, and the trailer (shard count 1, one applied
+// counter).
+TEST(CheckpointTest, SlidingPayloadBytesArePinned) {
+  const std::string want_hex =
+      "00000000000000000300000000000000201c0000000000005802000000000000"
+      "0101000101000000000000000cf55d5f000000002c115e5f0000000000000000"
+      "0000000001000000000000000000000000000000dc155e5f0000000000010000"
+      "0000000000000000000000000001000000000000000200000000000000030000"
+      "0000000000000000000000000003000000000000000300000000000000020000"
+      "0000000000e8135e5f0000000040165e5f000000000500000000000000010000"
+      "000100000078155e5f00000000d0175e5f000000000400000000000000000000"
+      "0000000000dc155e5f0000000034185e5f000000000300000000000000e8135e"
+      "5f00000000030000000000000078155e5f000000000500000000000000dc155e"
+      "5f0000000004000000000000002c115e5f000000002c115e5f00000000020000"
+      "000000000000000000000000000200000000000000020000000000000000105e"
+      "5f0000000000000000010000002c115e5f000000000100000002000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000001000000000000000600"
+      "000000000000";
+  EXPECT_EQ(ToHex(PinnedSlidingPayload(1)), want_hex);
+}
+
+// A 3-shard payload: shard 0's blocks where a single-shard payload keeps
+// them, then the trailer: the shard count, each shard's applied counter,
+// and shards 1 and 2's reorder and window blocks.
+TEST(CheckpointTest, ShardedPayloadBytesArePinned) {
+  const std::string want_hex =
+      "00000000000000000300000000000000201c0000000000005802000000000000"
+      "0101000101000000000000000cf55d5f000000002c115e5f0000000000000000"
+      "0000000001000000000000000000000000000000dc155e5f0000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000000000002c115e"
+      "5f00000000000000000000008000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000300000000000000020000000000000006000000000000000400"
+      "000000000000dc155e5f00000000000000000000000000000000000000000001"
+      "0000000000000001000000000000000200000000000000000000000000000002"
+      "0000000000000003000000000000000200000000000000e8135e5f0000000040"
+      "165e5f0000000004000000000000000000000000000000dc155e5f0000000034"
+      "185e5f000000000200000000000000e8135e5f000000000300000000000000dc"
+      "155e5f0000000004000000000000002c115e5f0000000000105e5f0000000001"
+      "0000000000000000000000000000000100000000000000010000000000000000"
+      "105e5f0000000000000000010000000000000000000000000000000000000000"
+      "000000000000000000000000000000dc155e5f00000000000100000000000000"
+      "0000000000000000000000000000000001000000000000000100000000000000"
+      "0000000000000000010000000000000005000000000000000100000001000000"
+      "78155e5f00000000d0175e5f00000000010000000000000078155e5f00000000"
+      "05000000000000002c115e5f000000002c115e5f000000000100000000000000"
+      "0000000000000000010000000000000001000000000000002c115e5f00000000"
+      "0100000002000000000000000000000000000000000000000000000000000000"
+      "0000000000000000";
+  EXPECT_EQ(ToHex(PinnedSlidingPayload(3)), want_hex);
 }
 
 TEST(CheckpointTest, NewestCorruptFallsBackToOlderAndTmpIsSwept) {

@@ -932,6 +932,47 @@ TEST(RetryBackoffTest, EintrStormsAreFreeEvenWithZeroBudget) {
   fs::remove_all(dir);
 }
 
+// Creating a segment takes the schedule a write does: a rotation whose
+// create fails twice with EAGAIN sleeps 1 ms, then 2 ms, and the third
+// attempt opens the segment.
+TEST(RetryBackoffTest, RotationSegmentCreateBacksOffLikeAWrite) {
+  const fs::path dir = FreshDir("backoff_create");
+  FaultPlan plan;
+  {
+    // Open call 0 creates the first segment; calls 1 and 2, the
+    // rotation's create, fail with EAGAIN; call 3 succeeds.
+    FaultPlan::Rule rule;
+    rule.op = IoOp::kOpen;
+    rule.kind = FaultPlan::Kind::kError;
+    rule.after = 1;
+    rule.count = 2;
+    rule.error = EAGAIN;
+    plan.rules.push_back(rule);
+  }
+  FaultInjectingIoEnv env(plan);
+  DurabilityConfig config;
+  config.enabled = true;
+  config.directory = dir.string();
+  config.segment_bytes = 1;  // rotate before every record but the first
+  config.faults.max_retries = 4;
+  config.faults.backoff_initial_ms = 1;
+  config.faults.backoff_max_ms = 64;
+  config.io_env = &env;
+  {
+    auto writer = WalWriter::Open(config, /*next_seq=*/1);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE((*writer)->Append(AdvanceRecord(1000)).ok());
+    const Status rotated = (*writer)->Append(AdvanceRecord(1001));
+    ASSERT_TRUE(rotated.ok()) << rotated.ToString();
+    EXPECT_EQ((*writer)->segments_opened(), 2u);
+    EXPECT_EQ((*writer)->retry_count(), 2u);
+    EXPECT_EQ((*writer)->transient_recovered_count(), 1u);
+  }
+  EXPECT_EQ(env.sleep_log(), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(env.op_count(IoOp::kOpen), 4u);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // Degraded mode: loudly non-durable, never silently recovered.
 

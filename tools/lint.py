@@ -87,8 +87,8 @@ EXCLUDE_PARTS = ("lint_golden",)  # known-bad snippets live here on purpose
 # justification the check requires.
 INTERNAL_HEADERS = {
     "stream/testing.h": "test-support seams (kill-point hooks), not API",
-    "stream/durable_file.h": "file helpers the WAL and checkpoint code "
-                             "share, not API",
+    "stream/durable_file.h": "file helpers and record field lists the WAL "
+                             "and checkpoint code share, not API",
 }
 
 # The single file allowed to issue raw durability syscalls: the IoEnv
