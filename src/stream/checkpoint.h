@@ -29,16 +29,16 @@ struct EngineCheckpoint {
   uint64_t station_count = 0;
   int64_t window_seconds = 0;
   int64_t max_lateness_seconds = 0;
-  uint8_t late_policy = 0;
-  uint8_t suppress_duplicates = 0;
+  LateEventPolicy late_policy = LateEventPolicy::kDrop;
+  bool suppress_duplicates = false;
 
-  uint8_t flushed = 0;
+  bool flushed = false;
   /// True when the published snapshot was current (nothing dirty) at
   /// checkpoint time: recovery then rebuilds and republishes it at its
   /// original epoch, so readers and the delta-freeze baseline resume
   /// seamlessly. False: recovery leaves the publisher empty and the
   /// next freeze takes the full path.
-  uint8_t snapshot_clean = 0;
+  bool snapshot_clean = false;
   uint64_t publisher_epoch = 0;
   /// Bounds of the published snapshot's window (meaningful only when
   /// `snapshot_clean`): the publish may predate later no-change
@@ -77,7 +77,8 @@ std::string SerializeCheckpoint(const EngineCheckpoint& checkpoint);
 
 /// \brief Inverse of SerializeCheckpoint. DataLoss on any bytes it would
 /// not write: a short or overlong payload, a bool byte other than 0 or 1,
-/// or a count claiming more elements than the bytes left could encode. So
+/// a late policy past LateEventPolicy's last enumerator, or a count
+/// claiming more elements than the bytes left could encode. So
 /// every payload that parses re-serializes to the same bytes, and no
 /// count makes a parse allocate more than a few times its input.
 [[nodiscard]] Result<EngineCheckpoint> ParseCheckpoint(

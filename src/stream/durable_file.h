@@ -102,6 +102,12 @@ class Writer {
   void I32(E v) {
     I32(static_cast<int32_t>(v));
   }
+  /// An enumerator in one byte; `last` bounds what the Reader accepts.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void U8(E v, E /*last*/) {
+    U8(static_cast<uint8_t>(v));
+  }
 
   /// A vector's u64 element count; the caller writes the elements.
   template <typename T>
@@ -192,6 +198,15 @@ class Reader {
   void I32(E& v) {
     int32_t raw = 0;
     Get(raw);
+    v = static_cast<E>(raw);
+  }
+  /// Fails on a byte past `last`, the enum's largest enumerator.
+  template <typename E>
+    requires std::is_enum_v<E>
+  void U8(E& v, E last) {
+    uint8_t raw = 0;
+    Get(raw);
+    if (raw > static_cast<uint8_t>(last)) Fail();
     v = static_cast<E>(raw);
   }
 
@@ -391,10 +406,10 @@ inline void CheckpointFields(Io& io, Checkpoint& c) {
   io.U64(c.station_count);
   io.I64(c.window_seconds);
   io.I64(c.max_lateness_seconds);
-  io.U8(c.late_policy);
-  io.U8(c.suppress_duplicates);
-  io.U8(c.flushed);
-  io.U8(c.snapshot_clean);
+  io.U8(c.late_policy, LateEventPolicy::kError);
+  io.Bool(c.suppress_duplicates);
+  io.Bool(c.flushed);
+  io.Bool(c.snapshot_clean);
   io.U64(c.publisher_epoch);
   io.I64(c.published_window_start_seconds);
   io.I64(c.published_window_end_seconds);

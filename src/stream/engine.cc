@@ -19,12 +19,18 @@ namespace {
 
 /// The one config check: InvalidArgument when the shards' windows would
 /// refuse the config (CheckWindowOptions: a negative window or more than
-/// kMaxWindowStations stations), or when a positions table is set but
-/// shorter than the station universe or holds an invalid coordinate for
-/// a station id, so no spatial index can cover every station.
+/// kMaxWindowStations stations), when the late policy is no
+/// LateEventPolicy (no checkpoint could record it), or when a positions
+/// table is set but shorter than the station universe or holds an
+/// invalid coordinate for a station id, so no spatial index can cover
+/// every station.
 Status CheckConfig(const StreamEngineConfig& config) {
   BIKEGRAPH_RETURN_NOT_OK(CheckWindowOptions(
       WindowGraphOptions{config.station_count, config.window_seconds}));
+  if (config.late_policy != LateEventPolicy::kDrop &&
+      config.late_policy != LateEventPolicy::kError) {
+    return Status::InvalidArgument("late_policy is not a LateEventPolicy");
+  }
   if (config.station_positions.empty()) return Status::OK();
   if (config.station_positions.size() < config.station_count) {
     return Status::InvalidArgument(
@@ -310,6 +316,7 @@ StreamEngine::StreamEngine(RecoverTag, StreamEngineConfig config)
   shards_.reserve(config_.shard_count);
   for (size_t i = 0; i < config_.shard_count; ++i) {
     shards_.push_back(std::make_unique<detail::EngineShard>(config_));
+    windows_.push_back(&shards_.back()->window);
   }
   if (config_.station_positions.size() >= config_.station_count) {
     // Index exactly the station universe; extra entries are not station
@@ -393,20 +400,15 @@ void StreamEngine::EnterDegradedMode(const Status& reason) {
   committer_.reset();
   degraded_ = true;
   degrade_reason_ = reason;
-  if (wal_) {
-    wal_retry_base_ += wal_->retry_count();
-    wal_transient_base_ += wal_->transient_recovered_count();
-    wal_enospc_base_ += wal_->enospc_prune_count();
-  }
   BIKEGRAPH_LOG(Error)
       << "durable engine DEGRADED to non-durable mode: "
       << reason.ToString() << " — ingestion continues, the log under '"
       << config_.durability.directory
       << "' is abandoned and marked (Recover() will refuse it)";
-  // Marker before dropping the writer: the directory must be loud before
-  // the first un-logged op can possibly be applied.
+  // The directory must be loud before the first un-logged op can
+  // possibly be applied. The writer stays, unused: the failure that
+  // brought us here poisoned it, so it writes nothing more.
   WriteDegradedMarker(config_.durability, reason);
-  wal_.reset();
 }
 
 Status StreamEngine::LogRecord(const WalRecord& record) {
@@ -670,43 +672,22 @@ StreamEngine::SnapshotInternal() {
   // it describes exactly the changes since the previous published epoch —
   // the delta freeze's baseline. The first freeze, an overflowed set, or
   // a large dirty fraction all fall back to a full rebuild inside
-  // FreezeSnapshotDelta. With deltas disabled the window is never
-  // drained at all, so tracking stays unarmed and ingest keeps its
-  // zero-bookkeeping hot path.
-  WindowDirtySet changes;
-  if (config_.snapshot_delta.enabled) changes = DrainWindowChanges();
+  // FreezeSnapshotDelta.
+  const WindowDirtySet changes = DrainWindowChanges();
   bool used_delta = false;
-  auto previous = publisher_.Current();
-  const bool try_delta =
-      config_.snapshot_delta.enabled && previous != nullptr && !desynced;
-  Result<WindowSnapshot> frozen = [&]() -> Result<WindowSnapshot> {
-    if (shards_.size() == 1) {
-      const SlidingWindowGraph& window = shards_[0]->window;
-      return try_delta
-                 ? FreezeSnapshotDelta(window, *previous, changes,
-                                       config_.projection, station_index_,
-                                       config_.snapshot_delta, &used_delta)
-                 : FreezeSnapshot(window, config_.projection,
-                                  station_index_);
-    }
-    std::vector<const SlidingWindowGraph*> parts;
-    parts.reserve(shards_.size());
-    for (const auto& shard : shards_) parts.push_back(&shard->window);
-    const ShardedWindowView view(std::move(parts));
-    return try_delta
-               ? FreezeSnapshotDelta(view, *previous, changes,
-                                     config_.projection, station_index_,
-                                     config_.snapshot_delta, &used_delta)
-               : FreezeSnapshot(view, config_.projection, station_index_);
-  }();
+  const auto previous = publisher_.Current();
+  Result<WindowSnapshot> frozen =
+      previous != nullptr && !desynced
+          ? FreezeSnapshotDelta(windows_, *previous, changes,
+                                config_.projection, station_index_,
+                                config_.snapshot_delta, &used_delta)
+          : FreezeFull();
   if (!frozen.ok()) {
-    if (config_.snapshot_delta.enabled) {
-      // The drained changes are lost to tracking; a later delta against
-      // the still-older published epoch would silently miss them, so
-      // the next freeze must take the full path.
-      for (const auto& shard : shards_) {
-        shard->window.MarkDirtyTrackingIncomplete();
-      }
+    // The drained changes are lost to tracking; a later delta against
+    // the still-older published epoch would silently miss them, so the
+    // next freeze must take the full path.
+    for (SlidingWindowGraph* window : windows_) {
+      window->MarkDirtyTrackingIncomplete();
     }
     return frozen.status();
   }
@@ -722,32 +703,15 @@ WindowDirtySet StreamEngine::DrainWindowChanges() {
   // coming freeze publishes: the base the next epoch's delta freeze
   // tests against, so the next epoch stops tracking at its cut-off.
   size_t live_pairs = 0;
-  for (const auto& shard : shards_) live_pairs += shard->window.pair_count();
-  const size_t limit = dirty_pair_limit_;
-  dirty_pair_limit_ = MaxDeltaDirtyPairs(config_.snapshot_delta, live_pairs);
-  if (shards_.size() == 1) {
-    return shards_[0]->window.DrainDirty(dirty_pair_limit_);
+  for (const SlidingWindowGraph* window : windows_) {
+    live_pairs += window->pair_count();
   }
-  // Every shard tracked under the same global limit. Records that
-  // together pass it describe an epoch the delta freeze rejects, so they
-  // are dropped unsorted and the merge is skipped. Otherwise the
-  // per-shard drains merge in shard order into the one set the delta
-  // freeze patches.
-  size_t listed = 0;
-  for (const auto& shard : shards_) listed += shard->window.dirty_pair_count();
-  if (listed > limit) {
-    for (const auto& shard : shards_) {
-      shard->window.MarkDirtyTrackingIncomplete();
-      (void)shard->window.DrainDirty(dirty_pair_limit_);
-    }
-    return {};
-  }
-  std::vector<WindowDirtySet> parts;
-  parts.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    parts.push_back(shard->window.DrainDirty(dirty_pair_limit_));
-  }
-  return MergeDirtySets(parts);
+  const size_t limit = std::exchange(
+      dirty_pair_limit_,
+      MaxDeltaDirtyPairs(config_.snapshot_delta, live_pairs));
+  // Every shard tracked under the same global limit, so records that
+  // together pass it describe an epoch the delta freeze rejects.
+  return SlidingWindowGraph::DrainDirty(windows_, limit, dirty_pair_limit_);
 }
 
 Result<RefreshOutcome> StreamEngine::DetectCurrent() {
@@ -892,15 +856,7 @@ size_t StreamEngine::delta_desync_count() const {
 }
 
 Result<WindowSnapshot> StreamEngine::FreezeFull() const {
-  if (shards_.size() == 1) {
-    return FreezeSnapshot(shards_[0]->window, config_.projection,
-                          station_index_);
-  }
-  std::vector<const SlidingWindowGraph*> parts;
-  parts.reserve(shards_.size());
-  for (const auto& shard : shards_) parts.push_back(&shard->window);
-  return FreezeSnapshot(ShardedWindowView(std::move(parts)),
-                        config_.projection, station_index_);
+  return FreezeSnapshot(windows_, config_.projection, station_index_);
 }
 
 EngineCheckpoint StreamEngine::CaptureState() const {
@@ -909,13 +865,13 @@ EngineCheckpoint StreamEngine::CaptureState() const {
   c.station_count = config_.station_count;
   c.window_seconds = config_.window_seconds;
   c.max_lateness_seconds = config_.max_lateness_seconds;
-  c.late_policy = static_cast<uint8_t>(config_.late_policy);
-  c.suppress_duplicates = config_.suppress_duplicate_rentals ? 1 : 0;
-  c.flushed = flushed_ ? 1 : 0;
+  c.late_policy = config_.late_policy;
+  c.suppress_duplicates = config_.suppress_duplicate_rentals;
+  c.flushed = flushed_;
   const auto current = publisher_.Current();
-  c.snapshot_clean = (!dirty_ && current != nullptr) ? 1 : 0;
+  c.snapshot_clean = !dirty_ && current != nullptr;
   c.publisher_epoch = publisher_.epoch();
-  if (c.snapshot_clean != 0) {
+  if (c.snapshot_clean) {
     c.published_window_start_seconds =
         current->window_start.seconds_since_epoch();
     c.published_window_end_seconds =
@@ -995,13 +951,13 @@ Status StreamEngine::RestoreFromCheckpoint(
         global_reorder_wm_, shard->reorder.watermark().seconds_since_epoch());
   }
   tracker_.RestoreState(checkpoint.tracker);
-  flushed_ = checkpoint.flushed != 0;
+  flushed_ = checkpoint.flushed;
   delta_freeze_count_.store(checkpoint.delta_freeze_count,
                             std::memory_order_relaxed);
   full_freeze_count_.store(checkpoint.full_freeze_count,
                            std::memory_order_relaxed);
   desyncs_at_last_freeze_ = checkpoint.desyncs_published;
-  if (checkpoint.snapshot_clean != 0 && checkpoint.publisher_epoch > 0) {
+  if (checkpoint.snapshot_clean && checkpoint.publisher_epoch > 0) {
     // The published snapshot was current at checkpoint time. Rebuild it
     // from the restored window(s) (a full freeze is bit-identical to
     // whatever path originally produced it), restamp its original epoch
@@ -1014,7 +970,7 @@ Status StreamEngine::RestoreFromCheckpoint(
     publisher_.Publish(std::move(snap));
     // Arm dirty tracking so replayed and resumed freezes can delta
     // against the republished baseline (RestoreState leaves it unarmed).
-    if (config_.snapshot_delta.enabled) (void)DrainWindowChanges();
+    (void)DrainWindowChanges();
     dirty_ = false;
   } else {
     // Nothing published, or the window had moved past the publish: the
@@ -1082,10 +1038,9 @@ Result<std::unique_ptr<StreamEngine>> StreamEngine::Recover(
     if (c.station_count != engine->config_.station_count ||
         c.window_seconds != engine->config_.window_seconds ||
         c.max_lateness_seconds != engine->config_.max_lateness_seconds ||
-        c.late_policy !=
-            static_cast<uint8_t>(engine->config_.late_policy) ||
+        c.late_policy != engine->config_.late_policy ||
         c.suppress_duplicates !=
-            (engine->config_.suppress_duplicate_rentals ? 1 : 0) ||
+            engine->config_.suppress_duplicate_rentals ||
         c.shards.size() != engine->shards_.size()) {
       return Status::FailedPrecondition(
           "checkpoint '" + loaded.path +

@@ -72,8 +72,8 @@ struct StreamEngineConfig {
   size_t max_duplicate_rental_ids = size_t{1} << 20;
   /// Freeze snapshots by copy-on-write patching of the previous epoch's
   /// CSR and profiles when only a small fraction of the window changed
-  /// (see SnapshotDeltaPolicy); disable to force a full rebuild per
-  /// epoch.
+  /// (see SnapshotDeltaPolicy); a `max_dirty_fraction` of 0 forces a full
+  /// rebuild per epoch.
   SnapshotDeltaPolicy snapshot_delta;
   /// Durability: with `durability.enabled`, every state-changing call is
   /// written to a write-ahead log under `durability.directory` before it
@@ -127,9 +127,10 @@ struct StreamEngineConfig {
 /// ring and returns without waiting; Snapshot runs a two-phase barrier —
 /// first draining every shard to the common reorder watermark, then
 /// advancing every shard window to the merged window watermark — and
-/// freezes the disjoint per-shard windows through one merged view
-/// (stream/shard.h), so the published snapshot is bit-identical to the
-/// single-writer engine's over the same logical stream. See
+/// freezes the disjoint per-shard windows as one span (the shards
+/// FreezeSnapshot in stream/snapshot.h), so the published snapshot is
+/// bit-identical to the single-writer engine's over the same logical
+/// stream. See
 /// docs/STREAMING.md for the partition function, barrier, and merge-cost
 /// model.
 ///
@@ -237,8 +238,9 @@ class StreamEngine {
   /// `delta_desync_count()`) the freeze takes the full-rebuild path once,
   /// which resynchronizes the published graph with the live counters.
   /// Sharded: a barrier point — drains every shard to the common
-  /// watermark, merges the per-shard dirty sets in shard order, and
-  /// freezes through the merged view; surfaces deferred shard errors.
+  /// watermark, drains the shards' dirty sets together in shard order,
+  /// and freezes the shards as one window; surfaces deferred shard
+  /// errors.
   [[nodiscard]] Result<std::shared_ptr<const WindowSnapshot>> Snapshot();
 
   /// The most recently published snapshot (nullptr before the first
@@ -329,24 +331,22 @@ class StreamEngine {
   /// is disabled or nothing was logged yet).
   uint64_t wal_seq() const { return wal_seq_; }
 
-  /// Durability fault accounting (DurabilityConfig::faults). The retry
-  /// counters survive a degrade (the pre-degrade tallies are stashed
-  /// before the writer is dropped), so conservation checks hold at any
-  /// point. Ingestion-thread-only; when sharded, stable at barriers like
-  /// the other serving counters — the WAL is written by the ingestion
-  /// thread before dispatch, so shard count never changes the values.
+  /// Durability fault accounting (DurabilityConfig::faults), read off the
+  /// writer. The counters survive a degrade, which keeps the writer it
+  /// stops using, so conservation checks hold at any point.
+  /// Ingestion-thread-only; when sharded, stable at barriers like the
+  /// other serving counters — the WAL is written by the ingestion thread
+  /// before dispatch, so shard count never changes the values.
   ///
   /// Backed-off retries performed against FaultPolicy::max_retries.
-  uint64_t wal_retry_count() const {
-    return wal_retry_base_ + (wal_ ? wal_->retry_count() : 0);
-  }
+  uint64_t wal_retry_count() const { return wal_ ? wal_->retry_count() : 0; }
   /// Durable calls that failed transiently and then succeeded.
   uint64_t wal_transient_recovered_count() const {
-    return wal_transient_base_ + (wal_ ? wal_->transient_recovered_count() : 0);
+    return wal_ ? wal_->transient_recovered_count() : 0;
   }
   /// ENOSPC self-heal prune attempts (see FaultPolicy).
   uint64_t wal_enospc_prune_count() const {
-    return wal_enospc_base_ + (wal_ ? wal_->enospc_prune_count() : 0);
+    return wal_ ? wal_->enospc_prune_count() : 0;
   }
   /// True once the engine dropped to loudly-non-durable mode
   /// (FaultPolicy::degrade_on_exhausted): ingestion continues, logging
@@ -420,9 +420,9 @@ class StreamEngine {
   Status LogRecord(const WalRecord& record);
 
   /// The degrade transition: let the checkpoint commit in flight finish
-  /// and stop the committer, stash the writer's fault counters, abandon
-  /// the WAL, drop the loud on-disk marker (best-effort), and log the
-  /// reason at Error level. Idempotent in effect (only called once).
+  /// and stop the committer, abandon the WAL (its writer stays, for its
+  /// fault counters), drop the loud on-disk marker (best-effort), and log
+  /// the reason at Error level. Idempotent in effect (only called once).
   void EnterDegradedMode(const Status& reason);
 
   /// Waits for the checkpoint commit in flight and returns a failure not
@@ -472,8 +472,8 @@ class StreamEngine {
   /// 2 advances every shard window to the merged window watermark so
   /// expiry is uniform. Quiescent on return; surfaces deferred errors.
   Status BarrierQuiesce();
-  /// Full (non-delta) freeze of the live window — shard 0 directly, or
-  /// the merged view over all shards. Shards must be quiescent.
+  /// Full (non-delta) freeze of the shard windows. Shards must be
+  /// quiescent.
   Result<WindowSnapshot> FreezeFull() const;
   /// Drains every shard's change record into the one set a delta freeze
   /// patches, and starts the next epoch under the delta freeze's cut-off
@@ -488,6 +488,9 @@ class StreamEngine {
   /// (+ ring and worker when shard_count > 1). Never empty; shard 0
   /// doubles as the single-writer engine.
   std::vector<std::unique_ptr<detail::EngineShard>> shards_;
+  /// Each shard's window, in shard order, built with shards_: the span
+  /// the freeze and the dirty drain read.
+  std::vector<SlidingWindowGraph*> windows_;
   SnapshotPublisher publisher_;
   IncrementalCommunityTracker tracker_;
   /// Built once from config_.station_positions and shared by every
@@ -539,14 +542,10 @@ class StreamEngine {
   Status durability_status_ = Status::OK();
   uint64_t wal_seq_ = 0;
   /// Degrade state (FaultPolicy::degrade_on_exhausted): once true, the
-  /// engine serves non-durably and wal_ is gone.
+  /// engine serves non-durably and never calls wal_ again. The failure
+  /// that degraded it poisoned wal_, so its destructor writes nothing.
   bool degraded_ = false;
   Status degrade_reason_ = Status::OK();
-  /// Fault-counter tallies carried over from a dropped writer so the
-  /// wal_*_count() accessors stay conserved across a degrade.
-  uint64_t wal_retry_base_ = 0;
-  uint64_t wal_transient_base_ = 0;
-  uint64_t wal_enospc_base_ = 0;
 };
 
 }  // namespace bikegraph::stream

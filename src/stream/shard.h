@@ -1,13 +1,7 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "core/civil_time.h"
-#include "analysis/temporal_graph.h"
-#include "stream/window_graph.h"
 
 namespace bikegraph::stream {
 
@@ -17,8 +11,9 @@ namespace bikegraph::stream {
 /// station id — so `OwnerOfPair(u, v) == OwnerOfPair(v, u)` and every
 /// trip between the same two stations lands on the same shard no matter
 /// the direction. Ownership is exclusive: a pair's live trip count lives
-/// on exactly one shard, which is what makes the freeze-time merge a
-/// disjoint union instead of a reconciliation.
+/// on exactly one shard, which is what lets the freeze read the shards'
+/// pairs as a disjoint union instead of a reconciliation (the shards
+/// FreezeSnapshot in stream/snapshot.h).
 ///
 /// The hash is the splitmix64 finalizer — a fixed bit-mixing function,
 /// NOT std::hash — because routing must be stable across processes and
@@ -62,80 +57,5 @@ class ShardRouter {
  private:
   size_t shard_count_;
 };
-
-/// \brief A read-only merged view over N shards' window graphs,
-/// presenting the same query surface `FreezeSnapshot` /
-/// `FreezeSnapshotDelta` read from a single `SlidingWindowGraph`.
-///
-/// Pair trip counts are disjoint across shards (exclusive pair
-/// ownership), so `TripsBetween` and `ForEachPair` are disjoint unions;
-/// the per-station day/hour/endpoint counters are each shard's integral
-/// contribution, so `DayCounts`/`HourCounts`/`Profiles` are exact
-/// element-wise sums — integer addition is associative, which is why the
-/// merged freeze is bit-identical to the single-writer freeze no matter
-/// how events were distributed (locked by tests/stream_shard_test.cc).
-///
-/// The view must only be constructed over *quiescent* shards whose
-/// windows share a common watermark (the engine's two-phase barrier
-/// guarantees both before every freeze — see stream/engine.h).
-class ShardedWindowView {
- public:
-  explicit ShardedWindowView(std::vector<const SlidingWindowGraph*> shards);
-
-  size_t station_count() const;
-  /// Trips currently inside the merged window (sum of shard counts;
-  /// pairs are disjoint so nothing is counted twice).
-  size_t trip_count() const;
-  /// Distinct live station pairs across all shards (disjoint union).
-  size_t pair_count() const;
-
-  /// The merged stream time: the newest watermark across shards. After
-  /// the engine's phase-2 barrier every shard sits at this value.
-  CivilTime watermark() const;
-  /// Exclusive lower bound of the merged half-open window, mirroring
-  /// `SlidingWindowGraph::window_start()` exactly (CivilTime(INT64_MIN)
-  /// for a landmark window or before any event).
-  CivilTime window_start() const;
-
-  /// Merged live trips between `u` and `v`: only the owning shard holds
-  /// a nonzero count, so the sum is its value.
-  int64_t TripsBetween(int32_t u, int32_t v) const;
-
-  /// Element-wise sums of the shards' integral endpoint counters
-  /// (by value — the merged row does not exist in any one shard).
-  std::array<int64_t, 7> DayCounts(int32_t station) const;
-  std::array<int64_t, 24> HourCounts(int32_t station) const;
-
-  /// Merged per-station profiles in the batch pipeline's format: summed
-  /// integer counters converted to double, exactly as a single window
-  /// over the union stream would produce.
-  analysis::StationProfiles Profiles() const;
-
-  /// Visits every live pair ordered by (u, v) ascending, exactly like
-  /// `SlidingWindowGraph::ForEachPair`, through the same scan: over the
-  /// OR of the shards' occupancy bitmaps, each count read from the one
-  /// shard that holds it.
-  template <typename Visitor>
-  void ForEachPair(Visitor&& visit) const {
-    SlidingWindowGraph::ForEachPairIn(shards_, visit);
-  }
-
-  const std::vector<const SlidingWindowGraph*>& shards() const {
-    return shards_;
-  }
-
- private:
-  std::vector<const SlidingWindowGraph*> shards_;
-};
-
-/// \brief Merges per-shard dirty sets (each from that shard's
-/// `DrainDirty()`) into the one `WindowDirtySet` the delta freeze
-/// patches: pairs are a disjoint sorted union (exclusive ownership),
-/// stations a sorted deduplicated union (one station's profile can be
-/// touched from several shards), and the result is complete only when
-/// every shard's record is (one overflowed or unarmed shard poisons the
-/// merge, forcing the full-freeze path — never a silent partial patch).
-/// `inputs` must be in shard order so the merge is deterministic.
-WindowDirtySet MergeDirtySets(const std::vector<WindowDirtySet>& inputs);
 
 }  // namespace bikegraph::stream

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/civil_time.h"
@@ -11,7 +12,6 @@
 #include "geo/grid_index.h"
 #include "geo/latlon.h"
 #include "graphdb/weighted_graph.h"
-#include "stream/shard.h"
 #include "stream/window_graph.h"
 
 namespace bikegraph::stream {
@@ -63,32 +63,33 @@ std::shared_ptr<const geo::GridIndex> BuildFrozenStationIndex(
 /// publish it to stamp one). `station_index` (optional, typically from
 /// BuildFrozenStationIndex) is shared into the snapshot. Rejects invalid
 /// projection options and a window past kMaxWindowStations
-/// (InvalidArgument).
+/// (InvalidArgument). The one-shard case of the overload below.
 Result<WindowSnapshot> FreezeSnapshot(
     const SlidingWindowGraph& window,
     const analysis::TemporalGraphOptions& projection = {},
     std::shared_ptr<const geo::GridIndex> station_index = nullptr);
 
-/// \brief Sharded-engine overload: freezes the merged view over N shard
-/// windows (see ShardedWindowView). Bit-identical to freezing a single
-/// window that ingested the union stream — both paths share one freeze
-/// implementation templated over the window type, and the merge sums
-/// integral counters before any float math. The view's shards must be
-/// quiescent and watermark-aligned (the engine's freeze barrier).
+/// \brief Freezes the shards of one stream (disjoint pairs and one
+/// station_count; see ShardRouter in stream/shard.h) as one window:
+/// trips, pairs and the per-station counters are summed over the shards
+/// before any float math, and the window ends at their newest watermark.
+/// Bit-identical to freezing a single window that ingested the union
+/// stream. The shards must be quiescent and watermark-aligned (the
+/// engine's freeze barrier). No shard at all is InvalidArgument.
 Result<WindowSnapshot> FreezeSnapshot(
-    const ShardedWindowView& window,
+    std::span<const SlidingWindowGraph* const> shards,
     const analysis::TemporalGraphOptions& projection = {},
     std::shared_ptr<const geo::GridIndex> station_index = nullptr);
 
 /// \brief When FreezeSnapshotDelta patches instead of rebuilding.
 struct SnapshotDeltaPolicy {
-  /// False forces every freeze down the full-rebuild path.
-  bool enabled = true;
   /// Full rebuild when the patched-edge estimate (dirty pairs, plus —
   /// under a temporal projection — every previous edge incident to a
   /// profile-dirty station) exceeds this fraction of the previous
   /// graph's edges: past that point the patch writes most of the CSR
-  /// anyway and the full freeze's single sort-free pass wins.
+  /// anyway and the full freeze's single sort-free pass wins. A fraction
+  /// <= 0 forces every freeze down the full-rebuild path; NaN never
+  /// falls back on size.
   double max_dirty_fraction = 0.25;
 };
 
@@ -116,7 +117,8 @@ size_t MaxDeltaDirtyPairs(const SnapshotDeltaPolicy& policy,
 /// Falls back to a full freeze (reported via `used_delta`) when the
 /// change record is incomplete (first drain, overflow), the previous
 /// snapshot is incompatible (different station universe or projection),
-/// or the dirty fraction exceeds `policy.max_dirty_fraction`.
+/// or the dirty fraction exceeds `policy.max_dirty_fraction`. The
+/// one-shard case of the overload below.
 Result<WindowSnapshot> FreezeSnapshotDelta(
     const SlidingWindowGraph& window, const WindowSnapshot& previous,
     const WindowDirtySet& changes,
@@ -124,13 +126,13 @@ Result<WindowSnapshot> FreezeSnapshotDelta(
     std::shared_ptr<const geo::GridIndex> station_index = nullptr,
     const SnapshotDeltaPolicy& policy = {}, bool* used_delta = nullptr);
 
-/// \brief Sharded-engine overload: copy-on-write delta freeze over the
-/// merged shard view, with `changes` the merge of the shards' drained
-/// dirty sets (see MergeDirtySets in stream/shard.h). Same fallback and
-/// bit-identity contract as the single-window overload.
+/// \brief The delta freeze of the shards of one stream, with `changes`
+/// their drain (the static SlidingWindowGraph::DrainDirty). Same read
+/// rules as the shards FreezeSnapshot, same fallback and bit-identity
+/// contract as the one-window overload.
 Result<WindowSnapshot> FreezeSnapshotDelta(
-    const ShardedWindowView& window, const WindowSnapshot& previous,
-    const WindowDirtySet& changes,
+    std::span<const SlidingWindowGraph* const> shards,
+    const WindowSnapshot& previous, const WindowDirtySet& changes,
     const analysis::TemporalGraphOptions& projection = {},
     std::shared_ptr<const geo::GridIndex> station_index = nullptr,
     const SnapshotDeltaPolicy& policy = {}, bool* used_delta = nullptr);

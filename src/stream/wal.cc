@@ -435,15 +435,23 @@ Result<WalReadResult> ReadWal(const std::string& directory,
                 bytes.size() - offset - kFrameHeaderBytes >= len;
       }
       if (valid) {
+        // A zero-length frame counts as torn: the writer never writes an
+        // empty payload, and a tail a crash left zero-filled reads as
+        // length 0 with CRC 0, the CRC32C of no bytes.
         const char* payload = bytes.data() + offset + kFrameHeaderBytes;
-        valid = Crc32c(payload, len) == crc;
+        valid = len > 0 && Crc32c(payload, len) == crc;
         if (valid) {
           // A payload the field list refuses (an unknown type, a short or
-          // overlong body, a byte the writer never writes) counts as a
-          // CRC failure.
+          // overlong body, a byte the writer never writes) behind a
+          // matching CRC is no torn write, in any segment.
           internal::Reader fields(payload, len);
           internal::PayloadFields(fields, record);
-          valid = fields.done();
+          if (!fields.done()) {
+            return Status::DataLoss(
+                "WAL segment '" + path + "' holds a record at offset " +
+                std::to_string(offset) +
+                " whose CRC matches but whose payload no writer produces");
+          }
         }
       }
       if (!valid) {

@@ -247,12 +247,14 @@ using WalVisitor = std::function<void(const WalRecord& record)>;
 /// at or below `after_seq + 1`; a later start is a hole no replay can
 /// bridge and returns DataLoss.
 ///
-/// A torn *tail* (partial frame, bad CRC, or a header-less final segment
-/// from a crash mid-rotation) is truncated away and counted — with
-/// `repair_torn_tail` the file is physically truncated too, making the
-/// directory clean for a resumed writer. Corruption anywhere *before*
-/// the tail of a segment read, or a sequence gap between segments,
-/// is unrecoverable and returns DataLoss naming the segment.
+/// A torn *tail* (partial frame, bad CRC, a zero-length frame, or a
+/// header-less final segment from a crash mid-rotation) is truncated away
+/// and counted — with `repair_torn_tail` the file is physically truncated
+/// too, making the directory clean for a resumed writer. Corruption
+/// anywhere *before* the tail of a segment read, a frame whose CRC
+/// matches but whose payload no writer produces (in any segment), or a
+/// sequence gap between segments, is unrecoverable and returns DataLoss
+/// naming the segment.
 [[nodiscard]] Result<WalReadResult> ReadWal(const std::string& directory,
                                             bool repair_torn_tail,
                                             uint64_t after_seq,

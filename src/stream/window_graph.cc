@@ -141,47 +141,52 @@ void SlidingWindowGraph::MarkPairDirty(int32_t u, int32_t v, size_t index) {
   dirty_pairs_.push_back(PairKey(u, v));
 }
 
-WindowDirtySet SlidingWindowGraph::DrainDirty(size_t next_limit) {
-  // Clear the listed flags through the lists whether or not the epoch
-  // was complete: a flag left set would hide that pair's or station's
-  // next change from the epoch after this one.
-  for (const uint64_t key : dirty_pairs_) {
-    const size_t index = PairIndex(static_cast<int32_t>(key >> 32),
-                                   static_cast<int32_t>(key & 0xFFFFFFFFu));
-    pair_listed_[index / 64] &= ~Bit(index);
-  }
-  for (const int32_t station : dirty_stations_) {
-    station_listed_[AsIndex(station)] = 0;
-  }
+WindowDirtySet SlidingWindowGraph::DrainDirty(
+    std::span<SlidingWindowGraph* const> windows, size_t limit,
+    size_t next_limit) {
   WindowDirtySet out;
-  out.complete = dirty_tracking_;
+  out.complete = !windows.empty();
+  size_t listed = 0;
+  for (const SlidingWindowGraph* window : windows) {
+    out.complete = out.complete && window->dirty_tracking_;
+    listed += window->dirty_pairs_.size();
+  }
+  out.complete = out.complete && listed <= limit;
+  if (out.complete) out.pairs.reserve(listed);
+  for (SlidingWindowGraph* window : windows) {
+    if (out.complete) {
+      out.pairs.insert(out.pairs.end(), window->dirty_pairs_.begin(),
+                       window->dirty_pairs_.end());
+      out.stations.insert(out.stations.end(),
+                          window->dirty_stations_.begin(),
+                          window->dirty_stations_.end());
+    }
+    // Clear the listed flags through the lists whether or not the epoch
+    // was complete: a flag left set would hide that pair's or station's
+    // next change from the epoch after this one.
+    for (const uint64_t key : window->dirty_pairs_) {
+      const size_t index =
+          window->PairIndex(static_cast<int32_t>(key >> 32),
+                            static_cast<int32_t>(key & 0xFFFFFFFFu));
+      window->pair_listed_[index / 64] &= ~Bit(index);
+    }
+    for (const int32_t station : window->dirty_stations_) {
+      window->station_listed_[AsIndex(station)] = 0;
+    }
+    window->dirty_pairs_.clear();
+    window->dirty_stations_.clear();
+    window->dirty_tracking_ = true;
+    window->dirty_pair_limit_ = next_limit;
+  }
   if (out.complete) {
-    out.pairs = std::move(dirty_pairs_);
+    // Each pair lives in one window, so sorting alone yields their
+    // union; a station can be listed by several and needs the unique pass.
     std::sort(out.pairs.begin(), out.pairs.end());
-    out.stations = std::move(dirty_stations_);
     std::sort(out.stations.begin(), out.stations.end());
+    out.stations.erase(std::unique(out.stations.begin(), out.stations.end()),
+                       out.stations.end());
   }
-  dirty_pairs_.clear();
-  dirty_stations_.clear();
-  dirty_tracking_ = true;
-  dirty_pair_limit_ = next_limit;
   return out;
-}
-
-analysis::StationProfiles SlidingWindowGraph::Profiles() const {
-  analysis::StationProfiles profiles;
-  const size_t n = options_.station_count;
-  profiles.day.assign(n, {});
-  profiles.hour.assign(n, {});
-  for (size_t s = 0; s < n; ++s) {
-    for (size_t d = 0; d < 7; ++d) {
-      profiles.day[s][d] = static_cast<double>(day_[s][d]);
-    }
-    for (size_t h = 0; h < 24; ++h) {
-      profiles.hour[s][h] = static_cast<double>(hour_[s][h]);
-    }
-  }
-  return profiles;
 }
 
 void SlidingWindowGraph::ApplyDelta(const RingEntry& e, int32_t delta) {

@@ -9,7 +9,6 @@
 
 #include "core/civil_time.h"
 #include "core/result.h"
-#include "analysis/temporal_graph.h"
 #include "stream/event.h"
 
 #include "core/checked_cast.h"
@@ -173,10 +172,6 @@ class SlidingWindowGraph {
     return endpoint_count_[AsIndex(station)];
   }
 
-  /// The window's per-station profiles in the batch pipeline's format
-  /// (`analysis::StationProfiles`), for similarity reweighting.
-  analysis::StationProfiles Profiles() const;
-
   /// Visits every pair with a live trip count, ordered by (u, v)
   /// ascending: `visit(u, v, trips)` with u <= v. Deterministic, so
   /// snapshot freezes are reproducible.
@@ -190,35 +185,15 @@ class SlidingWindowGraph {
   /// one station_count and hold disjoint pairs (the shards of one
   /// stream), in (u, v) ascending order. It walks the OR of their
   /// occupancy bitmaps a word at a time and reads each count from the
-  /// window that holds it.
+  /// window that holds it. A lone window runs the scan's one-window
+  /// instantiation, in which the OR and the holder search compile away.
   template <typename Visitor>
   static void ForEachPairIn(std::span<const SlidingWindowGraph* const> windows,
                             Visitor&& visit) {
-    const SlidingWindowGraph& first = *windows.front();
-    const auto others = windows.subspan(1);
-    const size_t n = first.station_count();
-    // Row u of the triangle holds (u, u) .. (u, n - 1) at indices
-    // [row_begin, row_end); bits arrive in ascending index order.
-    size_t u = 0, row_begin = 0, row_end = n;
-    const size_t words = first.live_.size();
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t bits = first.live_[w];
-      for (const SlidingWindowGraph* window : others) bits |= window->live_[w];
-      for (; bits != 0; bits &= bits - 1) {
-        const size_t index =
-            w * 64 + static_cast<size_t>(std::countr_zero(bits));
-        while (index >= row_end) {
-          row_begin = row_end;
-          row_end += n - ++u;
-        }
-        const SlidingWindowGraph* holder = &first;
-        for (const SlidingWindowGraph* window : others) {
-          if ((window->live_[w] & Bit(index)) != 0) holder = window;
-        }
-        visit(static_cast<int32_t>(u),
-              static_cast<int32_t>(u + index - row_begin),
-              int64_t{holder->trips_[index]});
-      }
+    if (windows.size() == 1) {
+      ScanPairs(windows.first<1>(), visit);
+    } else {
+      ScanPairs(windows, visit);
     }
   }
 
@@ -246,12 +221,27 @@ class SlidingWindowGraph {
   /// delta freeze would reject the epoch anyway. Each pair and station
   /// is listed at most once per epoch (a "listed" flag, cleared through
   /// the lists at every drain), so with no limit the list never outgrows
-  /// the triangle.
-  WindowDirtySet DrainDirty(size_t next_limit = SIZE_MAX);
+  /// the triangle. The one-window case of the drain below.
+  WindowDirtySet DrainDirty(size_t next_limit = SIZE_MAX) {
+    SlidingWindowGraph* self = this;
+    return DrainDirty(std::span(&self, 1), SIZE_MAX, next_limit);
+  }
+
+  /// The one drain: drains the change records of `windows`, the shards
+  /// of one stream (disjoint pairs, one station_count), into the one set
+  /// a delta freeze over all of them patches, and starts each window's
+  /// next epoch under `next_limit`. Pairs come out as a sorted union,
+  /// stations as a sorted deduplicated union (a station's counters can
+  /// move in several windows). The set is complete only when every
+  /// window's record is and together they list at most `limit` pairs:
+  /// one overflowed or unarmed window, or an epoch past the cut-off the
+  /// windows tracked under, drops every record unsorted, forcing the
+  /// full freeze, never a silent partial patch. No window: incomplete.
+  static WindowDirtySet DrainDirty(std::span<SlidingWindowGraph* const> windows,
+                                   size_t limit, size_t next_limit);
 
   /// Distinct pairs the current epoch's change record lists so far;
-  /// never more than the epoch's limit. The sharded engine sums it over
-  /// its shards to drop an over-limit epoch before sorting anything.
+  /// never more than the epoch's limit.
   size_t dirty_pair_count() const { return dirty_pairs_.size(); }
 
   /// Forces the next DrainDirty() to report `complete = false` (one
@@ -292,6 +282,39 @@ class SlidingWindowGraph {
     int32_t from, to;
     uint8_t day, hour;
   };
+
+  /// ForEachPairIn's body, for a span of static or dynamic extent.
+  template <size_t Extent, typename Visitor>
+  static void ScanPairs(
+      std::span<const SlidingWindowGraph* const, Extent> windows,
+      Visitor& visit) {
+    const SlidingWindowGraph& first = *windows.front();
+    const auto others = windows.template subspan<1>();
+    const size_t n = first.station_count();
+    // Row u of the triangle holds (u, u) .. (u, n - 1) at indices
+    // [row_begin, row_end); bits arrive in ascending index order.
+    size_t u = 0, row_begin = 0, row_end = n;
+    const size_t words = first.live_.size();
+    for (size_t w = 0; w < words; ++w) {
+      uint64_t bits = first.live_[w];
+      for (const SlidingWindowGraph* window : others) bits |= window->live_[w];
+      for (; bits != 0; bits &= bits - 1) {
+        const size_t index =
+            w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        while (index >= row_end) {
+          row_begin = row_end;
+          row_end += n - ++u;
+        }
+        const SlidingWindowGraph* holder = &first;
+        for (const SlidingWindowGraph* window : others) {
+          if ((window->live_[w] & Bit(index)) != 0) holder = window;
+        }
+        visit(static_cast<int32_t>(u),
+              static_cast<int32_t>(u + index - row_begin),
+              int64_t{holder->trips_[index]});
+      }
+    }
+  }
 
   // delta is exactly +1 (ingest) or -1 (expiry); the narrow type keeps
   // the pair-counter arithmetic inside int32_t by construction instead

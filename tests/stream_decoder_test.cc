@@ -141,6 +141,7 @@ uint32_t GetU32(const std::string& bytes, size_t offset) {
 // block (the hour-row count at +64), the 25-byte tracker (has-partition
 // at +24), then the trailer: the shard count and shard 0's applied
 // counter.
+constexpr size_t kLatePolicyOffset = 32;  // then three bool bytes
 constexpr size_t kReorderFlushedOffset = 84 + 8;
 constexpr size_t kHourCountOffset = 84 + 73 + 64;
 constexpr size_t kHasPartitionOffset = 84 + 73 + 80 + 24;
@@ -177,7 +178,11 @@ TEST(CheckpointTest, BoolBytesAboveOneAreDataLoss) {
   const std::string base = SerializeCheckpoint(EngineCheckpoint{});
   ASSERT_EQ(base.size(), kDefaultPayloadBytes);
   ASSERT_TRUE(ParseCheckpoint(base).ok());
-  for (const size_t offset : {kReorderFlushedOffset, kHasPartitionOffset}) {
+  // The late policy (the last LateEventPolicy is 1), suppress_duplicates,
+  // flushed and snapshot_clean, then the reorder and the tracker bools.
+  for (const size_t offset :
+       {kLatePolicyOffset, kLatePolicyOffset + 1, kLatePolicyOffset + 2,
+        kLatePolicyOffset + 3, kReorderFlushedOffset, kHasPartitionOffset}) {
     for (const int value : {0x02, 0x80, 0xFF}) {
       std::string bytes = base;
       bytes[offset] = static_cast<char>(value);
@@ -381,7 +386,8 @@ Result<WalReadResult> ReadAll(const fs::path& dir, uint64_t* visited) {
 
 // The default_spec byte, a has-value byte and an absent optional's value
 // slot each have one encoding; any other byte in them, under a valid CRC,
-// is a frame the reader refuses (in the tail: a torn tail, not a record).
+// is a record no writer produces. No crash writes a frame whose CRC
+// matches, so it is DataLoss even in the tail, never a torn tail.
 TEST(WalTest, NonCanonicalDetectPayloadsAreNotReplayed) {
   const fs::path dir = FreshDir("noncanonical");
   const std::vector<fs::path> paths = WriteEveryRecordType(dir);
@@ -420,11 +426,42 @@ TEST(WalTest, NonCanonicalDetectPayloadsAreNotReplayed) {
     WriteFileBytes(paths[0], tail.Join());
     uint64_t visited = 0;
     auto read = ReadAll(dir, &visited);
-    ASSERT_TRUE(read.ok()) << read.status().ToString();
     const bool canonical = patch.offset == 1 && patch.value == 0x01;
-    EXPECT_EQ(visited, canonical ? 1u : 0u);
-    EXPECT_EQ(read->truncated_bytes, canonical ? 0u : 8 + patch.payload.size());
+    if (!canonical) {
+      ASSERT_FALSE(read.ok());
+      EXPECT_EQ(read.status().code(), StatusCode::kDataLoss)
+          << read.status().ToString();
+      EXPECT_NE(read.status().message().find("offset 20"), std::string::npos)
+          << read.status().ToString();
+      EXPECT_EQ(visited, 0u);
+      continue;
+    }
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(visited, 1u);
+    EXPECT_EQ(read->truncated_bytes, 0u);
   }
+  fs::remove_all(dir);
+}
+
+// A crash can leave the tail zero-filled past its last record. An 8-byte
+// zero frame header reads as an empty payload with CRC 0 (the CRC32C of
+// no bytes); the writer never writes one, so it is a torn tail, read OK
+// and truncated away.
+TEST(WalTest, ZeroFilledTailIsTornNotCorrupt) {
+  const fs::path dir = FreshDir("zero_tail");
+  const std::vector<fs::path> paths = WriteEveryRecordType(dir);
+  ASSERT_EQ(paths.size(), 2u);
+  const std::string tail = ReadFileBytes(paths[1]);
+  WriteFileBytes(paths[1], tail + std::string(8, '\0'));
+  uint64_t visited = 0;
+  auto read = ReadWal(dir.string(), /*repair_torn_tail=*/true,
+                      /*after_seq=*/0,
+                      [&visited](const WalRecord&) { ++visited; });
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(visited, 8u);
+  EXPECT_EQ(read->truncated_bytes, 8u);
+  EXPECT_EQ(read->last_seq, 8u);
+  EXPECT_EQ(ReadFileBytes(paths[1]), tail);
   fs::remove_all(dir);
 }
 

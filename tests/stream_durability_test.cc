@@ -472,10 +472,10 @@ EngineCheckpoint SampleCheckpoint() {
   c.station_count = 4;
   c.window_seconds = 3600;
   c.max_lateness_seconds = 60;
-  c.late_policy = 1;
-  c.suppress_duplicates = 1;
-  c.flushed = 0;
-  c.snapshot_clean = 1;
+  c.late_policy = LateEventPolicy::kError;
+  c.suppress_duplicates = true;
+  c.flushed = false;
+  c.snapshot_clean = true;
   c.publisher_epoch = 3;
   c.published_window_start_seconds = 100;
   c.published_window_end_seconds = 4200;

@@ -470,7 +470,12 @@ TEST(StreamEngineTest, ExtraStationPositionsAreNotIndexed) {
   short_table.station_positions.resize(1);
   StreamEngineConfig nan_entry = config;
   nan_entry.station_positions[1] = geo::LatLon(std::nan(""), -6.25);
-  const std::vector<StreamEngineConfig> refused = {short_table, nan_entry};
+  // A late policy that is no LateEventPolicy is refused the same way: no
+  // checkpoint could record it.
+  StreamEngineConfig bad_policy = config;
+  bad_policy.late_policy = static_cast<LateEventPolicy>(2);
+  const std::vector<StreamEngineConfig> refused = {short_table, nan_entry,
+                                                   bad_policy};
   for (const StreamEngineConfig& refused_config : refused) {
     for (const bool durable : {false, true}) {
       StreamEngineConfig bad = refused_config;

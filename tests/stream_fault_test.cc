@@ -1012,8 +1012,8 @@ TEST(DegradeTest, ExhaustedBudgetDegradesLoudlyAndKeepsIngesting) {
     // event and all six land in the window graph.
     ASSERT_TRUE(engine.Advance(CivilTime(1'600'100'000)).ok());
     EXPECT_EQ(engine.ingested_count(), 6u);
-    // Counters are conserved across the degrade (the writer is gone but
-    // its tallies were stashed).
+    // Counters are conserved across the degrade (the engine keeps the
+    // poisoned writer it stopped using).
     EXPECT_EQ(engine.wal_retry_count(), 2u);
     EXPECT_EQ(engine.wal_transient_recovered_count(), 0u);
     const std::vector<int64_t> want_sleeps = {1, 2};

@@ -1,5 +1,5 @@
 // Shard-partitioned ingestion: the ShardRouter partition function, the
-// SPSC command ring, the merged freeze view, and the engine-level
+// SPSC command ring, the shards drain and freeze, and the engine-level
 // headline — an N-shard engine reproduces the single-writer engine's
 // snapshots, profiles, and Louvain partitions bit for bit (merge-at-
 // freeze), including the routing edge cases: a station first seen
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -164,53 +165,104 @@ TEST(SpscRingTest, TwoThreadHandoffDeliversEverythingInOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// MergeDirtySets: the freeze-time union of per-shard change records.
+// The shards DrainDirty: the freeze-time union of per-shard change records.
 // ---------------------------------------------------------------------------
 
-TEST(MergeDirtySetsTest, EmptyInputIsIncomplete) {
-  const WindowDirtySet merged = MergeDirtySets({});
+/// Arms every shard's change tracking (a first drain is incomplete).
+void ArmTracking(std::span<SlidingWindowGraph* const> shards) {
+  EXPECT_FALSE(
+      SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, SIZE_MAX).complete);
+}
+
+TEST(ShardsDrainDirtyTest, NoShardIsIncomplete) {
+  const WindowDirtySet merged = SlidingWindowGraph::DrainDirty(
+      std::span<SlidingWindowGraph* const>{}, SIZE_MAX, SIZE_MAX);
   EXPECT_FALSE(merged.complete);
 }
 
-TEST(MergeDirtySetsTest, DisjointPairsAndSharedStationsMerge) {
-  WindowDirtySet a;
-  a.complete = true;
-  a.pairs = {SlidingWindowGraph::PairKey(0, 1),
-             SlidingWindowGraph::PairKey(2, 3)};
-  a.stations = {0, 1, 2, 3};
-  WindowDirtySet b;
-  b.complete = true;
-  b.pairs = {SlidingWindowGraph::PairKey(1, 4)};
-  b.stations = {1, 4};
-  WindowDirtySet empty;  // an idle shard: complete, nothing changed
-  empty.complete = true;
+TEST(ShardsDrainDirtyTest, DisjointPairsAndSharedStationsMerge) {
+  const WindowGraphOptions options{8, 0};
+  SlidingWindowGraph a(options);
+  SlidingWindowGraph b(options);
+  SlidingWindowGraph idle(options);  // complete, nothing changed
+  const std::array<SlidingWindowGraph*, 3> shards{&a, &b, &idle};
+  ArmTracking(shards);
+  ASSERT_TRUE(a.Ingest(Trip(0, 1, At(6, 8))).ok());
+  ASSERT_TRUE(a.Ingest(Trip(3, 2, At(6, 9))).ok());
+  ASSERT_TRUE(b.Ingest(Trip(4, 1, At(6, 10))).ok());
 
-  const WindowDirtySet merged = MergeDirtySets({a, b, empty});
+  const WindowDirtySet merged =
+      SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, SIZE_MAX);
   EXPECT_TRUE(merged.complete);
   EXPECT_EQ(merged.pairs,
             (std::vector<uint64_t>{SlidingWindowGraph::PairKey(0, 1),
                                    SlidingWindowGraph::PairKey(1, 4),
                                    SlidingWindowGraph::PairKey(2, 3)}));
   EXPECT_EQ(merged.stations, (std::vector<int32_t>{0, 1, 2, 3, 4}));
+
+  // The drain started a new epoch in every shard: only what changes
+  // next is listed.
+  ASSERT_TRUE(idle.Ingest(Trip(5, 5, At(6, 11))).ok());
+  const WindowDirtySet next =
+      SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, SIZE_MAX);
+  EXPECT_TRUE(next.complete);
+  EXPECT_EQ(next.pairs,
+            (std::vector<uint64_t>{SlidingWindowGraph::PairKey(5, 5)}));
+  EXPECT_EQ(next.stations, (std::vector<int32_t>{5}));
 }
 
-TEST(MergeDirtySetsTest, OneIncompleteShardPoisonsTheMerge) {
-  WindowDirtySet good;
-  good.complete = true;
-  good.pairs = {SlidingWindowGraph::PairKey(0, 1)};
-  good.stations = {0, 1};
-  WindowDirtySet overflowed;  // e.g. a first drain or a pair overflow
-  overflowed.complete = false;
-  const WindowDirtySet merged = MergeDirtySets({good, overflowed});
+TEST(ShardsDrainDirtyTest, OneIncompleteShardPoisonsTheMerge) {
+  const WindowGraphOptions options{8, 0};
+  SlidingWindowGraph good(options);
+  SlidingWindowGraph unarmed(options);  // never drained: a first drain
+  (void)good.DrainDirty();
+  ASSERT_TRUE(good.Ingest(Trip(0, 1, At(6, 8))).ok());
+  const std::array<SlidingWindowGraph*, 2> shards{&good, &unarmed};
+  WindowDirtySet merged =
+      SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, /*next_limit=*/1);
   EXPECT_FALSE(merged.complete);  // never a silent partial patch
+  EXPECT_TRUE(merged.pairs.empty());
+  EXPECT_TRUE(merged.stations.empty());
+
+  // Both are armed now, under a one-pair limit: a shard that lists a
+  // second pair overflows, and that poisons the merge too.
+  ASSERT_TRUE(good.Ingest(Trip(0, 1, At(6, 9))).ok());
+  ASSERT_TRUE(unarmed.Ingest(Trip(2, 3, At(6, 9))).ok());
+  ASSERT_TRUE(unarmed.Ingest(Trip(4, 5, At(6, 10))).ok());
+  merged = SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, SIZE_MAX);
+  EXPECT_FALSE(merged.complete);
+}
+
+TEST(ShardsDrainDirtyTest, RecordsThatTogetherPassTheLimitAreDropped) {
+  // Every shard tracks under the one global limit, so each record can
+  // stay under it while their union passes it: the drain drops them.
+  const WindowGraphOptions options{8, 0};
+  SlidingWindowGraph a(options);
+  SlidingWindowGraph b(options);
+  const std::array<SlidingWindowGraph*, 2> shards{&a, &b};
+  int day = 6;
+  for (const size_t limit : {size_t{2}, size_t{3}}) {
+    SCOPED_TRACE(limit);
+    (void)SlidingWindowGraph::DrainDirty(shards, SIZE_MAX, limit);
+    ASSERT_TRUE(a.Ingest(Trip(0, 1, At(day, 8))).ok());
+    ASSERT_TRUE(a.Ingest(Trip(0, 2, At(day, 9))).ok());
+    ASSERT_TRUE(b.Ingest(Trip(3, 4, At(day, 10))).ok());
+    ++day;
+    ASSERT_EQ(a.dirty_pair_count() + b.dirty_pair_count(), 3u);
+    const WindowDirtySet merged =
+        SlidingWindowGraph::DrainDirty(shards, limit, SIZE_MAX);
+    EXPECT_EQ(merged.complete, limit == 3);
+    EXPECT_EQ(merged.pairs.size(), limit == 3 ? 3u : 0u);
+    EXPECT_EQ(a.dirty_pair_count() + b.dirty_pair_count(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// ShardedWindowView: the merged read surface must agree with a single
-// window that ingested the union stream.
+// The shards freeze: reading N shards as one window must agree with a
+// single window that ingested the union stream.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedWindowViewTest, MergedViewMatchesTheUnionWindow) {
+TEST(ShardsFreezeTest, MatchesTheUnionWindow) {
   const size_t stations = 32;
   const auto events = PlantedStream(stations, 4, 5, 400, 21);
   const ShardRouter router(3);
@@ -227,48 +279,72 @@ TEST(ShardedWindowViewTest, MergedViewMatchesTheUnionWindow) {
   // Align every shard to the union watermark (the engine's phase-2
   // barrier) so expiry cutoffs agree.
   for (SlidingWindowGraph& shard : shards) shard.Advance(single.watermark());
+  const std::array<const SlidingWindowGraph*, 3> parts{&shards[0], &shards[1],
+                                                       &shards[2]};
 
-  const ShardedWindowView view({&shards[0], &shards[1], &shards[2]});
-  EXPECT_EQ(view.station_count(), single.station_count());
-  EXPECT_EQ(view.trip_count(), single.trip_count());
-  EXPECT_EQ(view.pair_count(), single.pair_count());
-  EXPECT_EQ(view.watermark(), single.watermark());
-  EXPECT_EQ(view.window_start(), single.window_start());
-  for (int32_t s = 0; s < static_cast<int32_t>(stations); ++s) {
-    EXPECT_EQ(view.DayCounts(s), single.DayCounts(s)) << "station " << s;
-    EXPECT_EQ(view.HourCounts(s), single.HourCounts(s)) << "station " << s;
+  // The counters the freeze sums: trips and pairs are disjoint, the
+  // per-station rows add up to the union window's.
+  size_t trips = 0, pairs = 0;
+  for (const SlidingWindowGraph* shard : parts) {
+    trips += shard->trip_count();
+    pairs += shard->pair_count();
   }
-  const analysis::StationProfiles merged_profiles = view.Profiles();
-  const analysis::StationProfiles single_profiles = single.Profiles();
-  EXPECT_EQ(merged_profiles.day, single_profiles.day);
-  EXPECT_EQ(merged_profiles.hour, single_profiles.hour);
+  EXPECT_EQ(trips, single.trip_count());
+  EXPECT_EQ(pairs, single.pair_count());
+  for (int32_t s = 0; s < static_cast<int32_t>(stations); ++s) {
+    std::array<int64_t, 7> day{};
+    std::array<int64_t, 24> hour{};
+    for (const SlidingWindowGraph* shard : parts) {
+      for (size_t i = 0; i < day.size(); ++i) day[i] += shard->DayCounts(s)[i];
+      for (size_t i = 0; i < hour.size(); ++i) {
+        hour[i] += shard->HourCounts(s)[i];
+      }
+    }
+    EXPECT_EQ(day, single.DayCounts(s)) << "station " << s;
+    EXPECT_EQ(hour, single.HourCounts(s)) << "station " << s;
+  }
 
-  // ForEachPair: identical (u, v, trips) sequence, ascending, no ties.
-  std::vector<std::array<int64_t, 3>> from_view, from_single;
-  view.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
-    from_view.push_back({u, v, trips});
-    EXPECT_EQ(view.TripsBetween(u, v), trips);
+  // ForEachPairIn: identical (u, v, trips) sequence, ascending, no ties,
+  // each count held by exactly one shard.
+  std::vector<std::array<int64_t, 3>> from_shards, from_single;
+  SlidingWindowGraph::ForEachPairIn(
+      parts, [&](int32_t u, int32_t v, int64_t count) {
+        from_shards.push_back({u, v, count});
+        int holders = 0;
+        for (const SlidingWindowGraph* shard : parts) {
+          const int64_t held = shard->TripsBetween(u, v);
+          if (held != 0) {
+            ++holders;
+            EXPECT_EQ(held, count);
+          }
+        }
+        EXPECT_EQ(holders, 1) << "pair (" << u << ", " << v << ")";
+      });
+  single.ForEachPair([&](int32_t u, int32_t v, int64_t count) {
+    from_single.push_back({u, v, count});
   });
-  single.ForEachPair([&](int32_t u, int32_t v, int64_t trips) {
-    from_single.push_back({u, v, trips});
-  });
-  EXPECT_EQ(from_view, from_single);
+  EXPECT_EQ(from_shards, from_single);
 
-  // And the freeze built over the view is bit-identical to the freeze
-  // built over the union window.
-  auto merged_snap = FreezeSnapshot(view);
+  // And the freeze of the shards is bit-identical to the freeze of the
+  // union window.
+  auto merged_snap = FreezeSnapshot(parts);
   auto single_snap = FreezeSnapshot(single);
   ASSERT_TRUE(merged_snap.ok());
   ASSERT_TRUE(single_snap.ok());
   EXPECT_EQ(merged_snap->trip_count, single_snap->trip_count);
   EXPECT_EQ(merged_snap->window_start, single_snap->window_start);
   EXPECT_EQ(merged_snap->window_end, single_snap->window_end);
+  EXPECT_EQ(merged_snap->window_end, single.watermark());
   EXPECT_EQ(merged_snap->profiles.day, single_snap->profiles.day);
   EXPECT_EQ(merged_snap->profiles.hour, single_snap->profiles.hour);
+  EXPECT_EQ(merged_snap->graph.node_count(), stations);
+  EXPECT_EQ(merged_snap->graph.edge_count() +
+                merged_snap->graph.self_loop_count(),
+            single.pair_count());
   ExpectGraphsIdentical(merged_snap->graph, single_snap->graph);
 }
 
-TEST(ShardedWindowViewTest, EmptyShardsContributeNothing) {
+TEST(ShardsFreezeTest, EmptyShardsContributeNothing) {
   const WindowGraphOptions options{8, 86400};
   SlidingWindowGraph populated(options);
   SlidingWindowGraph empty_a(options);
@@ -276,16 +352,32 @@ TEST(ShardedWindowViewTest, EmptyShardsContributeNothing) {
   ASSERT_TRUE(populated.Ingest(Trip(0, 1, At(6, 10))).ok());
   ASSERT_TRUE(populated.Ingest(Trip(1, 2, At(6, 11))).ok());
 
-  const ShardedWindowView view({&empty_a, &populated, &empty_b});
-  EXPECT_EQ(view.trip_count(), 2u);
-  EXPECT_EQ(view.pair_count(), 2u);
-  EXPECT_EQ(view.watermark(), populated.watermark());
-  EXPECT_EQ(view.window_start(), populated.window_start());
-  EXPECT_EQ(view.TripsBetween(0, 1), 1);
-  EXPECT_EQ(view.TripsBetween(3, 4), 0);
+  const std::array<const SlidingWindowGraph*, 3> parts{&empty_a, &populated,
+                                                       &empty_b};
+  auto snap = FreezeSnapshot(parts);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap->trip_count, 2u);
+  EXPECT_EQ(snap->graph.edge_count() + snap->graph.self_loop_count(), 2u);
+  EXPECT_EQ(snap->window_end, populated.watermark());
+  EXPECT_EQ(snap->window_start, populated.window_start());
+  EXPECT_DOUBLE_EQ(snap->graph.WeightBetween(0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(snap->graph.WeightBetween(3, 4), 0.0);
   size_t visited = 0;
-  view.ForEachPair([&](int32_t, int32_t, int64_t) { ++visited; });
+  SlidingWindowGraph::ForEachPairIn(
+      parts, [&](int32_t, int32_t, int64_t) { ++visited; });
   EXPECT_EQ(visited, 2u);
+
+  auto alone = FreezeSnapshot(populated);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(snap->profiles.day, alone->profiles.day);
+  EXPECT_EQ(snap->profiles.hour, alone->profiles.hour);
+  ExpectGraphsIdentical(snap->graph, alone->graph);
+
+  // No shard at all is refused, not read.
+  EXPECT_EQ(FreezeSnapshot(std::span<const SlidingWindowGraph* const>{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include "core/rng.h"
 #include "graphdb/weighted_graph.h"
 #include "stream/engine.h"
+#include "stream/shard.h"
 #include "stream/snapshot.h"
 #include "stream/testing.h"
 #include "stream/window_graph.h"
@@ -392,42 +393,58 @@ void ExpectSnapshotsIdentical(const WindowSnapshot& a,
 /// Chains FreezeSnapshotDelta across `epochs` randomized epochs (each
 /// the previous delta's output — so patching errors would compound) and
 /// checks every epoch against an independent full freeze, bit for bit.
+/// The stream is routed over `shard_count` windows the way the engine
+/// routes it (ShardRouter), aligned to the union watermark and drained
+/// together before each delta freeze of all of them; the reference is
+/// the full freeze of one window that ingested the union stream.
 void RunRandomizedEpochChain(const analysis::TemporalGraphOptions& projection,
                              int epochs, uint64_t seed,
-                             int64_t window_seconds) {
+                             int64_t window_seconds, size_t shard_count) {
+  SCOPED_TRACE(std::to_string(shard_count) + " shard(s)");
   Rng rng(seed);
   const size_t stations = 16;
-  SlidingWindowGraph window({stations, window_seconds});
+  const WindowGraphOptions options{stations, window_seconds};
+  const ShardRouter router(shard_count);
+  SlidingWindowGraph whole(options);
+  std::vector<SlidingWindowGraph> shards(shard_count,
+                                         SlidingWindowGraph(options));
+  std::vector<SlidingWindowGraph*> parts;
+  for (SlidingWindowGraph& shard : shards) parts.push_back(&shard);
   SnapshotDeltaPolicy force_delta;
   force_delta.max_dirty_fraction = 1e18;  // never fall back on size
 
   CivilTime t = At(6, 0);
   int64_t id = 0;
-  (void)window.DrainDirty();  // arm tracking
-  WindowSnapshot previous = FreezeSnapshot(window, projection).ValueOrDie();
+  (void)SlidingWindowGraph::DrainDirty(parts, SIZE_MAX, SIZE_MAX);  // arm
+  WindowSnapshot previous = FreezeSnapshot(parts, projection).ValueOrDie();
   size_t delta_epochs = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
     const uint64_t events = rng.NextBounded(12);
     for (uint64_t i = 0; i < events; ++i) {
       t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(180)));
+      const TripEvent trip =
+          Trip(static_cast<int32_t>(rng.NextBounded(stations)),
+               static_cast<int32_t>(rng.NextBounded(stations)), t, ++id);
+      ASSERT_TRUE(whole.Ingest(trip).ok());
       ASSERT_TRUE(
-          window
-              .Ingest(Trip(static_cast<int32_t>(rng.NextBounded(stations)),
-                           static_cast<int32_t>(rng.NextBounded(stations)),
-                           t, ++id))
+          shards[router.OwnerOfPair(trip.from_station, trip.to_station)]
+              .Ingest(trip)
               .ok());
     }
     if (rng.NextBounded(8) == 0) {
       t = t.AddSeconds(static_cast<int64_t>(rng.NextBounded(7200)));
-      window.Advance(t);  // expiry without ingestion
+      whole.Advance(t);  // expiry without ingestion
     }
-    const WindowDirtySet dirty = window.DrainDirty();
+    // The engine's phase-2 barrier: every shard at the union watermark.
+    for (SlidingWindowGraph& shard : shards) shard.Advance(whole.watermark());
+    const WindowDirtySet dirty =
+        SlidingWindowGraph::DrainDirty(parts, SIZE_MAX, SIZE_MAX);
     bool used_delta = false;
-    auto delta = FreezeSnapshotDelta(window, previous, dirty, projection,
+    auto delta = FreezeSnapshotDelta(parts, previous, dirty, projection,
                                      nullptr, force_delta, &used_delta);
     ASSERT_TRUE(delta.ok()) << delta.status();
     if (used_delta) ++delta_epochs;
-    auto full = FreezeSnapshot(window, projection);
+    auto full = FreezeSnapshot(whole, projection);
     ASSERT_TRUE(full.ok());
     ExpectSnapshotsIdentical(*delta, *full);
     previous = std::move(*delta);
@@ -438,13 +455,18 @@ void RunRandomizedEpochChain(const analysis::TemporalGraphOptions& projection,
 }
 
 TEST(SnapshotDeltaTest, ThousandEpochBitIdentityGBasic) {
-  RunRandomizedEpochChain({}, 1000, 101, /*window_seconds=*/1800);
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    RunRandomizedEpochChain({}, 1000, 101, /*window_seconds=*/1800, shards);
+  }
 }
 
 TEST(SnapshotDeltaTest, ThousandEpochBitIdentityGDay) {
   analysis::TemporalGraphOptions projection;
   projection.granularity = analysis::TemporalGranularity::kDay;
-  RunRandomizedEpochChain(projection, 1000, 202, /*window_seconds=*/1800);
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    RunRandomizedEpochChain(projection, 1000, 202, /*window_seconds=*/1800,
+                            shards);
+  }
 }
 
 TEST(SnapshotDeltaTest, EpochChainBitIdentityGHourLandmark) {
@@ -452,7 +474,10 @@ TEST(SnapshotDeltaTest, EpochChainBitIdentityGHourLandmark) {
   projection.granularity = analysis::TemporalGranularity::kHour;
   projection.similarity_floor = 0.2;
   projection.contrast = 2.0;
-  RunRandomizedEpochChain(projection, 300, 303, /*window_seconds=*/0);
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    RunRandomizedEpochChain(projection, 300, 303, /*window_seconds=*/0,
+                            shards);
+  }
 }
 
 TEST(SnapshotDeltaTest, FallsBackWithoutPreviousCompatibleSnapshot) {
@@ -510,7 +535,8 @@ TEST(SnapshotDeltaTest, LargeDirtyFractionFallsBackAndStaysCorrect) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine wiring: delta-frozen epochs match a delta-disabled engine.
+// Engine wiring: delta-frozen epochs match an engine whose zero dirty
+// fraction refuses every patch.
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotDeltaTest, EngineDeltaEpochsMatchFullFreezeEngine) {
@@ -521,7 +547,7 @@ TEST(SnapshotDeltaTest, EngineDeltaEpochsMatchFullFreezeEngine) {
   config.station_count = stations;
   config.window_seconds = 2 * 86400;
   StreamEngine delta_engine(config);
-  config.snapshot_delta.enabled = false;
+  config.snapshot_delta.max_dirty_fraction = 0;
   StreamEngine full_engine(config);
 
   size_t count = 0;
@@ -567,7 +593,7 @@ TEST(SnapshotDeltaTest, ShardedEngineDeltaEpochsMatchSingleWriterFull) {
   config.shard_count = 3;
   StreamEngine sharded_delta(config);
   config.shard_count = 1;
-  config.snapshot_delta.enabled = false;
+  config.snapshot_delta.max_dirty_fraction = 0;
   StreamEngine single_full(config);
 
   size_t count = 0;
@@ -592,7 +618,7 @@ TEST(SnapshotDeltaTest, DirtyLimitNeverTouchesAnEpochTheDeltaPathTakes) {
   // Snapshots alternate day-sized epochs, which dirty far more pairs
   // than the default cut-off and stop tracking at it, with small epochs
   // of a few trips. The default-policy engines, single-writer and
-  // sharded, publish what a delta-disabled engine publishes, and every
+  // sharded, publish what a full-freeze engine publishes, and every
   // small epoch, and only those, is delta-frozen.
   const size_t stations = 24;
   constexpr int kTripsPerDay = 400;
@@ -602,7 +628,7 @@ TEST(SnapshotDeltaTest, DirtyLimitNeverTouchesAnEpochTheDeltaPathTakes) {
   StreamEngineConfig config;
   config.station_count = stations;
   config.window_seconds = 2 * 86400;
-  config.snapshot_delta.enabled = false;
+  config.snapshot_delta.max_dirty_fraction = 0;
   StreamEngine full_engine(config);
   config.snapshot_delta = SnapshotDeltaPolicy{};
   StreamEngine single(config);

@@ -13,6 +13,7 @@
 
 #include "core/civil_time.h"
 #include "core/rng.h"
+#include "stream/snapshot.h"
 #include "stream/window_graph.h"
 
 #include <gtest/gtest.h>
@@ -259,7 +260,9 @@ TEST(SlidingWindowGraphTest, ProfilesMatchCountersAndZeroActivity) {
   SlidingWindowGraph w({3, 86400});
   ASSERT_TRUE(w.Ingest(Trip(0, 1, At(6, 8))).ok());
   ASSERT_TRUE(w.Ingest(Trip(0, 1, At(6, 17))).ok());
-  analysis::StationProfiles p = w.Profiles();
+  const auto frozen = FreezeSnapshot(w);
+  ASSERT_TRUE(frozen.ok());
+  const analysis::StationProfiles& p = frozen->profiles;
   ASSERT_EQ(p.day.size(), 3u);
   EXPECT_DOUBLE_EQ(p.day[0][0], 2.0);
   EXPECT_DOUBLE_EQ(p.hour[1][8], 1.0);
